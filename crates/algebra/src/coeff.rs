@@ -148,8 +148,12 @@ impl<F: CoeffField> CPoly<F> {
             .unwrap_or(0)
     }
 
-    /// Leading term under `order` (linear scan, like `Poly::leading_term`).
+    /// Leading term under `order`: the first term when `order` is the
+    /// storage order, else a linear scan (like `Poly::leading_term`).
     pub fn leading_term(&self, order: &MonomialOrder) -> Option<(Monomial, F::Elem)> {
+        if order.is_storage_order() {
+            return self.terms.first().cloned();
+        }
         let mut best: Option<&(Monomial, F::Elem)> = None;
         for t in &self.terms {
             best = match best {

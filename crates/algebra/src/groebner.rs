@@ -84,7 +84,7 @@ pub struct GroebnerOptions {
     /// **On by default** (after four PRs of green opt-in soak); a
     /// profitability gate still routes small all-integer ideals straight to
     /// the exact engine, where the lift's fixed cost is pure overhead — see
-    /// [`lift_profitable`]. Set `SYMMAP_TEST_MULTIMODULAR=0` to opt out.
+    /// `lift_profitable`. Set `SYMMAP_TEST_MULTIMODULAR=0` to opt out.
     pub multimodular: bool,
 }
 

@@ -120,6 +120,23 @@ impl MonomialOrder {
         }
     }
 
+    /// Whether this order coincides with the canonical storage order of
+    /// `Monomial` (plain lex over exponent vectors, index 0 first): a lex
+    /// order whose listed variables are exactly indices `0, 1, …` in that
+    /// order. Ring-local lex orders over variables listed in interning order
+    /// have this shape, and a sorted term vector's first term is then its
+    /// leading term.
+    pub(crate) fn is_storage_order(&self) -> bool {
+        match self {
+            MonomialOrder::Lex(vars) => vars
+                .as_slice()
+                .iter()
+                .enumerate()
+                .all(|(i, v)| v.index() as usize == i),
+            _ => false,
+        }
+    }
+
     /// Lexicographic comparison: listed variables in precedence order, then
     /// unlisted variables by ascending interner index; the first variable
     /// with differing exponents decides (larger exponent wins).
@@ -228,6 +245,40 @@ mod tests {
                 .map(|&(n, e)| (Var::new(n), e))
                 .collect::<Vec<_>>(),
         )
+    }
+
+    #[test]
+    fn storage_order_is_identity_prefix_lex_only() {
+        let lex =
+            |idx: &[u32]| MonomialOrder::Lex(idx.iter().map(|&i| Var::from_index(i)).collect());
+        assert!(lex(&[]).is_storage_order());
+        assert!(lex(&[0, 1, 2]).is_storage_order());
+        assert!(!lex(&[1, 0]).is_storage_order());
+        assert!(!lex(&[0, 2]).is_storage_order());
+        let vars: VarSet = [0, 1].into_iter().map(Var::from_index).collect();
+        assert!(!MonomialOrder::GrLex(vars.clone()).is_storage_order());
+        assert!(!MonomialOrder::GrevLex(vars.clone()).is_storage_order());
+        assert!(!MonomialOrder::Elimination(vars, 1).is_storage_order());
+        // It agrees with the canonical order on every pair of exponent
+        // vectors over three variables, degrees 0..3.
+        let order = lex(&[0, 1, 2]);
+        let monos: Vec<Monomial> = (0..27_u32)
+            .map(|k| {
+                let exps = [k / 9, k / 3 % 3, k % 3];
+                Monomial::from_pairs(
+                    &exps
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &e)| (Var::from_index(i as u32), e))
+                        .collect::<Vec<_>>(),
+                )
+            })
+            .collect();
+        for a in &monos {
+            for b in &monos {
+                assert_eq!(order.cmp(a, b), a.cmp(b), "{a} vs {b}");
+            }
+        }
     }
 
     #[test]

@@ -47,6 +47,25 @@ pub struct BigInt {
 
 const BASE: u64 = 1 << 32;
 
+/// `gcd` over `u64` (binary, Stein); `gcd(0, x) == x`.
+pub(crate) fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
 impl BigInt {
     /// The additive identity.
     pub fn zero() -> Self {
@@ -101,10 +120,7 @@ impl BigInt {
 
     /// Number of bits in the magnitude (0 for zero).
     pub fn bits(&self) -> usize {
-        match self.limbs.last() {
-            None => 0,
-            Some(&top) => (self.limbs.len() - 1) * 32 + (32 - top.leading_zeros() as usize),
-        }
+        Self::mag_bits(&self.limbs)
     }
 
     /// Converts to `i64` if the value fits.
@@ -398,15 +414,157 @@ impl BigInt {
     }
 
     /// Greatest common divisor (always non-negative).
+    ///
+    /// Lehmer's algorithm (Knuth, TAOCP vol. 2, §4.5.2, Algorithm L): the
+    /// Euclidean quotient sequence is run on the leading 62 bits of the
+    /// operands, accumulating a 2×2 cofactor matrix, and the matrix is then
+    /// applied to the full operands in one in-place pass — one
+    /// multiprecision step instead of a run of schoolbook divisions. A
+    /// single `div_rem` handles the case where the leading bits cannot
+    /// certify even one quotient. Once the smaller operand fits a `u64` the
+    /// rest is word arithmetic.
     pub fn gcd(&self, other: &BigInt) -> BigInt {
-        let mut a = self.abs();
-        let mut b = other.abs();
-        while !b.is_zero() {
-            let (_, r) = a.div_rem(&b);
-            a = b;
-            b = r;
+        let (mut u, mut v) = match Self::cmp_mag(&self.limbs, &other.limbs) {
+            Ordering::Less => (other.limbs.clone(), self.limbs.clone()),
+            _ => (self.limbs.clone(), other.limbs.clone()),
+        };
+        // Invariant: u >= v, both magnitudes without trailing zero limbs.
+        while v.len() > 2 {
+            let [a, b, c, d] = Self::lehmer_cosequence(&u, &v);
+            if b == 0 {
+                let (_, r) = Self::divrem_mag(&u, &v);
+                u = std::mem::replace(&mut v, r);
+            } else {
+                Self::lehmer_apply(&mut u, &mut v, [a, b, c, d]);
+            }
         }
-        a
+        let small = Self::mag_u64(&v);
+        if small == 0 {
+            return BigInt::from_limbs(Sign::Plus, u);
+        }
+        BigInt::from(gcd_u64(small, Self::rem_mag_u64(&u, small)))
+    }
+
+    /// One Lehmer step on `(u, v)` with `u > v > 0`, for callers that track
+    /// the Euclidean cosequence themselves: the certified cofactors
+    /// `[A, B, C, D]` with the consecutive remainders `(A·u + B·v,
+    /// C·u + D·v)`. `None` when `v` fits two limbs or the leading bits
+    /// certify no quotient — then take a plain `div_rem` step.
+    pub(crate) fn lehmer_step(u: &BigInt, v: &BigInt) -> Option<([i128; 4], BigInt, BigInt)> {
+        debug_assert!(u > v && v.is_positive());
+        if v.limbs.len() <= 2 {
+            return None;
+        }
+        let cofactors = Self::lehmer_cosequence(&u.limbs, &v.limbs);
+        if cofactors[1] == 0 {
+            return None;
+        }
+        let (mut nu, mut nv) = (u.limbs.clone(), v.limbs.clone());
+        Self::lehmer_apply(&mut nu, &mut nv, cofactors);
+        Some((
+            cofactors,
+            BigInt::from_limbs(Sign::Plus, nu),
+            BigInt::from_limbs(Sign::Plus, nv),
+        ))
+    }
+
+    /// Knuth's Algorithm L, steps L2–L3: runs the quotient sequence of
+    /// `(û, v̂)` — `u` and `v` shifted right so that `û` keeps 62 bits —
+    /// and returns the cofactors `[A, B, C, D]` of every step whose
+    /// quotient is certified exact for the full operands, i.e. identical
+    /// for both bracketing ratios `(û + A)/(v̂ + C)` and `(û + B)/(v̂ + D)`.
+    /// `B == 0` means no step was certified.
+    fn lehmer_cosequence(u: &[u32], v: &[u32]) -> [i128; 4] {
+        let shift = Self::mag_bits(u).saturating_sub(62);
+        let mut uh = Self::mag_shr_u64(u, shift) as i128;
+        let mut vh = Self::mag_shr_u64(v, shift) as i128;
+        let (mut a, mut b, mut c, mut d) = (1_i128, 0_i128, 0_i128, 1_i128);
+        // The brackets lie in [0, 2⁶³] (Knuth), so the quotients are u64
+        // divisions. Stopping early is always safe — every step taken so far
+        // was certified — so a bracket outside u64 or a zero divisor simply
+        // ends the run.
+        while let (Ok(num_a), Ok(den_c), Ok(num_b), Ok(den_d)) = (
+            u64::try_from(uh + a),
+            u64::try_from(vh + c),
+            u64::try_from(uh + b),
+            u64::try_from(vh + d),
+        ) {
+            if den_c == 0 || den_d == 0 || num_a / den_c != num_b / den_d {
+                break;
+            }
+            let q = (num_a / den_c) as i128;
+            (a, c) = (c, a - q * c);
+            (b, d) = (d, b - q * d);
+            (uh, vh) = (vh, uh - q * vh);
+        }
+        [a, b, c, d]
+    }
+
+    /// Knuth's Algorithm L, step L4: replaces `(u, v)` by
+    /// `(A·u + B·v, C·u + D·v)` in one pass over the limbs, without
+    /// allocating. The cofactors come from a certified cosequence, so both
+    /// results are non-negative consecutive remainders with `u > v`.
+    fn lehmer_apply(u: &mut Vec<u32>, v: &mut Vec<u32>, [a, b, c, d]: [i128; 4]) {
+        v.resize(u.len(), 0);
+        let (mut carry_u, mut carry_v) = (0_i128, 0_i128);
+        for (ui, vi) in u.iter_mut().zip(v.iter_mut()) {
+            let (x, y) = (*ui as i128, *vi as i128);
+            // Cofactors stay below 2⁶⁴ in magnitude and limbs below 2³², so
+            // every sum stays far inside i128; the arithmetic shift floors
+            // the signed carry.
+            let nu = a * x + b * y + carry_u;
+            let nv = c * x + d * y + carry_v;
+            *ui = nu as u32;
+            *vi = nv as u32;
+            carry_u = nu >> 32;
+            carry_v = nv >> 32;
+        }
+        debug_assert!(carry_u == 0 && carry_v == 0, "cosequence left a carry");
+        for limbs in [u, v] {
+            while limbs.last() == Some(&0) {
+                limbs.pop();
+            }
+        }
+    }
+
+    /// Number of significant bits of a trimmed magnitude.
+    fn mag_bits(a: &[u32]) -> usize {
+        a.last()
+            .map_or(0, |&top| a.len() * 32 - top.leading_zeros() as usize)
+    }
+
+    /// The magnitude shifted right by `shift` bits, truncated to 64 bits.
+    fn mag_shr_u64(a: &[u32], shift: usize) -> u64 {
+        let (limb, bit) = (shift / 32, shift % 32);
+        let window = a
+            .iter()
+            .skip(limb)
+            .take(3)
+            .rev()
+            .fold(0_u128, |acc, &l| (acc << 32) | l as u128);
+        (window >> bit) as u64
+    }
+
+    /// A magnitude of at most two limbs as a `u64`.
+    fn mag_u64(a: &[u32]) -> u64 {
+        debug_assert!(a.len() <= 2);
+        a.iter().rev().fold(0, |acc, &l| (acc << 32) | l as u64)
+    }
+
+    /// Remainder of a magnitude modulo a nonzero `u64` (Horner over the
+    /// limbs, high limb first; the accumulator stays below m·2³², so a
+    /// one-limb modulus never leaves u64).
+    fn rem_mag_u64(a: &[u32], m: u64) -> u64 {
+        if m <= u32::MAX as u64 {
+            return a
+                .iter()
+                .rev()
+                .fold(0, |acc, &l| ((acc << 32) | l as u64) % m);
+        }
+        let m = m as u128;
+        a.iter()
+            .rev()
+            .fold(0_u128, |acc, &l| ((acc << 32) | l as u128) % m) as u64
     }
 
     /// Extended Euclidean algorithm: returns `(g, x, y)` with
@@ -473,14 +631,7 @@ impl BigInt {
     /// Panics when `m == 0`.
     pub fn mod_u64(&self, m: u64) -> u64 {
         assert!(m > 0, "modulus must be positive");
-        let m128 = m as u128;
-        // Horner over the little-endian base-2³² limbs, high limb first;
-        // the accumulator stays below m·2³² < 2⁹⁶.
-        let mut acc: u128 = 0;
-        for &l in self.limbs.iter().rev() {
-            acc = ((acc << 32) | l as u128) % m128;
-        }
-        let r = acc as u64;
+        let r = Self::rem_mag_u64(&self.limbs, m);
         if self.is_negative() && r != 0 {
             m - r
         } else {
@@ -627,14 +778,21 @@ impl Ord for BigInt {
     }
 }
 
-impl Neg for BigInt {
-    type Output = BigInt;
-    fn neg(mut self) -> BigInt {
-        self.sign = match self.sign {
+impl Neg for Sign {
+    type Output = Sign;
+    fn neg(self) -> Sign {
+        match self {
             Sign::Minus => Sign::Plus,
             Sign::Zero => Sign::Zero,
             Sign::Plus => Sign::Minus,
-        };
+        }
+    }
+}
+
+impl Neg for BigInt {
+    type Output = BigInt;
+    fn neg(mut self) -> BigInt {
+        self.sign = -self.sign;
         self
     }
 }
@@ -646,12 +804,16 @@ impl Neg for &BigInt {
     }
 }
 
-impl Add for &BigInt {
-    type Output = BigInt;
-    fn add(self, rhs: &BigInt) -> BigInt {
+impl BigInt {
+    /// `self + rhs` where `rhs` carries `rhs_sign` instead of its own sign,
+    /// so subtraction needs no negated copy of its operand.
+    fn add_with_sign(&self, rhs: &BigInt, rhs_sign: Sign) -> BigInt {
         use Sign::*;
-        match (self.sign, rhs.sign) {
-            (Zero, _) => rhs.clone(),
+        match (self.sign, rhs_sign) {
+            (Zero, _) => BigInt {
+                sign: rhs_sign,
+                limbs: rhs.limbs.clone(),
+            },
             (_, Zero) => self.clone(),
             (a, b) if a == b => BigInt::from_limbs(a, BigInt::add_mag(&self.limbs, &rhs.limbs)),
             _ => match BigInt::cmp_mag(&self.limbs, &rhs.limbs) {
@@ -660,10 +822,17 @@ impl Add for &BigInt {
                     BigInt::from_limbs(self.sign, BigInt::sub_mag(&self.limbs, &rhs.limbs))
                 }
                 Ordering::Less => {
-                    BigInt::from_limbs(rhs.sign, BigInt::sub_mag(&rhs.limbs, &self.limbs))
+                    BigInt::from_limbs(rhs_sign, BigInt::sub_mag(&rhs.limbs, &self.limbs))
                 }
             },
         }
+    }
+}
+
+impl Add for &BigInt {
+    type Output = BigInt;
+    fn add(self, rhs: &BigInt) -> BigInt {
+        self.add_with_sign(rhs, rhs.sign)
     }
 }
 
@@ -697,7 +866,7 @@ impl AddAssign<&BigInt> for BigInt {
 impl Sub for &BigInt {
     type Output = BigInt;
     fn sub(self, rhs: &BigInt) -> BigInt {
-        self + &(-rhs.clone())
+        self.add_with_sign(rhs, -rhs.sign)
     }
 }
 
@@ -774,6 +943,110 @@ impl Rem for BigInt {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Schoolbook Euclid over `div_rem`: the oracle for Lehmer's gcd.
+    fn euclid_gcd(a: &BigInt, b: &BigInt) -> BigInt {
+        let (mut a, mut b) = (a.abs(), b.abs());
+        while !b.is_zero() {
+            let (_, r) = a.div_rem(&b);
+            a = std::mem::replace(&mut b, r);
+        }
+        a
+    }
+
+    /// A signed value from raw little-endian limbs (zero when empty).
+    fn from_raw(negative: bool, limbs: Vec<u32>) -> BigInt {
+        let v = BigInt::from_limbs(Sign::Plus, limbs);
+        if negative {
+            -v
+        } else {
+            v
+        }
+    }
+
+    fn assert_gcd_matches_oracle(a: &BigInt, b: &BigInt) {
+        let g = a.gcd(b);
+        assert_eq!(g, euclid_gcd(a, b), "gcd({a}, {b})");
+        assert_eq!(b.gcd(a), g, "gcd is symmetric");
+        assert!(!g.is_negative());
+    }
+
+    #[test]
+    fn lehmer_gcd_edge_cases() {
+        let big = from_raw(false, vec![7, 0, 0, 0x8000_0000, 3]);
+        let min = BigInt::from(i64::MIN);
+        let cases = [
+            (BigInt::zero(), BigInt::zero()),
+            (big.clone(), BigInt::zero()),
+            (BigInt::zero(), -&big),
+            (-&big, big.clone()),
+            (big.clone(), big.clone()),
+            (-&big, -&big),
+            (&big * &min, min.clone()),
+            (min.clone(), min.clone()),
+            (min.clone(), BigInt::from(i64::MAX)),
+            (&big * &BigInt::from(u64::MAX), BigInt::from(u64::MAX)),
+            (big.clone(), BigInt::from(u64::MAX - 58)),
+            (big.clone(), BigInt::one()),
+            (&big * &big, -&big),
+        ];
+        for (a, b) in &cases {
+            assert_gcd_matches_oracle(a, b);
+        }
+        assert_eq!(BigInt::zero().gcd(&BigInt::zero()), BigInt::zero());
+        assert_eq!(min.gcd(&BigInt::zero()).to_string(), "9223372036854775808");
+    }
+
+    /// Consecutive Fibonacci numbers are Euclid's worst case (every
+    /// quotient is 1), so the cosequence certifies the most steps per run;
+    /// a huge first quotient is the opposite extreme (no step certifies).
+    #[test]
+    fn lehmer_gcd_extreme_quotients() {
+        let (mut f0, mut f1) = (BigInt::zero(), BigInt::one());
+        for _ in 0..1500 {
+            f1 = &f0 + &f1;
+            f0 = &f1 - &f0;
+        }
+        assert!(f1.bits() > 1000);
+        assert_gcd_matches_oracle(&f1, &f0);
+        let factor = BigInt::from(2_i64).pow(90) + BigInt::from(12345_i64);
+        assert_gcd_matches_oracle(&(&f1 * &factor), &(&f0 * &factor));
+        let shifted = &f1 * &BigInt::from(2_i64).pow(700);
+        assert_gcd_matches_oracle(&(&shifted + &f0), &f1);
+    }
+
+    proptest! {
+        /// Lehmer's gcd against the Euclid oracle on 1–40-limb operands
+        /// with a planted common factor of up to 3 limbs, every sign.
+        #[test]
+        fn prop_lehmer_gcd_matches_euclid(
+            a in proptest::collection::vec(any::<u32>(), 1..41),
+            b in proptest::collection::vec(any::<u32>(), 1..41),
+            factor in proptest::collection::vec(any::<u32>(), 0..4),
+            signs in (any::<bool>(), any::<bool>()),
+        ) {
+            let f = from_raw(false, factor);
+            let f = if f.is_zero() { BigInt::one() } else { f };
+            let a = &from_raw(signs.0, a) * &f;
+            let b = &from_raw(signs.1, b) * &f;
+            assert_gcd_matches_oracle(&a, &b);
+            prop_assert!(a.is_zero() || b.is_zero() || (&a.gcd(&b) % &f).is_zero());
+        }
+
+        /// Mixed sizes: a long operand against one of at most two limbs
+        /// takes the word-sized finish directly.
+        #[test]
+        fn prop_lehmer_gcd_word_operand(
+            a in proptest::collection::vec(any::<u32>(), 1..41),
+            small in any::<u64>(),
+            negative in any::<bool>(),
+        ) {
+            let a = from_raw(negative, a);
+            let s = BigInt::from(small);
+            assert_gcd_matches_oracle(&a, &s);
+            assert_gcd_matches_oracle(&(&a * &s), &s);
+        }
+    }
 
     #[test]
     fn zero_and_one() {
@@ -867,6 +1140,21 @@ mod tests {
     #[should_panic(expected = "division by zero")]
     fn division_by_zero_panics() {
         let _ = BigInt::one().div_rem(&BigInt::zero());
+    }
+
+    #[test]
+    fn gcd_u64_matches_euclid() {
+        for (a, b) in [
+            (0, 0),
+            (0, 9),
+            (9, 0),
+            (48, 36),
+            (1 << 63, 1 << 40),
+            (u64::MAX, 3),
+        ] {
+            let oracle = euclid_gcd(&BigInt::from(a), &BigInt::from(b));
+            assert_eq!(BigInt::from(gcd_u64(a, b)), oracle);
+        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 use crate::bigint::BigInt;
 
 /// `a⁻¹ mod m` for coprime `a`, `m` with `m ≥ 2`, by the extended Euclidean
-/// algorithm in `i128` (safe: all intermediate values are bounded by `m`).
+/// algorithm: remainders in `u64` (word divisions), cofactors in `i128`
+/// (safe: their magnitudes are bounded by `m`).
 ///
 /// # Panics
 ///
@@ -19,14 +20,12 @@ use crate::bigint::BigInt;
 /// violation means the prime sequence is broken, not a data condition.
 fn inv_mod_u64(a: u64, m: u64) -> u64 {
     assert!(m >= 2, "modulus must be at least 2");
-    let (mut old_r, mut r) = ((a % m) as i128, m as i128);
+    let (mut old_r, mut r) = (a % m, m);
     let (mut old_s, mut s) = (1_i128, 0_i128);
     while r != 0 {
         let q = old_r / r;
-        let next_r = old_r - q * r;
-        old_r = std::mem::replace(&mut r, next_r);
-        let next_s = old_s - q * s;
-        old_s = std::mem::replace(&mut s, next_s);
+        (old_r, r) = (r, old_r - q * r);
+        (old_s, s) = (s, old_s - q as i128 * s);
     }
     assert!(old_r == 1, "inv_mod_u64 requires coprime inputs");
     old_s.rem_euclid(m as i128) as u64
@@ -78,7 +77,10 @@ pub fn crt_combine(residues: &[(u64, u64)]) -> (BigInt, BigInt) {
 /// candidate `(n, d)`. The invariant `rᵢ ≡ tᵢ·a (mod m)` makes the congruence
 /// hold by construction; the bound checks and the coprimality check make the
 /// answer unique, so a successful reconstruction is *the* fraction every
-/// sufficiently large modulus agrees on.
+/// sufficiently large modulus agrees on. The walk takes Lehmer steps (one
+/// multiprecision update per ~30 quotients) while a step's last remainder
+/// stays above the bound — remainders decrease, so none inside the step
+/// could have stopped the walk — and single quotients after that.
 ///
 /// # Panics
 ///
@@ -93,10 +95,23 @@ pub fn rational_reconstruct(a: &BigInt, m: &BigInt) -> Option<(BigInt, BigInt)> 
     if a.is_zero() {
         return Some((BigInt::zero(), BigInt::one()));
     }
-    let two = BigInt::from(2_i64);
     let (mut r0, mut r1) = (m.clone(), a);
     let (mut t0, mut t1) = (BigInt::zero(), BigInt::one());
-    while &two * &(&r1 * &r1) >= *m {
+    let mut batched = true;
+    while twice_square_reaches(&r1, m) {
+        if batched {
+            if let Some((cofactors, n0, n1)) = BigInt::lehmer_step(&r0, &r1) {
+                if twice_square_reaches(&n1, m) {
+                    // The t sequence obeys the same recurrence as r.
+                    let [a, b, c, d] = cofactors.map(BigInt::from);
+                    (t0, t1) = (&(&a * &t0) + &(&b * &t1), &(&c * &t0) + &(&d * &t1));
+                    (r0, r1) = (n0, n1);
+                    continue;
+                }
+                // The step would pass the stopping remainder.
+                batched = false;
+            }
+        }
         let (q, rem) = r0.div_rem(&r1);
         r0 = std::mem::replace(&mut r1, rem);
         let next_t = &t0 - &(&q * &t1);
@@ -110,13 +125,27 @@ pub fn rational_reconstruct(a: &BigInt, m: &BigInt) -> Option<(BigInt, BigInt)> 
         n = -n;
         d = -d;
     }
-    if &two * &(&d * &d) >= *m {
+    if twice_square_reaches(&d, m) {
         return None;
     }
     if !n.gcd(&d).is_one() {
         return None;
     }
     Some((n, d))
+}
+
+/// `2·x² ≥ m` for `m ≥ 2`, decided from bit lengths alone except within
+/// one bit of the boundary: `2x²` lies in `[2^(2b−1), 2^(2b+1))` for a
+/// `b`-bit `x ≠ 0`, and `m` in `[2^(B−1), 2^B)` for a `B`-bit `m`.
+fn twice_square_reaches(x: &BigInt, m: &BigInt) -> bool {
+    let (b, big_b) = (x.bits(), m.bits());
+    if 2 * b > big_b {
+        return true;
+    }
+    if 2 * b + 2 <= big_b {
+        return false;
+    }
+    &BigInt::from(2_i64) * &(x * x) >= *m
 }
 
 #[cfg(test)]
@@ -164,6 +193,18 @@ mod tests {
     }
 
     #[test]
+    fn twice_square_bound_matches_the_product() {
+        for m in [2_i64, 3, 7, 8, 9, 101, 128, 1 << 20, (1 << 40) + 1] {
+            let big_m = BigInt::from(m);
+            for x in 0_i64..2000 {
+                let x = BigInt::from(x) * BigInt::from(m.isqrt() / 40 + 1);
+                let exact = &BigInt::from(2_i64) * &(&x * &x) >= big_m;
+                assert_eq!(twice_square_reaches(&x, &big_m), exact, "x = {x}, m = {m}");
+            }
+        }
+    }
+
+    #[test]
     fn crt_combine_empty_is_zero_mod_one() {
         let (r, m) = crt_combine(&[]);
         assert!(r.is_zero());
@@ -205,7 +246,70 @@ mod tests {
         );
     }
 
+    /// The remainder walk one quotient at a time: the oracle for the
+    /// Lehmer-stepped walk in [`rational_reconstruct`].
+    fn reconstruct_single_steps(a: &BigInt, m: &BigInt) -> Option<(BigInt, BigInt)> {
+        let (_, a) = a.div_rem(m);
+        if a.is_zero() {
+            return Some((BigInt::zero(), BigInt::one()));
+        }
+        let two = BigInt::from(2_i64);
+        let (mut r0, mut r1) = (m.clone(), a);
+        let (mut t0, mut t1) = (BigInt::zero(), BigInt::one());
+        while &two * &(&r1 * &r1) >= *m {
+            let (q, rem) = r0.div_rem(&r1);
+            r0 = std::mem::replace(&mut r1, rem);
+            let next_t = &t0 - &(&q * &t1);
+            t0 = std::mem::replace(&mut t1, next_t);
+        }
+        let (n, d) = if t1.is_negative() {
+            (-r1, -t1)
+        } else {
+            (r1, t1)
+        };
+        if d.is_zero() || &two * &(&d * &d) >= *m || !n.gcd(&d).is_one() {
+            return None;
+        }
+        Some((n, d))
+    }
+
     proptest! {
+        /// Lehmer-stepped reconstruction agrees with the single-step walk
+        /// on moduli of 3–6 production primes: on random residues (mostly
+        /// failures) and on residues of random fractions that fit the box.
+        #[test]
+        fn prop_lehmer_reconstruct_matches_single_steps(
+            k in 3usize..7,
+            limbs in proptest::collection::vec(any::<u32>(), 1..13),
+            num in proptest::collection::vec(any::<u32>(), 1..5),
+            den in proptest::collection::vec(any::<u32>(), 1..5),
+            negative in any::<bool>(),
+        ) {
+            let primes: Vec<u64> = PrimeIterator::new().take(k).collect();
+            let m = primes.iter().fold(BigInt::one(), |acc, &p| &acc * &BigInt::from(p));
+            let value = |ls: &[u32]| ls.iter().rev().fold(BigInt::zero(), |acc, &l| {
+                &(&acc * &BigInt::from(1_i64 << 32)) + &BigInt::from(l as i64)
+            });
+            let (_, a) = value(&limbs).div_rem(&m);
+            prop_assert_eq!(rational_reconstruct(&a, &m), reconstruct_single_steps(&a, &m));
+            // n·d⁻¹ mod m for a fraction inside the √(m/2) box.
+            let (n, d) = (value(&num), value(&den));
+            let n = if negative { -n } else { n };
+            if !d.is_zero() && n.gcd(&d).is_one() && !twice_square_reaches(&n, &m)
+                && !twice_square_reaches(&d, &m)
+            {
+                let (g, inv, _) = d.extended_gcd(&m);
+                if g.is_one() {
+                    let (_, mut r) = (&n * &inv).div_rem(&m);
+                    if r.is_negative() {
+                        r += &m;
+                    }
+                    prop_assert_eq!(rational_reconstruct(&r, &m), Some((n.clone(), d.clone())));
+                    prop_assert_eq!(reconstruct_single_steps(&r, &m), Some((n, d)));
+                }
+            }
+        }
+
         /// CRT over two distinct pool primes agrees with direct u128
         /// remaindering of a random value, across the single-limb/multi-limb
         /// promotion boundary.

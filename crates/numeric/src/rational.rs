@@ -24,12 +24,13 @@
 
 // lint:allow-file(D3): to_f64/from_f64/approximate_f64 are the declared
 // float conversion boundary; Rational arithmetic itself is exact.
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 use std::str::FromStr;
 
-use crate::bigint::BigInt;
+use crate::bigint::{gcd_u64, BigInt};
 use crate::error::NumericError;
 
 /// Internal storage of a [`Rational`].
@@ -59,16 +60,6 @@ pub struct Rational {
 
 /// `gcd` over `u128` magnitudes (Euclid); `gcd(0, x) == x`.
 fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
-    while b != 0 {
-        let r = a % b;
-        a = b;
-        b = r;
-    }
-    a
-}
-
-/// `gcd` over `u64` magnitudes (Euclid); `gcd(0, x) == x`.
-fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
         let r = a % b;
         a = b;
@@ -168,24 +159,41 @@ impl Rational {
             (num, den)
         };
         let g = num.gcd(&den);
-        let (num, den) = if g.is_one() {
-            (num, den)
+        if g.is_one() {
+            Rational::from_big_reduced(num, den)
         } else {
-            (&num / &g, &den / &g)
-        };
-        if let (Ok(n), Ok(d)) = (num.to_i64(), den.to_u64()) {
-            return Rational::small(n, d);
+            Rational::from_big_reduced(&num / &g, &den / &g)
+        }
+    }
+
+    /// Builds from an *already reduced* `num / den` with `den > 0`,
+    /// demoting to the inline form when the value fits it.
+    fn from_big_reduced(num: BigInt, den: BigInt) -> Self {
+        debug_assert!(den.is_positive());
+        if num.is_zero() {
+            return Rational::small(0, 1);
+        }
+        // The bit test keeps the overflow errors (which format the value)
+        // off the hot path.
+        if num.bits() <= 64 && den.bits() <= 64 {
+            if let (Ok(n), Ok(d)) = (num.to_i64(), den.to_u64()) {
+                return Rational::small(n, d);
+            }
         }
         Rational {
             repr: Repr::Big(Box::new((num, den))),
         }
     }
 
-    /// The value as a `(numerator, denominator)` pair of big integers.
-    fn to_big_pair(&self) -> (BigInt, BigInt) {
+    /// The value as a `(numerator, denominator)` pair of big integers,
+    /// borrowed when the value is already in the big form.
+    fn big_pair(&self) -> (Cow<'_, BigInt>, Cow<'_, BigInt>) {
         match &self.repr {
-            Repr::Small { num, den } => (BigInt::from(*num), BigInt::from(*den)),
-            Repr::Big(b) => (b.0.clone(), b.1.clone()),
+            Repr::Small { num, den } => (
+                Cow::Owned(BigInt::from(*num)),
+                Cow::Owned(BigInt::from(*den)),
+            ),
+            Repr::Big(b) => (Cow::Borrowed(&b.0), Cow::Borrowed(&b.1)),
         }
     }
 
@@ -282,7 +290,9 @@ impl Rational {
                 let n = if *num < 0 { -mag } else { mag };
                 Ok(Rational::from_i128_reduced(n, num.unsigned_abs() as u128))
             }
-            Repr::Big(b) => Ok(Rational::from_bigints(b.1.clone(), b.0.clone())),
+            // Swapping a reduced pair keeps it reduced; only the sign moves.
+            Repr::Big(b) if b.0.is_negative() => Ok(Rational::from_big_reduced(-&b.1, -&b.0)),
+            Repr::Big(b) => Ok(Rational::from_big_reduced(b.1.clone(), b.0.clone())),
         }
     }
 
@@ -307,8 +317,9 @@ impl Rational {
                 return Rational::small(n, d);
             }
         }
-        let (num, den) = self.to_big_pair();
-        Rational::from_bigints(num.pow(exp), den.pow(exp))
+        // A reduced fraction stays reduced under powers.
+        let (num, den) = self.big_pair();
+        Rational::from_big_reduced(num.pow(exp), den.pow(exp))
     }
 
     /// Lossy conversion to `f64`.
@@ -463,12 +474,7 @@ impl From<i64> for Rational {
 
 impl From<BigInt> for Rational {
     fn from(v: BigInt) -> Self {
-        match v.to_i64() {
-            Ok(n) => Rational::small(n, 1),
-            Err(_) => Rational {
-                repr: Repr::Big(Box::new((v, BigInt::one()))),
-            },
-        }
+        Rational::from_big_reduced(v, BigInt::one())
     }
 }
 
@@ -548,9 +554,9 @@ impl Ord for Rational {
             // Each cross product fits i128: |i64| * u64 < 2^127.
             return (*a as i128 * *d as i128).cmp(&(*c as i128 * *b as i128));
         }
-        let (an, ad) = self.to_big_pair();
-        let (bn, bd) = other.to_big_pair();
-        (&an * &bd).cmp(&(&bn * &ad))
+        let (an, ad) = self.big_pair();
+        let (bn, bd) = other.big_pair();
+        (&*an * &*bd).cmp(&(&*bn * &*ad))
     }
 }
 
@@ -559,7 +565,10 @@ impl Neg for Rational {
     fn neg(self) -> Rational {
         match self.repr {
             Repr::Small { num, den } => Rational::from_i128_reduced(-(num as i128), den as u128),
-            Repr::Big(b) => Rational::from_bigints(-b.0, b.1),
+            Repr::Big(b) => {
+                let (num, den) = *b;
+                Rational::from_big_reduced(-num, den)
+            }
         }
     }
 }
@@ -571,13 +580,33 @@ impl Neg for &Rational {
     }
 }
 
-/// Shared slow path for `+`/`-` via the big-integer formulas.
+/// `x / g` for a divisor `g` of `x`, borrowing `x` when `g` is one.
+fn div_exact<'a>(x: &'a BigInt, g: &BigInt) -> Cow<'a, BigInt> {
+    if g.is_one() {
+        Cow::Borrowed(x)
+    } else {
+        Cow::Owned(x / g)
+    }
+}
+
+/// Shared slow path for `+`/`-` (Henrici): with `g = gcd(b, d)` of the
+/// denominators, `a/b ± c/d = t / (b/g · d)` where `t = a·(d/g) ± c·(b/g)`,
+/// and `t` can only share factors with `g` — so coprime denominators need
+/// no further gcd, and otherwise one `gcd(t, g)` reduces the result.
 fn add_big(lhs: &Rational, rhs: &Rational, subtract: bool) -> Rational {
-    let (an, ad) = lhs.to_big_pair();
-    let (bn, bd) = rhs.to_big_pair();
-    let cross = &bn * &ad;
-    let cross = if subtract { -cross } else { cross };
-    Rational::from_bigints(&(&an * &bd) + &cross, &ad * &bd)
+    let (a, b) = lhs.big_pair();
+    let (c, d) = rhs.big_pair();
+    let g = b.gcd(&d);
+    let (b1, d1) = (div_exact(&b, &g), div_exact(&d, &g));
+    let (ad, cb) = (&*a * &*d1, &*c * &*b1);
+    let t = if subtract { ad - cb } else { ad + cb };
+    if !g.is_one() && !t.is_zero() {
+        let g2 = t.gcd(&g);
+        if !g2.is_one() {
+            return Rational::from_big_reduced(&t / &g2, &*b1 * &(&*d / &g2));
+        }
+    }
+    Rational::from_big_reduced(t, &*b1 * &*d)
 }
 
 impl Add for &Rational {
@@ -655,9 +684,18 @@ impl Mul for &Rational {
             let den = (*b / g2) as u128 * (*d / g1) as u128;
             return Rational::from_i128_reduced(n, den);
         }
-        let (an, ad) = self.to_big_pair();
-        let (bn, bd) = rhs.to_big_pair();
-        Rational::from_bigints(&an * &bn, &ad * &bd)
+        if self.is_zero() || rhs.is_zero() {
+            return Rational::zero();
+        }
+        // Cross-reduce exactly like the inline path: the gcds involve the
+        // operands, not their (twice as long) products.
+        let (a, b) = self.big_pair();
+        let (c, d) = rhs.big_pair();
+        let (g1, g2) = (a.gcd(&d), c.gcd(&b));
+        Rational::from_big_reduced(
+            &*div_exact(&a, &g1) * &*div_exact(&c, &g2),
+            &*div_exact(&b, &g2) * &*div_exact(&d, &g1),
+        )
     }
 }
 
@@ -691,9 +729,21 @@ impl Div for &Rational {
             let den = (*b / g2) as u128 * (c.unsigned_abs() / g1) as u128;
             return Rational::from_sign_mag_reduced((*a < 0) != (*c < 0), mag, den);
         }
-        let (an, ad) = self.to_big_pair();
-        let (bn, bd) = rhs.to_big_pair();
-        Rational::from_bigints(&an * &bd, &ad * &bn)
+        if self.is_zero() {
+            return Rational::zero();
+        }
+        // (a/b) / (c/d) = (a·d) / (b·c), cross-reduced like `mul`, with the
+        // sign moved off the denominator.
+        let (a, b) = self.big_pair();
+        let (c, d) = rhs.big_pair();
+        let (g1, g2) = (a.gcd(&c), b.gcd(&d));
+        let num = &*div_exact(&a, &g1) * &*div_exact(&d, &g2);
+        let den = &*div_exact(&b, &g2) * &*div_exact(&c, &g1);
+        if den.is_negative() {
+            Rational::from_big_reduced(-num, -den)
+        } else {
+            Rational::from_big_reduced(num, den)
+        }
     }
 }
 
@@ -939,7 +989,129 @@ mod tests {
         assert!(a > b);
     }
 
+    /// The naive big-path formulas, the oracle for Henrici's: cross-multiply,
+    /// then reduce the products with one full gcd.
+    fn naive(op: char, x: &Rational, y: &Rational) -> Rational {
+        let (a, b, c, d) = (x.numer(), x.denom(), y.numer(), y.denom());
+        match op {
+            '+' => Rational::from_bigints(&(&a * &d) + &(&c * &b), &b * &d),
+            '-' => Rational::from_bigints(&(&a * &d) - &(&c * &b), &b * &d),
+            '*' => Rational::from_bigints(&a * &c, &b * &d),
+            '/' => Rational::from_bigints(&a * &d, &b * &c),
+            _ => unreachable!("unknown operator {op}"),
+        }
+    }
+
+    fn hash_of(r: &Rational) -> u64 {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let mut h = DefaultHasher::new();
+        r.hash(&mut h);
+        h.finish()
+    }
+
+    /// Same value, same representation (inline vs big), same hash.
+    fn assert_canonical_eq(got: &Rational, want: &Rational, what: &str) {
+        assert_eq!(got, want, "{what}");
+        assert_eq!(got.is_small_repr(), want.is_small_repr(), "{what}: repr");
+        assert_eq!(hash_of(got), hash_of(want), "{what}: hash");
+    }
+
+    /// Checks `+ − × ÷` and `recip` on `(x, y)` against [`naive`].
+    fn assert_ops_match_naive(x: &Rational, y: &Rational) {
+        for op in ['+', '-', '*', '/'] {
+            if op == '/' && y.is_zero() {
+                continue;
+            }
+            let got = match op {
+                '+' => x + y,
+                '-' => x - y,
+                '*' => x * y,
+                _ => x / y,
+            };
+            assert_canonical_eq(&got, &naive(op, x, y), &format!("{x} {op} {y}"));
+        }
+        for r in [x, y] {
+            if !r.is_zero() {
+                let want = Rational::from_bigints(r.denom(), r.numer());
+                assert_canonical_eq(&r.recip().unwrap(), &want, &format!("recip {r}"));
+            }
+        }
+    }
+
+    /// A big integer from up to three random limbs, optionally negated —
+    /// straddling the `i64`/`u64` limits of the inline form.
+    fn limbs_value(negative: bool, limbs: &[u32]) -> BigInt {
+        let base = BigInt::from(1_i64 << 32);
+        let v = limbs.iter().rev().fold(BigInt::zero(), |acc, &l| {
+            &(&acc * &base) + &BigInt::from(l as i64)
+        });
+        if negative {
+            -v
+        } else {
+            v
+        }
+    }
+
+    #[test]
+    fn henrici_edge_cases() {
+        let two64 = BigInt::from(u64::MAX) + BigInt::one();
+        let big = Rational::from_bigints(BigInt::from(7_i64), two64.clone());
+        let cases = [
+            (big.clone(), big.clone()),
+            (big.clone(), -big.clone()),
+            (big.clone(), Rational::zero()),
+            (Rational::integer(i64::MIN), big.clone()),
+            (Rational::integer(i64::MIN).abs(), Rational::integer(2)),
+            (Rational::from(two64.clone()), Rational::new(1, i64::MIN)),
+            (
+                Rational::from_bigints(two64.clone(), BigInt::from(3_i64)),
+                big,
+            ),
+        ];
+        for (x, y) in &cases {
+            assert_ops_match_naive(x, y);
+            assert_ops_match_naive(y, x);
+        }
+        // A big value whose reciprocal fits inline must demote.
+        let r = Rational::from_bigints(-BigInt::from(u64::MAX), BigInt::from(2_i64));
+        let inv = r.recip().unwrap();
+        assert!(!r.is_small_repr() && inv.is_small_repr());
+        assert_eq!(inv.to_string(), "-2/18446744073709551615");
+    }
+
     proptest! {
+        /// The Henrici big path against the naive cross-multiply oracle,
+        /// across the inline/big boundary. The shared factor plants a
+        /// common denominator part (so `gcd(b, d) != 1`), and the derived
+        /// right operands `z − x` and `z / x` land results back in the
+        /// inline form, exercising demotion.
+        #[test]
+        fn prop_henrici_matches_naive(
+            x in (any::<bool>(), proptest::collection::vec(any::<u32>(), 0..4),
+                  proptest::collection::vec(any::<u32>(), 1..4)),
+            y in (any::<bool>(), proptest::collection::vec(any::<u32>(), 0..4),
+                  proptest::collection::vec(any::<u32>(), 1..4)),
+            shared in proptest::collection::vec(any::<u32>(), 0..3),
+            z in (any::<i64>(), 1_i64..1000),
+        ) {
+            let f = limbs_value(false, &shared);
+            let f = if f.is_zero() { BigInt::one() } else { f };
+            let make = |(neg, num, den): &(bool, Vec<u32>, Vec<u32>)| {
+                let den = limbs_value(false, den);
+                let den = if den.is_zero() { BigInt::one() } else { den };
+                Rational::from_bigints(limbs_value(*neg, num), &den * &f)
+            };
+            let (x, y) = (make(&x), make(&y));
+            let z = Rational::new(z.0, z.1);
+            assert_ops_match_naive(&x, &y);
+            assert_ops_match_naive(&x, &naive('-', &z, &x));
+            if !x.is_zero() {
+                assert_ops_match_naive(&x, &naive('/', &z, &x));
+            }
+            assert_ops_match_naive(&z, &x);
+        }
+
         #[test]
         fn prop_field_axioms(an in -1000_i64..1000, ad in 1_i64..50,
                              bn in -1000_i64..1000, bd in 1_i64..50,
