@@ -861,17 +861,12 @@ impl SharedGroebnerCache {
         self.metrics.snapshot()
     }
 
-    /// The shard a key lives in: a fixed-seed hash, so shard assignment is
-    /// reproducible across runs (eviction behavior at `workers = 1` is a
-    /// deterministic function of the request sequence).
-    fn shard_for(
-        &self,
-        generators: &[Poly],
-        order: &MonomialOrder,
-        options: &GroebnerOptions,
-    ) -> &Mutex<CacheShard> {
-        &self.shards
-            [(global_key_id(generators, order, options) % self.shards.len() as u64) as usize]
+    /// The shard a key lives in, by its [`global_key_id`]: a fixed-seed
+    /// hash, so shard assignment is reproducible across runs (eviction
+    /// behavior at `workers = 1` is a deterministic function of the request
+    /// sequence).
+    fn shard_for(&self, key_id: u64) -> &Mutex<CacheShard> {
+        &self.shards[(key_id % self.shards.len() as u64) as usize]
     }
 
     /// The ring-local shard a localized key lives in (same fixed-seed
@@ -973,12 +968,9 @@ impl SharedGroebnerCache {
         // makes is a pure function of the job's inputs, so this event is
         // deterministic. The *outcome* (hit vs miss) is scheduling-dependent
         // and goes to the sched channel below.
-        trace_event!(
-            "cache.request",
-            key = global_key_id(generators, order, options),
-            gens = generators.len(),
-        );
-        let shard = self.shard_for(generators, order, options);
+        let key_id = global_key_id(generators, order, options);
+        trace_event!("cache.request", key = key_id, gens = generators.len());
+        let shard = self.shard_for(key_id);
         {
             let locked = shard.lock();
             if let Some(hit) = locked.lookup(generators, order, options) {

@@ -4,7 +4,9 @@
 //! multiplications and additions for sequential evaluation. The paper uses it
 //! both as a cost baseline (how cheaply could this polynomial be computed with
 //! plain MULs/ADDs?) and as one of the expression-tree manipulations that
-//! guide side-relation selection.
+//! guide side-relation selection. Here it serves the cost baseline and the
+//! reports; the mapper's candidate order uses factorization only, since a
+//! Horner form expands back to its input exactly (`DESIGN.md` §10).
 
 use std::fmt;
 
@@ -231,6 +233,7 @@ fn leaf(poly: &Poly) -> HornerForm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monomial::Monomial;
     use proptest::prelude::*;
 
     fn p(s: &str) -> Poly {
@@ -357,6 +360,40 @@ mod tests {
             let q = Poly::parse(&src).unwrap();
             let h = horner_form(&q, &[Var::new("x"), Var::new("y")]);
             prop_assert_eq!(h.expand(), q);
+        }
+
+        /// `horner_form_auto` is lossless on random multivariate input:
+        /// 1–5 variables, up to 8 terms of total degree ≤ 4, rational
+        /// coefficients.
+        #[test]
+        fn prop_horner_auto_expand_is_identity(
+            nvars in 1_usize..6,
+            terms in proptest::collection::vec(
+                (-9_i64..10, 1_i64..6, proptest::collection::vec(0_u32..5, 5..6)),
+                1..9,
+            ),
+        ) {
+            let vars: Vec<Var> = ["ha", "hb", "hc", "hd", "he"][..nvars]
+                .iter()
+                .map(|n| Var::new(n))
+                .collect();
+            let mut q = Poly::zero();
+            for (num, den, exps) in &terms {
+                // Cap the running total so the term's degree stays ≤ 4.
+                let mut left = 4;
+                let pairs: Vec<(Var, u32)> = vars
+                    .iter()
+                    .zip(exps)
+                    .map(|(&v, &e)| {
+                        let e = e.min(left);
+                        left -= e;
+                        (v, e)
+                    })
+                    .collect();
+                let term = Poly::from_term(Monomial::from_pairs(&pairs), Rational::new(*num, *den));
+                q = q.add(&term);
+            }
+            prop_assert_eq!(horner_form_auto(&q).expand(), q);
         }
 
         #[test]

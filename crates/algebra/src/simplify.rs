@@ -100,7 +100,9 @@ impl SideRelations {
     pub fn body_vars(&self) -> VarSet {
         let mut s = VarSet::new();
         for (_, p) in &self.relations {
-            s = s.union(&p.vars());
+            for v in p.vars().iter() {
+                s.push(v);
+            }
         }
         s
     }
@@ -143,9 +145,9 @@ pub struct Simplification {
 /// `simplify(S, sr, [vars...])`.
 ///
 /// Variables of the target and relations that are not listed are appended
-/// after the listed ones (lowest precedence). The introduced symbols should
-/// normally appear *last* so the reduction rewrites program variables into
-/// library outputs.
+/// after the listed ones (lowest precedence), in [`default_order`]. The
+/// introduced symbols should normally appear *last* so the reduction
+/// rewrites program variables into library outputs.
 ///
 /// # Errors
 ///
@@ -171,13 +173,13 @@ pub fn simplify_modulo_detailed(
     var_order: &[&str],
     options: &GroebnerOptions,
 ) -> Result<Simplification, AlgebraError> {
-    simplify_impl(target, relations, var_order, options, None)
+    let order = listed_order(target, relations, var_order);
+    simplify_impl(target, relations, order, options, None)
 }
 
 /// Like [`simplify_modulo_detailed`], but looks the Gröbner basis up in (and
 /// stores it into) `cache`, so repeated simplifications against the same
-/// side-relation set and variable order compute the basis once. This is the
-/// entry point the mapper's branch-and-bound search uses.
+/// side-relation set and variable order compute the basis once.
 ///
 /// # Errors
 ///
@@ -189,13 +191,43 @@ pub fn simplify_modulo_cached(
     options: &GroebnerOptions,
     cache: &SharedGroebnerCache,
 ) -> Result<Simplification, AlgebraError> {
-    simplify_impl(target, relations, var_order, options, Some(cache))
+    let order = listed_order(target, relations, var_order);
+    simplify_impl(target, relations, order, options, Some(cache))
+}
+
+/// Like [`simplify_modulo_cached`], but takes the complete lex precedence as
+/// a [`VarSet`] instead of names, so no name is resolved and no order is
+/// completed per call. This is the entry point the mapper's branch-and-bound
+/// search uses: it resolves the target's variables once per job and builds
+/// each subset's order with [`default_order`].
+///
+/// `order` is used as given. Build it with [`default_order`] so it lists every
+/// variable of the target and the relations; a variable it leaves out ranks
+/// after all listed ones, by interner index (see [`MonomialOrder`]).
+///
+/// # Errors
+///
+/// Currently infallible for valid [`SideRelations`]; see [`simplify_modulo`].
+pub fn simplify_modulo_ordered(
+    target: &Poly,
+    relations: &SideRelations,
+    order: VarSet,
+    options: &GroebnerOptions,
+    cache: &SharedGroebnerCache,
+) -> Result<Simplification, AlgebraError> {
+    simplify_impl(target, relations, order, options, Some(cache))
+}
+
+/// The complete precedence for a name-listed order: the listed names first,
+/// then every remaining variable in [`default_order`].
+fn listed_order(target: &Poly, relations: &SideRelations, var_order: &[&str]) -> VarSet {
+    VarSet::from_names(var_order).union(&default_order(&target.vars(), relations))
 }
 
 fn simplify_impl(
     target: &Poly,
     relations: &SideRelations,
-    var_order: &[&str],
+    vars: VarSet,
     options: &GroebnerOptions,
     cache: Option<&SharedGroebnerCache>,
 ) -> Result<Simplification, AlgebraError> {
@@ -206,12 +238,6 @@ fn simplify_impl(
             reductions: 0,
         });
     }
-    let mut vars = VarSet::from_names(var_order);
-    // Unlisted variables: program variables first, then symbols.
-    vars = vars.union(&target.vars());
-    vars = vars.union(&relations.body_vars());
-    vars = vars.union(&relations.symbols());
-
     let order = MonomialOrder::Lex(vars);
     let generators = relations.generators();
     let (result, complete, reductions) = match cache {
@@ -241,25 +267,23 @@ fn simplify_impl(
     })
 }
 
-/// Default variable order for a simplification: the target's own variables
-/// first (eliminated preferentially), then the relation symbols.
+/// Default variable order for a simplification, given the target's
+/// variables: the target's own variables first (eliminated preferentially),
+/// then the remaining variables of the relation bodies, then the relation
+/// symbols. This is the one definition of the order policy; every
+/// `simplify_modulo*` entry point completes its order with it.
+pub fn default_order(target_vars: &VarSet, relations: &SideRelations) -> VarSet {
+    target_vars
+        .union(&relations.body_vars())
+        .union(&relations.symbols())
+}
+
+/// [`default_order`] as variable names, for the `&[&str]` entry points.
 pub fn default_var_order(target: &Poly, relations: &SideRelations) -> Vec<String> {
-    let mut names: Vec<String> = target
-        .vars()
+    default_order(&target.vars(), relations)
         .iter()
-        .chain(relations.body_vars().iter())
         .map(|v| v.name().to_string())
-        .collect();
-    names.dedup();
-    let mut seen = std::collections::BTreeSet::new();
-    names.retain(|n| seen.insert(n.clone()));
-    for s in relations.symbols().iter() {
-        let n = s.name();
-        if !seen.contains(n) {
-            names.push(n.to_string());
-        }
-    }
-    names
+        .collect()
 }
 
 #[cfg(test)]
@@ -365,6 +389,40 @@ mod tests {
         let pos_u = order.iter().position(|n| n == "u").unwrap();
         let pos_sym = order.iter().position(|n| n == "p_out").unwrap();
         assert!(pos_u < pos_sym);
+    }
+
+    #[test]
+    fn default_order_is_target_then_bodies_then_symbols() {
+        let mut sr = SideRelations::new();
+        sr.push("p_out", p("u*v + z")).unwrap();
+        sr.push("q_out", p("z*w + r")).unwrap();
+        let target = p("u^2*v + w");
+        let order = default_order(&target.vars(), &sr);
+        let names: Vec<&str> = order.iter().map(|v| v.name()).collect();
+        assert_eq!(names, ["u", "v", "w", "z", "r", "p_out", "q_out"]);
+        assert_eq!(default_var_order(&target, &sr), names);
+    }
+
+    #[test]
+    fn ordered_entry_point_matches_the_named_one() {
+        let opts = GroebnerOptions::default();
+        let mut sr = SideRelations::new();
+        sr.push("s", p("x + y")).unwrap();
+        sr.push("q", p("x*z")).unwrap();
+        for target in ["x^2 + 2*x*y + y^2 + z", "x*z*y + x", "w + x*y"] {
+            let t = p(target);
+            let names = default_var_order(&t, &sr);
+            let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+            let named = simplify_modulo_cached(&t, &sr, &refs, &opts, &SharedGroebnerCache::new());
+            let ordered = simplify_modulo_ordered(
+                &t,
+                &sr,
+                default_order(&t.vars(), &sr),
+                &opts,
+                &SharedGroebnerCache::new(),
+            );
+            assert_eq!(named.unwrap().result, ordered.unwrap().result, "{target}");
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Ablation — side-relation guidance (factor/Horner ordering) on vs. off:
+//! Ablation — side-relation guidance (factorization ordering) on vs. off:
 //! nodes explored and wall time of the branch-and-bound search.
 
 use criterion::{criterion_group, criterion_main, Criterion};

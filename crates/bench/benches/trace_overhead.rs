@@ -7,13 +7,15 @@
 //! annotate. This bench turns that claim into a regression gate. Both sides
 //! run the identical cold-cache batch (the trace-determinism suite already
 //! pins that outcomes are byte-identical), so the ratio isolates pure
-//! recording cost. One remeasure (taking the per-side minimum) absorbs
-//! scheduler noise before the gate fails.
+//! recording cost. Off and on samples alternate, so a drift in machine speed
+//! during the measurement slows both sides alike. One remeasure (taking the
+//! per-side minimum) absorbs scheduler noise before the gate fails.
 //!
 //! In `SYMMAP_QUICK=1` mode both wall clocks are appended to `BENCH.json`,
 //! where `perfgate` gates them across runs like every other entry.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use symmap_bench::{mp3_kernel_jobs, quickbench};
@@ -36,14 +38,37 @@ fn run_cold(jobs: &[MapJob], trace: bool) -> BatchResult {
     .run(jobs)
 }
 
+/// Median per-batch wall clock of the trace-off and trace-on sides, in
+/// nanoseconds. The samples alternate in ABBA order (off, on, on, off, …),
+/// so a change in machine speed during the run lands on both sides alike
+/// instead of on whichever side was timed later.
 fn measure_pair(jobs: &[MapJob], samples: usize) -> (u128, u128) {
-    let off = quickbench::measure_ns(2, samples, || {
-        criterion::black_box(run_cold(jobs, false));
-    });
-    let on = quickbench::measure_ns(2, samples, || {
-        criterion::black_box(run_cold(jobs, true));
-    });
-    (off, on)
+    const ITERS: u32 = 2;
+    let time = |trace: bool| {
+        let start = Instant::now();
+        for _ in 0..ITERS {
+            criterion::black_box(run_cold(jobs, trace));
+        }
+        start.elapsed().as_nanos() / u128::from(ITERS)
+    };
+    // Warm-up, one batch per side.
+    time(false);
+    time(true);
+    let (mut off, mut on) = (Vec::with_capacity(samples), Vec::with_capacity(samples));
+    for i in 0..samples {
+        if i % 2 == 0 {
+            off.push(time(false));
+            on.push(time(true));
+        } else {
+            on.push(time(true));
+            off.push(time(false));
+        }
+    }
+    let median = |mut v: Vec<u128>| {
+        v.sort_unstable();
+        v[v.len() / 2]
+    };
+    (median(off), median(on))
 }
 
 fn bench(c: &mut Criterion) {
@@ -66,7 +91,9 @@ fn bench(c: &mut Criterion) {
     let trace = traced.trace.expect("tracing was enabled");
     assert!(trace.deterministic_event_count() > 0);
 
-    let samples = if quick { 5 } else { 9 };
+    // A cold batch takes ≈ 3 ms, so a handful of samples is only tens of
+    // milliseconds per side, and one scheduler blip moves the median.
+    let samples = if quick { 15 } else { 21 };
     let (mut wall_off, mut wall_on) = measure_pair(&jobs, samples);
     let mut ratio = wall_on as f64 / wall_off.max(1) as f64;
     if ratio > MAX_OVERHEAD {

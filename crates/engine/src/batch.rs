@@ -392,8 +392,12 @@ impl MappingEngine {
                 let _scope = collector
                     .as_ref()
                     .map(|c| install_job_scope(c, i, &job.label));
-                Mapper::with_shared_cache(&job.library, job.config.clone(), Arc::clone(&self.cache))
-                    .map_polynomial(&job.target)
+                Mapper::with_shared_cache(
+                    Arc::clone(&job.library),
+                    job.config.clone(),
+                    Arc::clone(&self.cache),
+                )
+                .map_polynomial(&job.target)
             },
             observer.as_ref().map(|o| o as &dyn SchedObserver),
         );

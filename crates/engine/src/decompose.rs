@@ -6,18 +6,18 @@
 //! it reduces the target modulo the chosen relations, prices the result
 //! (element invocations + residual software), and keeps the best solution with
 //! sufficient accuracy. Performance is the bounding function that prunes the
-//! tree, and the expression-tree manipulations (factorization, Horner form)
-//! guide which elements are tried first — exactly the roles the paper assigns
-//! them.
+//! tree, and factorization guides which elements are tried first: an element
+//! that is the whole target or one of its factors goes to the front. The
+//! paper also guides by Horner coefficients; that is not implemented here
+//! (`DESIGN.md` §10).
 
 use std::sync::Arc;
 
 use symmap_algebra::factor::factor;
 use symmap_algebra::fingerprint::PolyFingerprint;
 use symmap_algebra::groebner::{GroebnerOptions, SharedGroebnerCache};
-use symmap_algebra::horner::horner_form_auto;
 use symmap_algebra::poly::Poly;
-use symmap_algebra::simplify::{default_var_order, simplify_modulo_cached, SideRelations};
+use symmap_algebra::simplify::{default_order, simplify_modulo_ordered, SideRelations};
 use symmap_algebra::var::VarSet;
 use symmap_libchar::{Library, LibraryElement};
 use symmap_trace::{trace_event, trace_span};
@@ -40,8 +40,8 @@ pub struct MapperConfig {
     pub accuracy_tolerance: f64,
     /// Enable cost-based pruning (disable only for the ablation benches).
     pub use_bounding: bool,
-    /// Enable guidance of the candidate order by factorization/Horner
-    /// structure (disable only for the ablation benches).
+    /// Enable guidance of the candidate order by factorization structure
+    /// (disable only for the ablation benches).
     pub use_guidance: bool,
     /// Whether residual (unmapped) arithmetic runs in software floating point
     /// (true for the original double-precision code) or fixed point.
@@ -89,33 +89,33 @@ impl Default for MapperConfig {
 /// different batch-engine workers pool their bases.
 #[derive(Debug, Clone)]
 pub struct Mapper {
-    library: Library,
+    library: Arc<Library>,
     config: MapperConfig,
     evaluator: CostEvaluator,
     cache: Arc<SharedGroebnerCache>,
 }
 
 impl Mapper {
-    /// Creates a mapper over a characterized library with a fresh basis
-    /// cache sized by the configuration's [`EngineConfig`].
+    /// Creates a mapper over a copy of a characterized library with a fresh
+    /// basis cache sized by the configuration's [`EngineConfig`].
     pub fn new(library: &Library, config: MapperConfig) -> Self {
         let cache = Arc::new(SharedGroebnerCache::with_config(
             config.engine.cache_config(),
         ));
-        Mapper::with_shared_cache(library, config, cache)
+        Mapper::with_shared_cache(Arc::new(library.clone()), config, cache)
     }
 
-    /// Creates a mapper that shares `cache` with other owners (the
-    /// optimization pipeline and the batch engine use this so every
-    /// `map_decoder` call — on any worker thread — reuses the bases of
-    /// earlier runs).
+    /// Creates a mapper that shares `library` and `cache` with other owners
+    /// (the batch engine uses this so every job — on any worker thread —
+    /// maps against its batch's library without copying it and reuses the
+    /// bases of earlier runs).
     pub fn with_shared_cache(
-        library: &Library,
+        library: Arc<Library>,
         config: MapperConfig,
         cache: Arc<SharedGroebnerCache>,
     ) -> Self {
         Mapper {
-            library: library.clone(),
+            library,
             config,
             evaluator: CostEvaluator::new(),
             cache,
@@ -156,7 +156,8 @@ impl Mapper {
     /// the accuracy tolerance.
     pub fn map_polynomial(&self, target: &Poly) -> Result<MappingSolution, CoreError> {
         let tfp = PolyFingerprint::of(target);
-        let candidates = self.candidates(target, &tfp);
+        let tvars = target.vars();
+        let candidates = self.candidates(&tvars, &tfp);
         if candidates.is_empty() {
             return Err(CoreError::NoCandidateElements {
                 target: target.to_string(),
@@ -171,7 +172,15 @@ impl Mapper {
         // function of (target, library, config), so every event below is
         // deterministic job-channel material.
         trace_span!(begin "mapper.search", candidates = ordered.len());
-        let explored = self.explore(target, &ordered, 0, &mut chosen, &mut best, &mut nodes);
+        let explored = self.explore(
+            target,
+            &tvars,
+            &ordered,
+            0,
+            &mut chosen,
+            &mut best,
+            &mut nodes,
+        );
         trace_span!(
             end "mapper.search",
             nodes = nodes,
@@ -198,7 +207,7 @@ impl Mapper {
     /// here: a low-degree target can still be mapped through higher-degree
     /// elements whose ideal cancels the excess (see `DESIGN.md` §9 for the
     /// counterexample), so support disjointness is the only sound filter.
-    fn candidates(&self, target: &Poly, tfp: &PolyFingerprint) -> Vec<&'_ LibraryElement> {
+    fn candidates(&self, tvars: &VarSet, tfp: &PolyFingerprint) -> Vec<&'_ LibraryElement> {
         if self.config.use_fingerprint_index {
             let scan = self.library.candidates(tfp);
             // Deterministic per-job prune record (a pure function of target
@@ -220,17 +229,17 @@ impl Mapper {
             metrics.counter("index.kept").add(scan.stats.kept as u64);
             return scan.elements;
         }
-        let tvars = target.vars();
         self.library
             .iter()
             .filter(|e| e.polynomial().vars().iter().any(|v| tvars.contains(v)))
             .collect()
     }
 
-    /// Orders candidates using the symbolic-manipulation guidelines:
-    /// elements whose polynomial shows up as a factor of the target (or of
-    /// one of its Horner coefficients) are tried first; ties are broken by
-    /// ascending cost so cheaper alternatives are reached earlier.
+    /// Orders candidates using the factorization guideline: an element whose
+    /// polynomial is the target itself comes first, then elements whose
+    /// polynomial is one of the target's factors; within a rank, elements
+    /// covering more of the target's variables come first and ties are
+    /// broken by ascending cost so cheaper alternatives are reached earlier.
     ///
     /// Fingerprints screen every exact polynomial comparison here: a
     /// `may_equal` miss proves inequality and a `shared_support_count` is the
@@ -253,9 +262,6 @@ impl Mapper {
             .iter()
             .map(|(f, _)| PolyFingerprint::of(f))
             .collect();
-        let horner = horner_form_auto(target);
-        let horner_expanded = horner.expand();
-        let horner_fp = PolyFingerprint::of(&horner_expanded);
         let score = |e: &LibraryElement| -> i64 {
             let efp = e.fingerprint();
             let mut s = 0_i64;
@@ -266,9 +272,7 @@ impl Mapper {
             {
                 s -= 1_000_000;
             }
-            if (tfp.may_equal(efp) && e.polynomial() == target)
-                || (horner_fp.may_equal(efp) && e.polynomial() == &horner_expanded)
-            {
+            if tfp.may_equal(efp) && e.polynomial() == target {
                 s -= 2_000_000;
             }
             // Elements covering more of the target's variables first.
@@ -283,6 +287,7 @@ impl Mapper {
     fn explore<'a>(
         &self,
         target: &Poly,
+        tvars: &VarSet,
         candidates: &[&'a LibraryElement],
         start: usize,
         chosen: &mut Vec<&'a LibraryElement>,
@@ -294,7 +299,7 @@ impl Mapper {
         }
         *nodes += 1;
 
-        let solution = self.evaluate(target, chosen)?;
+        let solution = self.evaluate(target, tvars, chosen)?;
         let chosen_element_cost: u64 = solution
             .used_elements
             .iter()
@@ -349,7 +354,7 @@ impl Mapper {
                 continue;
             }
             chosen.push(candidate);
-            self.explore(target, candidates, i + 1, chosen, best, nodes)?;
+            self.explore(target, tvars, candidates, i + 1, chosen, best, nodes)?;
             chosen.pop();
         }
         Ok(())
@@ -359,6 +364,7 @@ impl Mapper {
     fn evaluate(
         &self,
         target: &Poly,
+        tvars: &VarSet,
         chosen: &[&LibraryElement],
     ) -> Result<MappingSolution, CoreError> {
         let mut relations = SideRelations::new();
@@ -367,12 +373,10 @@ impl Mapper {
                 .push(e.output_symbol(), e.polynomial().clone())
                 .map_err(CoreError::from)?;
         }
-        let order_names = default_var_order(target, &relations);
-        let order_refs: Vec<&str> = order_names.iter().map(String::as_str).collect();
-        let simplification = simplify_modulo_cached(
+        let simplification = simplify_modulo_ordered(
             target,
             &relations,
-            &order_refs,
+            default_order(tvars, &relations),
             &self.config.groebner,
             &self.cache,
         )?;
@@ -598,7 +602,7 @@ mod tests {
         lib_b.push(element("prod_b", "bp1", "bx*by", 5, 1e-9));
 
         let mapper_a =
-            Mapper::with_shared_cache(&lib_a, MapperConfig::default(), Arc::clone(&cache));
+            Mapper::with_shared_cache(Arc::new(lib_a), MapperConfig::default(), Arc::clone(&cache));
         let sol_a = mapper_a
             .map_polynomial(&p("ax^2 + 2*ax*ay + ay^2"))
             .unwrap();
@@ -607,7 +611,7 @@ mod tests {
         assert!(alpha_misses_a > 0);
 
         let mapper_b =
-            Mapper::with_shared_cache(&lib_b, MapperConfig::default(), Arc::clone(&cache));
+            Mapper::with_shared_cache(Arc::new(lib_b), MapperConfig::default(), Arc::clone(&cache));
         let sol_b = mapper_b
             .map_polynomial(&p("bx^2 + 2*bx*by + by^2"))
             .unwrap();

@@ -151,6 +151,7 @@ pub fn imdct_polynomial(i: usize, n: usize) -> Poly {
 mod tests {
     use super::*;
     use crate::types::IMDCT_SIZE;
+    use symmap_algebra::horner::horner_form_auto;
 
     fn test_input() -> Vec<f64> {
         (0..LINES_PER_SUBBAND)
@@ -255,6 +256,16 @@ mod tests {
         // Symmetric around the center.
         for i in 0..IMDCT_SIZE / 2 {
             assert!((w[i] - w[IMDCT_SIZE - 1 - i]).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn horner_form_of_every_line_is_lossless() {
+        // The mapper ranks candidates against the target itself, relying on
+        // a Horner form never expanding to anything else.
+        for i in 0..IMDCT_SIZE {
+            let line = imdct_polynomial(i, IMDCT_SIZE);
+            assert_eq!(horner_form_auto(&line).expand(), line, "line {i}");
         }
     }
 }

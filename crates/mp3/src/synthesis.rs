@@ -220,6 +220,7 @@ pub fn synthesis_polynomial(i: usize) -> Poly {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use symmap_algebra::horner::horner_form_auto;
 
     fn bands(scale: f64) -> Vec<f64> {
         (0..SUBBANDS)
@@ -334,5 +335,15 @@ mod tests {
         assert_eq!(w.len(), WINDOW_LEN);
         assert!(w.iter().all(|&v| v.abs() <= 1.0));
         assert!(w.iter().any(|&v| v.abs() > 1e-3));
+    }
+
+    #[test]
+    fn horner_form_of_every_row_is_lossless() {
+        // The mapper ranks candidates against the target itself, relying on
+        // a Horner form never expanding to anything else.
+        for i in 0..2 * SUBBANDS {
+            let row = synthesis_polynomial(i);
+            assert_eq!(horner_form_auto(&row).expand(), row, "row {i}");
+        }
     }
 }

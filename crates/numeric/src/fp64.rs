@@ -36,6 +36,8 @@
 //! assert_eq!(field.mul(a, b), field.one());
 //! ```
 
+use std::sync::OnceLock;
+
 /// First candidate tried by [`PrimeIterator`]: the largest odd number below
 /// 2⁶². The iterator walks downward, so the first prime it yields is the
 /// largest prime below 2⁶² (4611686018427387847 = 2⁶² − 57).
@@ -287,15 +289,53 @@ pub fn is_prime(n: u64) -> bool {
     true
 }
 
+/// How many leading primes of the stream [`PrimeIterator`] serves from
+/// [`prime_table`]. The prime-rotation budgets of the fingerprint hash, the
+/// modular prefilter and the multi-modular lift are 16 primes each, so
+/// nearly every stream ends inside the table.
+const PRIME_TABLE_LEN: usize = 32;
+
+/// Walks `candidate` downward by 2 to the next prime in the band, leaving it
+/// on the candidate after that prime; `None` once the band is exhausted.
+fn walk_to_prime(candidate: &mut u64) -> Option<u64> {
+    while *candidate > PRIME_FLOOR {
+        let c = *candidate;
+        *candidate -= 2;
+        if is_prime(c) {
+            return Some(c);
+        }
+    }
+    None
+}
+
+/// The first [`PRIME_TABLE_LEN`] primes of the walk from [`PRIME_SEED`],
+/// found once per process. Every polynomial fingerprint starts a fresh
+/// [`PrimeIterator`]; without the table each one would re-run Miller–Rabin
+/// on the ≈ 28 candidates above the first prime, most of the fingerprint's
+/// cost.
+fn prime_table() -> &'static [u64; PRIME_TABLE_LEN] {
+    static TABLE: OnceLock<[u64; PRIME_TABLE_LEN]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut candidate = PRIME_SEED;
+        std::array::from_fn(|_| {
+            walk_to_prime(&mut candidate).expect("the band holds ~5·10¹⁶ primes")
+        })
+    })
+}
+
 /// A deterministic stream of 62-bit primes, largest first.
 ///
 /// Starts at [`PRIME_SEED`] and walks downward by 2, yielding every prime in
 /// the open band (2⁶¹, 2⁶²). The sequence is a fixed constant of the crate —
 /// the first three primes are `2⁶² − 57`, `2⁶² − 87`, `2⁶² − 117` — so any
 /// consumer that "rotates to the next prime" does so identically on every
-/// run and every thread.
+/// run and every thread. The leading primes come from a table computed once
+/// per process; past it the iterator walks on from the table's last prime.
 #[derive(Debug, Clone)]
 pub struct PrimeIterator {
+    /// Primes yielded from the table so far.
+    served: usize,
+    /// Next candidate of the walk once the table is used up.
     candidate: u64,
 }
 
@@ -303,7 +343,8 @@ impl PrimeIterator {
     /// A stream positioned at the seed candidate.
     pub fn new() -> Self {
         PrimeIterator {
-            candidate: PRIME_SEED,
+            served: 0,
+            candidate: prime_table()[PRIME_TABLE_LEN - 1] - 2,
         }
     }
 }
@@ -318,16 +359,13 @@ impl Iterator for PrimeIterator {
     type Item = u64;
 
     fn next(&mut self) -> Option<u64> {
-        while self.candidate > PRIME_FLOOR {
-            let c = self.candidate;
-            self.candidate -= 2;
-            if is_prime(c) {
-                return Some(c);
-            }
+        if let Some(&p) = prime_table().get(self.served) {
+            self.served += 1;
+            return Some(p);
         }
         // ~5·10¹⁶ primes live in the band; exhaustion is unreachable in
         // practice but the contract stays honest.
-        None
+        walk_to_prime(&mut self.candidate)
     }
 }
 
@@ -363,6 +401,48 @@ mod tests {
         }
         // A second iterator yields the identical stream.
         assert_eq!(PrimeIterator::new().take(3).collect::<Vec<_>>(), first);
+    }
+
+    /// Reference for the table: the plain walk from the seed.
+    fn walked_primes(n: usize) -> Vec<u64> {
+        let mut out = Vec::with_capacity(n);
+        let mut c = PRIME_SEED;
+        while out.len() < n {
+            if is_prime(c) {
+                out.push(c);
+            }
+            c -= 2;
+        }
+        out
+    }
+
+    #[test]
+    fn prime_table_matches_the_walk_from_the_seed() {
+        let len = PRIME_TABLE_LEN + 8;
+        let walked = walked_primes(len);
+        assert_eq!(&prime_table()[..], &walked[..PRIME_TABLE_LEN]);
+        assert_eq!(PrimeIterator::new().take(len).collect::<Vec<_>>(), walked);
+    }
+
+    #[test]
+    fn cloned_iterator_continues_identically() {
+        let walked = walked_primes(PRIME_TABLE_LEN + 8);
+        // Clone mid-table, on the table's last prime, and past the table.
+        for at in [
+            1,
+            PRIME_TABLE_LEN / 2,
+            PRIME_TABLE_LEN - 1,
+            PRIME_TABLE_LEN + 2,
+        ] {
+            let mut it = PrimeIterator::new();
+            for p in &walked[..at] {
+                assert_eq!(it.next(), Some(*p));
+            }
+            let fork = it.clone();
+            let rest = walked.len() - at;
+            assert_eq!(it.take(rest).collect::<Vec<_>>(), walked[at..]);
+            assert_eq!(fork.take(rest).collect::<Vec<_>>(), walked[at..]);
+        }
     }
 
     #[test]
