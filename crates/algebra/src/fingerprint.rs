@@ -39,8 +39,9 @@
 //! [`Monomial::var_mask`]: crate::monomial::Monomial::var_mask
 //! [`Rational`]: symmap_numeric::rational::Rational
 
+use crate::factor::factor;
 use crate::poly::Poly;
-use crate::var::Var;
+use crate::var::{Var, VarSet};
 use symmap_numeric::fp64::{Fp64, PrimeIterator};
 use symmap_numeric::rational::Rational;
 
@@ -207,6 +208,39 @@ impl PolyFingerprint {
             }
         }
         true
+    }
+}
+
+/// What the mapper's candidate scan and ordering need of a target: its
+/// fingerprint, its variables, and its factors with their fingerprints. A
+/// pure function of the target, memoized once per engine by
+/// [`SharedGroebnerCache::guidance`](crate::groebner::SharedGroebnerCache::guidance).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TargetGuidance {
+    /// Fingerprint of the target.
+    pub fingerprint: PolyFingerprint,
+    /// The target's variables.
+    pub vars: VarSet,
+    /// The non-constant factors of [`factor`] (multiplicities dropped),
+    /// each with its fingerprint.
+    pub factors: Vec<(Poly, PolyFingerprint)>,
+}
+
+impl TargetGuidance {
+    /// Computes the guidance record of `target`.
+    pub fn of(target: &Poly) -> Self {
+        TargetGuidance {
+            fingerprint: PolyFingerprint::of(target),
+            vars: target.vars(),
+            factors: factor(target)
+                .factors
+                .into_iter()
+                .map(|(f, _)| {
+                    let fp = PolyFingerprint::of(&f);
+                    (f, fp)
+                })
+                .collect(),
+        }
     }
 }
 

@@ -37,11 +37,14 @@
 //!   FIFO capacity, so the mapper's branch-and-bound — and the batch engine's
 //!   worker threads — compute each side-relation basis once per process. A
 //!   second, ring-local layer shares one core computation between
-//!   α-equivalent requests (same ideal up to variable renaming).
+//!   α-equivalent requests (same ideal up to variable renaming). Each
+//!   cached basis memoizes its normal forms ([`GroebnerBasis::reduce`]),
+//!   and the cache memoizes every target's candidate guidance
+//!   ([`SharedGroebnerCache::guidance`]), so a batch derives neither twice.
 
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
@@ -49,6 +52,7 @@ use symmap_trace::{trace_event, trace_sched, Counter, Gauge, Histogram, MetricsR
 
 use crate::coeff::{buchberger_core_in, CPoly, RationalField};
 use crate::division::{normal_form, prepared_normal_form, PreparedDivisor};
+use crate::fingerprint::TargetGuidance;
 use crate::modular::{FpBasis, MAX_PRIME_ROTATIONS};
 use crate::ordering::MonomialOrder;
 use crate::poly::Poly;
@@ -129,6 +133,148 @@ pub enum Membership {
     Unknown,
 }
 
+/// How many normal forms one basis memoizes ([`GroebnerBasis::reduce`]).
+/// Past the bound the oldest inserted target is evicted first.
+pub const NF_MEMO_CAPACITY: usize = 64;
+
+/// Registry handles of the normal-form memo, present only on bases handed
+/// out by a [`SharedGroebnerCache`] (registered there as `nf.hits` and
+/// `nf.misses`).
+#[derive(Debug, Clone)]
+struct NfCounters {
+    hits: Counter,
+    misses: Counter,
+}
+
+/// A `Poly`-keyed memo table with FIFO eviction: the storage of the
+/// normal-form memo and of the cache's guidance layer. Point lookups only
+/// (lint rule D1); eviction order comes from `queue`, which shares each key
+/// with `entries`.
+#[derive(Debug, Clone)]
+struct FifoMemo<V> {
+    entries: HashMap<Arc<Poly>, V, BuildHasherDefault<WordHasher>>,
+    queue: VecDeque<Arc<Poly>>,
+}
+
+impl<V> Default for FifoMemo<V> {
+    fn default() -> Self {
+        FifoMemo {
+            entries: HashMap::default(),
+            queue: VecDeque::new(),
+        }
+    }
+}
+
+impl<V: Clone> FifoMemo<V> {
+    fn get(&self, key: &Poly) -> Option<V> {
+        self.entries.get(key).cloned()
+    }
+
+    /// Publishes a value computed outside the lock and returns the one the
+    /// memo holds: if a racing thread published first, its value is
+    /// adopted. Past `capacity` entries the oldest inserted is evicted.
+    fn publish(&mut self, key: &Poly, value: V, capacity: usize) -> V {
+        let key = Arc::new(key.clone());
+        match self.entries.entry(Arc::clone(&key)) {
+            Entry::Occupied(existing) => return existing.get().clone(),
+            Entry::Vacant(slot) => slot.insert(value.clone()),
+        };
+        self.queue.push_back(key);
+        while self.queue.len() > capacity {
+            if let Some(oldest) = self.queue.pop_front() {
+                self.entries.remove(&oldest);
+            }
+        }
+        value
+    }
+}
+
+/// FxHash-style word hasher for the memo tables. Their keys are whole
+/// target polynomials, whose dense exponent vectors span the interner width:
+/// SipHash took about as long to hash an MP3 target as a memo hit saves.
+/// Not DoS-resistant, which is fine for keys the program builds itself.
+#[derive(Debug, Default, Clone, Copy)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(last));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The normal-form memo of one basis: target → normal form, FIFO-bounded by
+/// [`NF_MEMO_CAPACITY`]. A normal form is a pure function of (basis,
+/// target), so a memoized answer is the answer.
+#[derive(Debug, Default)]
+struct NfMemo {
+    table: Mutex<FifoMemo<Poly>>,
+    counters: Option<NfCounters>,
+}
+
+impl NfMemo {
+    /// The memoized normal form of `f`, counting the hit or the miss.
+    fn get(&self, f: &Poly) -> Option<Poly> {
+        let hit = self.table.lock().get(f);
+        if hit.is_some() {
+            if let Some(c) = &self.counters {
+                c.hits.inc();
+            }
+            trace_sched!("cache.nf.hit");
+        } else {
+            if let Some(c) = &self.counters {
+                c.misses.inc();
+            }
+            trace_sched!("cache.nf.miss");
+        }
+        hit
+    }
+
+    fn publish(&self, f: &Poly, nf: Poly) -> Poly {
+        self.table.lock().publish(f, nf, NF_MEMO_CAPACITY)
+    }
+}
+
+impl Clone for NfMemo {
+    fn clone(&self) -> Self {
+        NfMemo {
+            table: Mutex::new(self.table.lock().clone()),
+            counters: self.counters.clone(),
+        }
+    }
+}
+
 /// A Gröbner basis together with the order it was computed under.
 ///
 /// The basis is held in the **ring-local coordinates** of its computation
@@ -150,6 +296,8 @@ pub struct GroebnerBasis {
     /// local fast path: the localized order plus one [`PreparedDivisor`]
     /// per basis element, built once per basis instead of per call.
     local_prepared: OnceLock<(MonomialOrder, Vec<PreparedDivisor>)>,
+    /// Normal forms already computed against this basis.
+    nf_memo: NfMemo,
     /// The monomial order of the computation.
     pub order: MonomialOrder,
     /// Whether the computation finished before hitting the iteration bound.
@@ -192,7 +340,19 @@ impl GroebnerBasis {
     /// exponent vector is ever built. A target with variables outside the
     /// ring falls back to [`normal_form`], which spans a joint ring over
     /// basis and target; both paths are byte-identical to global division.
+    ///
+    /// The result is memoized per basis (at most [`NF_MEMO_CAPACITY`]
+    /// targets, FIFO), so every job that gets this basis from a
+    /// [`SharedGroebnerCache`] reduces a given target once.
     pub fn reduce(&self, f: &Poly) -> Poly {
+        if let Some(nf) = self.nf_memo.get(f) {
+            return nf;
+        }
+        self.nf_memo.publish(f, self.normal_form_of(f))
+    }
+
+    /// [`GroebnerBasis::reduce`] without the memo.
+    fn normal_form_of(&self, f: &Poly) -> Poly {
         let Some(ring) = &self.ring else {
             return normal_form(f, &self.local_polys, &self.order);
         };
@@ -393,12 +553,17 @@ fn basis_from_core(
     core: &CoreBasis,
     ring: Ring,
     order: &MonomialOrder,
+    nf_counters: Option<NfCounters>,
 ) -> GroebnerBasis {
     GroebnerBasis {
         ring: Some(ring),
         local_polys,
         global: OnceLock::new(),
         local_prepared: OnceLock::new(),
+        nf_memo: NfMemo {
+            table: Mutex::default(),
+            counters: nf_counters,
+        },
         order: order.clone(),
         complete: core.complete,
         reductions: core.reductions,
@@ -428,7 +593,7 @@ pub fn buchberger(
 ) -> GroebnerBasis {
     let (ring, lgens, lorder) = ring_localized(generators, order);
     let (core, _lift) = compute_core(&lgens, &lorder, options);
-    basis_from_core(Arc::clone(&core.polys), &core, ring, order)
+    basis_from_core(Arc::clone(&core.polys), &core, ring, order, None)
 }
 
 /// [`buchberger`] on **global** interner coordinates, with no ring boundary —
@@ -453,6 +618,7 @@ pub fn buchberger_unringed(
         local_polys: core.polys,
         global: OnceLock::new(),
         local_prepared: OnceLock::new(),
+        nf_memo: NfMemo::default(),
         order: order.clone(),
         complete: core.complete,
         reductions: core.reductions,
@@ -521,8 +687,9 @@ pub struct CacheShardStats {
 // FIFO `queue: VecDeque<…>` (front = victim), never from map iteration;
 // aggregate stats (`hits()`, `len()`, `shard_stats()`, …) iterate the
 // *shard slice* `Box<[Mutex<…>]>`, whose order is the fixed array order.
-// Anyone adding a render/debug path that walks `entries` must sort the
-// keys first or switch the layer to a BTreeMap.
+// The same holds for `FifoMemo` (the normal-form memo and the guidance
+// layer). Anyone adding a render/debug path that walks `entries` must sort
+// the keys first or switch the layer to a BTreeMap.
 /// The per-order level of a shard.
 type OptionsMap = HashMap<GroebnerOptions, GeneratorMap>;
 /// The per-(order, options) generator-set level of a shard.
@@ -788,6 +955,15 @@ pub struct SharedGroebnerCache {
     crt_primes_used: Counter,
     /// Distribution of S-polynomial reduction counts per core computation.
     reduction_sizes: Histogram,
+    /// Handles every basis this cache hands out counts its normal-form memo
+    /// hits and misses on.
+    nf_counters: NfCounters,
+    /// The guidance layer ([`SharedGroebnerCache::guidance`]): target →
+    /// candidate guidance, FIFO-bounded by [`CacheConfig::capacity`]. One
+    /// lock, not shards: it is consulted once per job.
+    guidance: Mutex<FifoMemo<Arc<TargetGuidance>>>,
+    guidance_hits: Counter,
+    guidance_misses: Counter,
     per_shard_capacity: usize,
 }
 
@@ -844,6 +1020,13 @@ impl SharedGroebnerCache {
             lift_bypass: metrics.counter("lift.bypass"),
             crt_primes_used: metrics.counter("lift.crt_primes"),
             reduction_sizes: metrics.histogram("groebner.reductions"),
+            nf_counters: NfCounters {
+                hits: metrics.counter("nf.hits"),
+                misses: metrics.counter("nf.misses"),
+            },
+            guidance: Mutex::default(),
+            guidance_hits: metrics.counter("guidance.hits"),
+            guidance_misses: metrics.counter("guidance.misses"),
             metrics,
             per_shard_capacity,
         }
@@ -985,7 +1168,13 @@ impl SharedGroebnerCache {
         // Resolve through the ring-local layer outside the global lock.
         let (ring, lgens, lorder) = ring_localized(generators, order);
         let core = self.local_basis((lorder, options.clone(), lgens), options);
-        let gb = Arc::new(basis_from_core(Arc::clone(&core.polys), &core, ring, order));
+        let gb = Arc::new(basis_from_core(
+            Arc::clone(&core.polys),
+            &core,
+            ring,
+            order,
+            Some(self.nf_counters.clone()),
+        ));
         let mut locked = shard.lock();
         let locked = &mut *locked;
         if let Some(existing) = locked.lookup(generators, order, options) {
@@ -1007,6 +1196,27 @@ impl SharedGroebnerCache {
             locked.evict_oldest();
         }
         gb
+    }
+
+    /// The candidate guidance of `target` ([`TargetGuidance`]: fingerprint,
+    /// variables, factors), computed on first use and memoized for every
+    /// mapper sharing this cache. Guidance is a pure function of the target,
+    /// so a hit returns exactly what a fresh computation would. The compute
+    /// runs outside the lock; a lost race adopts the winner's record.
+    /// Counted as `guidance.hits`/`guidance.misses`; the outcome goes to the
+    /// sched channel only.
+    pub fn guidance(&self, target: &Poly) -> Arc<TargetGuidance> {
+        if let Some(hit) = self.guidance.lock().get(target) {
+            self.guidance_hits.inc();
+            trace_sched!("cache.guidance.hit");
+            return hit;
+        }
+        self.guidance_misses.inc();
+        trace_sched!("cache.guidance.miss");
+        let computed = Arc::new(TargetGuidance::of(target));
+        self.guidance
+            .lock()
+            .publish(target, computed, self.capacity())
     }
 
     /// Number of lookups answered from the cache (all shards).
@@ -2163,8 +2373,79 @@ mod tests {
         assert_eq!(len_total as usize, cache.len());
     }
 
+    #[test]
+    fn guidance_layer_memoizes_each_target_within_the_capacity() {
+        let cache = SharedGroebnerCache::with_config(CacheConfig {
+            shards: 2,
+            capacity: 4,
+            ..CacheConfig::default()
+        });
+        let target = p("x^2 - y^2");
+        let first = cache.guidance(&target);
+        assert_eq!(*first, TargetGuidance::of(&target));
+        assert_eq!(first.factors.len(), 2, "x^2 - y^2 = (x - y)(x + y)");
+        assert!(Arc::ptr_eq(&first, &cache.guidance(&target)));
+        let counts = |c: &SharedGroebnerCache| {
+            let s = c.metrics_snapshot();
+            (s.counter("guidance.hits"), s.counter("guidance.misses"))
+        };
+        assert_eq!(counts(&cache), (1, 1));
+        // Past the capacity the oldest target is evicted and recomputed.
+        for k in 1..=4_i64 {
+            cache.guidance(&target.add(&Poly::integer(k)));
+        }
+        let again = cache.guidance(&target);
+        assert!(!Arc::ptr_eq(&first, &again));
+        assert_eq!(*again, *first);
+        assert_eq!(counts(&cache), (1, 6));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The memoized [`GroebnerBasis::reduce`] equals a fresh
+        /// `normal_form` for targets inside the basis ring (the ring-local
+        /// path) and outside it (the `normal_form` fallback): on the first
+        /// call, on a repeat call (a memo hit), on a clone of the basis, and
+        /// after the FIFO bound has evicted the entry.
+        #[test]
+        fn prop_memoized_reduce_matches_a_fresh_normal_form(
+            gens in proptest::collection::vec(
+                proptest::collection::vec((0u32..3, 0u32..3, -3i64..4), 1..4),
+                1..3,
+            ),
+            target in proptest::collection::vec((0u32..4, 0u32..4, -5i64..6), 1..6),
+        ) {
+            use symmap_numeric::Rational;
+
+            let (a, b, w) = (Var::new("nfm_a"), Var::new("nfm_b"), Var::new("nfm_w"));
+            let poly = |terms: &[(u32, u32, i64)]| {
+                Poly::from_terms(terms.iter().map(|&(ea, eb, c)| {
+                    (Monomial::from_pairs(&[(a, ea), (b, eb)]), Rational::integer(c))
+                }))
+            };
+            let gens: Vec<Poly> = gens.iter().map(|t| poly(t)).collect();
+            let cache = SharedGroebnerCache::new();
+            let order = MonomialOrder::lex(&["nfm_a", "nfm_b", "nfm_w"]);
+            let gb = cache.basis(&gens, &order, &GroebnerOptions::default());
+            let misses = || cache.metrics_snapshot().counter("nf.misses");
+            let inside = poly(&target);
+            let outside = inside.add(&Poly::var(w));
+            for f in [inside, outside] {
+                let fresh = normal_form(&f, gb.polys(), &gb.order);
+                let m0 = misses();
+                prop_assert_eq!(gb.reduce(&f), fresh.clone());
+                prop_assert_eq!(gb.reduce(&f), fresh.clone());
+                prop_assert_eq!(misses(), m0 + 1, "the repeat call is a hit");
+                prop_assert_eq!(GroebnerBasis::clone(&gb).reduce(&f), fresh.clone());
+                for k in 1..=NF_MEMO_CAPACITY as i64 {
+                    gb.reduce(&f.add(&Poly::integer(k)));
+                }
+                let m1 = misses();
+                prop_assert_eq!(gb.reduce(&f), fresh);
+                prop_assert_eq!(misses(), m1 + 1, "the evicted entry is recomputed");
+            }
+        }
 
         /// Differential test against the seed engine: on random small ideals
         /// (2–4 generators, ≤ 3 variables) the rebuilt engine must produce a

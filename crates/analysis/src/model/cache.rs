@@ -1,6 +1,14 @@
 //! Model of the shared Gröbner cache's compute-outside-lock / adopt-winner
-//! shard protocol (`crates/algebra/src/groebner.rs`, `basis` /
-//! `local_basis` / `fp_basis_for`).
+//! shard protocol. Its sites in `crates/algebra/src/groebner.rs`:
+//!
+//! * the basis layers: `SharedGroebnerCache::basis`, `local_basis` and
+//!   `fp_basis_for`;
+//! * the guidance layer: `SharedGroebnerCache::guidance`;
+//! * the per-basis normal-form memo: `GroebnerBasis::reduce`, through
+//!   `NfMemo::get` (step 1) and `FifoMemo::publish` (step 3).
+//!
+//! The two memo layers have one lock each instead of shards; with one
+//! racing key that is the case modelled here.
 //!
 //! The real protocol, per thread, for one cache key:
 //!

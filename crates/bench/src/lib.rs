@@ -115,6 +115,28 @@ pub fn mp3_kernel_jobs(library: &Arc<Library>, config: &MapperConfig) -> Vec<Map
     jobs
 }
 
+/// The 11-kernel batch of [`mp3_kernel_jobs`] against each Table 6 library,
+/// in Table 6 order, then against the full catalog: 77 jobs labelled
+/// `library/kernel`, every one with `config`. The pinned-outputs and memo
+/// tests run it as one engine batch.
+pub fn table6_kernel_batch(badge: &Badge4, config: &MapperConfig) -> Vec<MapJob> {
+    let mut libraries = table6_libraries(badge);
+    libraries.push(("full".to_string(), catalog::full_catalog(badge)));
+    let mut jobs = Vec::new();
+    for (name, library) in libraries {
+        let library = Arc::new(library);
+        for job in mp3_kernel_jobs(&library, config) {
+            jobs.push(MapJob::new(
+                format!("{name}/{}", job.label),
+                job.target,
+                Arc::clone(&library),
+                config.clone(),
+            ));
+        }
+    }
+    jobs
+}
+
 /// Measures a single named version (used by the per-table benches).
 pub fn measure_version(name: &str, badge: &Badge4, frames: usize) -> CodeVersion {
     let pipeline = pipeline_for(name, badge, frames).unwrap_or_else(|| {

@@ -13,8 +13,7 @@
 
 use std::sync::Arc;
 
-use symmap_algebra::factor::factor;
-use symmap_algebra::fingerprint::PolyFingerprint;
+use symmap_algebra::fingerprint::{PolyFingerprint, TargetGuidance};
 use symmap_algebra::groebner::{GroebnerOptions, SharedGroebnerCache};
 use symmap_algebra::poly::Poly;
 use symmap_algebra::simplify::{default_order, simplify_modulo_ordered, SideRelations};
@@ -86,7 +85,8 @@ impl Default for MapperConfig {
 /// subsets of library elements, and across targets (or repeated mapping
 /// calls) the same subset keeps reappearing — its basis is computed once and
 /// shared. The cache is `Arc`-shared and thread-safe, so mappers running on
-/// different batch-engine workers pool their bases.
+/// different batch-engine workers pool their bases, each basis's memoized
+/// normal forms and each target's candidate guidance (`DESIGN.md` §10).
 #[derive(Debug, Clone)]
 pub struct Mapper {
     library: Arc<Library>,
@@ -155,15 +155,15 @@ impl Mapper {
     /// [`CoreError::NoAccurateSolution`] when every candidate mapping violates
     /// the accuracy tolerance.
     pub fn map_polynomial(&self, target: &Poly) -> Result<MappingSolution, CoreError> {
-        let tfp = PolyFingerprint::of(target);
-        let tvars = target.vars();
-        let candidates = self.candidates(&tvars, &tfp);
+        let guidance = self.cache.guidance(target);
+        let tvars = &guidance.vars;
+        let candidates = self.candidates(tvars, &guidance.fingerprint);
         if candidates.is_empty() {
             return Err(CoreError::NoCandidateElements {
                 target: target.to_string(),
             });
         }
-        let ordered = self.order_candidates(target, &tfp, candidates);
+        let ordered = self.order_candidates(target, &guidance, candidates);
 
         let mut best: Option<MappingSolution> = None;
         let mut nodes = 0_usize;
@@ -174,7 +174,7 @@ impl Mapper {
         trace_span!(begin "mapper.search", candidates = ordered.len());
         let explored = self.explore(
             target,
-            &tvars,
+            tvars,
             &ordered,
             0,
             &mut chosen,
@@ -245,30 +245,28 @@ impl Mapper {
     /// `may_equal` miss proves inequality and a `shared_support_count` is the
     /// exact distinct-shared-variable count, so each candidate's score — and
     /// therefore the final order — is identical to the unscreened
-    /// computation, element for element.
+    /// computation, element for element. The target's factors and
+    /// fingerprints come from the shared cache's guidance memo, and each
+    /// score is computed once (`sort_by_cached_key`, stable like
+    /// `sort_by_key`).
     fn order_candidates<'a>(
         &self,
         target: &Poly,
-        tfp: &PolyFingerprint,
+        guidance: &TargetGuidance,
         mut candidates: Vec<&'a LibraryElement>,
     ) -> Vec<&'a LibraryElement> {
         if !self.config.use_guidance {
             candidates.sort_by(|a, b| a.name().cmp(b.name()));
             return candidates;
         }
-        let factors = factor(target);
-        let factor_fps: Vec<PolyFingerprint> = factors
-            .factors
-            .iter()
-            .map(|(f, _)| PolyFingerprint::of(f))
-            .collect();
+        let tfp = &guidance.fingerprint;
         let score = |e: &LibraryElement| -> i64 {
             let efp = e.fingerprint();
             let mut s = 0_i64;
-            if factor_fps
+            if guidance
+                .factors
                 .iter()
-                .zip(factors.factors.iter())
-                .any(|(ffp, (f, _))| ffp.may_equal(efp) && f == e.polynomial())
+                .any(|(f, ffp)| ffp.may_equal(efp) && f == e.polynomial())
             {
                 s -= 1_000_000;
             }
@@ -279,7 +277,7 @@ impl Mapper {
             s -= efp.shared_support_count(tfp) as i64 * 1_000;
             s + e.cycles() as i64
         };
-        candidates.sort_by_key(|e| score(e));
+        candidates.sort_by_cached_key(|e| score(e));
         candidates
     }
 

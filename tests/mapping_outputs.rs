@@ -10,13 +10,10 @@
 //! Keep this the only test in its binary: `{:?}` of a `SideRelations` prints
 //! interner indices, which depend on the order the process interned names.
 
-use std::sync::Arc;
-
 use symmap::algebra::groebner::GroebnerOptions;
-use symmap::core::pipeline::table6_libraries;
-use symmap::engine::{EngineConfig, MapJob, MapperConfig, MappingEngine};
-use symmap::libchar::catalog;
+use symmap::engine::{EngineConfig, MapperConfig, MappingEngine};
 use symmap::platform::machine::Badge4;
+use symmap_bench::table6_kernel_batch;
 
 const FIXTURE: &str = include_str!("fixtures/mapping_outputs.txt");
 
@@ -42,28 +39,9 @@ fn mapper_config() -> MapperConfig {
     }
 }
 
-fn kernel_batch() -> Vec<MapJob> {
-    let badge = Badge4::new();
-    let mut libraries = table6_libraries(&badge);
-    libraries.push(("full".to_string(), catalog::full_catalog(&badge)));
-    let config = mapper_config();
-    let mut jobs = Vec::new();
-    for (name, library) in libraries {
-        let library = Arc::new(library);
-        for job in symmap_bench::mp3_kernel_jobs(&library, &config) {
-            jobs.push(MapJob::new(
-                format!("{name}/{}", job.label),
-                job.target,
-                Arc::clone(&library),
-                config.clone(),
-            ));
-        }
-    }
-    jobs
-}
-
 fn render() -> String {
-    let result = MappingEngine::new(engine_config()).run(&kernel_batch());
+    let result = MappingEngine::new(engine_config())
+        .run(&table6_kernel_batch(&Badge4::new(), &mapper_config()));
     let mut out = String::new();
     for outcome in &result.outcomes {
         out.push_str(&format!("{outcome:?}\n"));
