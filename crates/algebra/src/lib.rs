@@ -59,6 +59,7 @@ pub mod error;
 pub mod expr;
 pub mod factor;
 pub mod fingerprint;
+mod flat;
 pub mod groebner;
 pub mod horner;
 pub mod modular;

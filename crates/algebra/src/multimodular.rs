@@ -2,16 +2,17 @@
 //! with a CRT + rational-reconstruction lift verified over ℚ.
 //!
 //! The exact-ℚ Buchberger run pays for coefficient growth; the identical
-//! run over ℤ/p does not (the `modular_prefilter` bench measured 423× on
-//! the katsura-3 coefficient-growth regime). This module makes the cheap
-//! run *authoritative* instead of advisory:
+//! run over ℤ/p does not (the `modular_prefilter` bench measures about 34×
+//! on the katsura-3 coefficient-growth regime). This module makes the
+//! cheap run *authoritative* instead of advisory:
 //!
 //! 1. **Images.** Compute the reduced Gröbner basis of the localized
 //!    generators modulo successive primes of the deterministic
-//!    [`PrimeIterator`] sequence, reusing the field-generic engine
-//!    ([`crate::coeff`]) and the strict generator localization of
-//!    [`crate::modular`] (primes dividing a denominator or a leading
-//!    coefficient are discarded on the spot).
+//!    [`PrimeIterator`] sequence, on the flat strided ℤ/p engine (the
+//!    field-generic engine of [`crate::coeff`], step for step, in the
+//!    symbolica-style layout of the private `flat` module), with the strict
+//!    generator localization of [`crate::modular`] (primes dividing a
+//!    denominator or a leading coefficient are discarded on the spot).
 //! 2. **Vote.** Group images by *skeleton* — the full per-element monomial
 //!    support, which refines the leading-monomial set — and take the
 //!    majority group, earliest-image first on ties. An unlucky prime that
@@ -21,11 +22,13 @@
 //!    agreeing images into ℤ/(p₁⋯pₖ) and rationally reconstruct
 //!    ([`symmap_numeric::crt`], the standard `|num|, den < √(M/2)` box).
 //! 4. **Verify.** A reconstruction that exists is still only a guess until
-//!    checked over ℚ: the candidate must be structurally a reduced monic
-//!    basis, every S-polynomial must reduce to zero against it
-//!    (Buchberger's criterion — it is then a Gröbner basis of the ideal
-//!    it generates), and every input generator must reduce to zero (the
-//!    input ideal is contained in it). Failure adds the next prime and
+//!    checked: the candidate must be structurally a reduced monic basis
+//!    (checked on ℚ), every S-polynomial must reduce to zero against it
+//!    (Buchberger's criterion — it is then a Gröbner basis of the ideal it
+//!    generates), and every input generator must reduce to zero (the input
+//!    ideal is contained in it). The reductions run fraction-free over ℤ
+//!    on the candidate cleared of denominators, which decides exactly what
+//!    the rational normal form would. Failure adds the next prime and
 //!    retries; budget exhaustion returns `None` and the caller falls back
 //!    to the exact engine, so a wrong basis can never escape.
 //!
@@ -38,9 +41,8 @@
 use symmap_numeric::{crt_combine, rational_reconstruct, Fp64, PrimeIterator, Rational};
 use symmap_trace::{trace_event, trace_span};
 
-use crate::coeff::{
-    buchberger_core_in, normal_form_in, CPoly, CPrepared, CoeffField, RationalField,
-};
+use crate::coeff::{CPoly, CPrepared, RationalField};
+use crate::flat::{FlatLayout, IntReducer};
 use crate::groebner::GroebnerOptions;
 use crate::modular::{localize_generator, MAX_PRIME_ROTATIONS};
 use crate::monomial::Monomial;
@@ -112,7 +114,7 @@ impl PrimeImage {
         for g in generators {
             lgens.push(localize_generator(&field, g, order).ok()?);
         }
-        let core = buchberger_core_in(&field, &lgens, order, options);
+        let core = crate::flat::buchberger_fp(&field, &lgens, order, options);
         let polys = core
             .polys
             .into_iter()
@@ -192,15 +194,16 @@ fn reconstruct(images: &[PrimeImage], indices: &[usize]) -> Option<Vec<Poly>> {
     Some(out)
 }
 
-/// The ℚ-side verification making the lift trustworthy: the candidate must
-/// be structurally a reduced monic staircase, a Gröbner basis of the ideal
-/// it generates (every non-coprime S-polynomial reduces to zero —
+/// The verification making the lift trustworthy: the candidate must be
+/// structurally a reduced monic staircase, a Gröbner basis of the ideal it
+/// generates (every non-coprime S-polynomial reduces to zero —
 /// Buchberger's criterion; coprime pairs reduce by his first criterion),
-/// and contain the input ideal (every generator reduces to zero). All
-/// arithmetic is exact, so a candidate that passes can be adopted wherever
-/// the exact reduced basis of the generated ideal would be.
+/// and contain the input ideal (every generator reduces to zero). The
+/// structure is checked on ℚ, the reductions fraction-free over ℤ with the
+/// same answers as the rational normal form. All arithmetic is exact, so a
+/// candidate that passes can be adopted wherever the exact reduced basis of
+/// the generated ideal would be.
 fn verify(candidate: &[Poly], generators: &[&Poly], order: &MonomialOrder) -> bool {
-    let field = RationalField;
     let mut prepared: Vec<CPrepared<RationalField>> = Vec::with_capacity(candidate.len());
     for p in candidate {
         let cp = CPoly::from_sorted_terms(p.sorted_terms().to_vec());
@@ -230,30 +233,43 @@ fn verify(candidate: &[Poly], generators: &[&Poly], order: &MonomialOrder) -> bo
             }
         }
     }
-    for g in generators {
-        let cg = CPoly::from_sorted_terms(g.sorted_terms().to_vec());
-        if !normal_form_in(&field, cg, &prepared, order, None).is_zero() {
-            return false;
-        }
+    // Membership and Buchberger's criterion, fraction-free over ℤ: each
+    // test gives the same answer as `normal_form_in(..).is_zero()` on ℚ.
+    // A generator that is a multiple of a candidate element needs no
+    // reduction: no other leading monomial of a reduced basis divides that
+    // element's, so the rational division cancels it in its first step.
+    // That covers every single-generator ideal, whose wide rational
+    // coefficients would be costly to clear.
+    let multiple_of_candidate = |g: &Poly| {
+        let monic = g.monic(order);
+        let lm = monic.leading_term(order).map(|(m, _)| m);
+        prepared
+            .iter()
+            .zip(candidate)
+            .any(|(d, c)| Some(&d.lm) == lm.as_ref() && *c == monic)
+    };
+    let pairs: Vec<(usize, usize)> = (0..prepared.len())
+        .flat_map(|i| ((i + 1)..prepared.len()).map(move |j| (i, j)))
+        .filter(|&(i, j)| !prepared[i].lm.is_coprime_with(&prepared[j].lm))
+        .collect();
+    let to_reduce: Vec<&Poly> = generators
+        .iter()
+        .copied()
+        .filter(|g| !multiple_of_candidate(g))
+        .collect();
+    if to_reduce.is_empty() && pairs.is_empty() {
+        return true;
     }
-    for i in 0..prepared.len() {
-        for j in (i + 1)..prepared.len() {
-            let (f, g) = (&prepared[i], &prepared[j]);
-            if f.lm.is_coprime_with(&g.lm) {
-                continue;
-            }
-            let lcm = f.lm.lcm(&g.lm);
-            let mf = lcm.div(&f.lm).expect("lcm divisible by lm(f)");
-            let mg = lcm.div(&g.lm).expect("lcm divisible by lm(g)");
-            let mut s = f.poly.mul_term(&field, &mf, &field.inv(&f.lc));
-            let c = field.inv(&g.lc);
-            s.sub_scaled(&field, g.poly.terms(), &mg, &c);
-            if !normal_form_in(&field, s, &prepared, order, None).is_zero() {
-                return false;
-            }
-        }
-    }
-    true
+    let layout = FlatLayout::spanning(
+        order,
+        candidate
+            .iter()
+            .chain(to_reduce.iter().copied())
+            .flat_map(|p| p.iter().map(|(m, _)| m)),
+    );
+    let mut reducer = IntReducer::new(layout, candidate);
+    to_reduce.iter().all(|g| reducer.member(g))
+        && pairs.iter().all(|&(i, j)| reducer.s_pair_reduces(i, j))
 }
 
 /// Multi-modular reduced Gröbner basis over the production prime sequence.
@@ -489,14 +505,28 @@ mod tests {
 
     #[test]
     fn capped_budget_returns_fallback_not_a_wrong_basis() {
-        // Coefficients of the reduced basis exceed √(p/2) for a single
-        // 62-bit prime? No — they are tiny here; force failure instead with
-        // an empty prime stream and with a stream of one unlucky prime.
+        // The reduced basis of ⟨x² − y⟩ is tiny, so a real prime would lift
+        // it from one image; failure is forced through the prime stream.
         let gens = [p("x^2 - y")];
         let order = MonomialOrder::lex(&["x", "y"]);
         let options = exact_options();
+        // An empty stream yields no image at all.
         let lift = multimodular_basis_with_primes(&gens, &order, &options, std::iter::empty(), 1);
         assert!(lift.basis.is_none());
         assert_eq!(lift.primes_used, 0);
+        // A stream of one unlucky prime: 32003 divides the denominator of
+        // the generator, so localization rejects it and the stream ends
+        // without an accepted image.
+        let gens = [p("x^2 - 1/32003*y")];
+        let lift = multimodular_basis_with_primes(&gens, &order, &options, [32003], 1);
+        assert!(lift.basis.is_none());
+        assert_eq!(lift.primes_used, 0);
+        assert_eq!(lift.discarded_primes, 1);
+        // The same generator lifts once a lucky prime follows.
+        let lucky = PrimeIterator::new().next().unwrap();
+        let lift = multimodular_basis_with_primes(&gens, &order, &options, [32003, lucky], 1);
+        let basis = lift.basis.expect("the lucky prime's image lifts");
+        assert_eq!(format!("{:?}", basis.polys), format!("{:?}", gens.to_vec()));
+        assert_eq!(lift.discarded_primes, 1);
     }
 }

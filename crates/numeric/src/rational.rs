@@ -262,6 +262,15 @@ impl Rational {
         }
     }
 
+    /// The numerator and denominator as machine words when the value is
+    /// stored inline, without allocating; `None` for a big value.
+    pub fn small_parts(&self) -> Option<(i64, u64)> {
+        match self.repr {
+            Repr::Small { num, den } => Some((num, den)),
+            Repr::Big(_) => None,
+        }
+    }
+
     /// Absolute value.
     pub fn abs(&self) -> Self {
         match &self.repr {
