@@ -22,12 +22,13 @@
 //!   [`Monomial::mul`] does, with the same panic; the derived degree
 //!   columns check against `u32` like [`Monomial::total_degree`].
 //!
-//! Two clients share it. [`buchberger_fp`] is the ℤ/p Buchberger run behind
-//! every lift image: step for step the generic engine's algorithm (pair
-//! order, criteria, first-divisor division, auto-reduction), so the basis
-//! and every counter are identical, with merges into reused buffers and a
-//! bit matrix for the pending pairs. [`IntReducer`] is the lift's ℚ
-//! verification done fraction-free over ℤ (see [`IntReducer::reduces_to_zero`]).
+//! Two clients share it. [`buchberger_fp`] is the crate's ℤ/p Buchberger
+//! run, behind every lift image and the membership prefilter's basis: step
+//! for step the generic engine's algorithm (pair order, criteria,
+//! first-divisor division, auto-reduction), so the basis and every counter
+//! are identical, with merges into reused buffers and a bit matrix for the
+//! pending pairs. [`IntReducer`] is the lift's ℚ verification done
+//! fraction-free over ℤ (see [`IntReducer::reduces_to_zero`]).
 
 use std::cmp::Ordering;
 
@@ -38,42 +39,13 @@ use crate::groebner::GroebnerOptions;
 use crate::monomial::Monomial;
 use crate::ordering::MonomialOrder;
 
-/// The row width of a [`FlatLayout`]: a runtime value, or a compile-time
-/// constant so that the row loops of the small rings unroll.
-pub(crate) trait Stride: Copy + std::fmt::Debug {
-    /// Words per term row.
-    fn get(self) -> usize;
-}
-
-/// A row width known only at run time.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Dyn(usize);
-
-impl Stride for Dyn {
-    #[inline]
-    fn get(self) -> usize {
-        self.0
-    }
-}
-
-/// A row width fixed at compile time.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Fixed<const N: usize>;
-
-impl<const N: usize> Stride for Fixed<N> {
-    #[inline]
-    fn get(self) -> usize {
-        N
-    }
-}
-
 /// How one monomial order maps onto flat rows: which variable each column
 /// holds, which derived degree columns lead the row, and in which sense the
 /// variable columns compare.
 #[derive(Debug, Clone)]
-pub(crate) struct FlatLayout<S = Dyn> {
+pub(crate) struct FlatLayout {
     /// Words per term: `extra` derived columns, then one per variable.
-    stride: S,
+    stride: usize,
     /// Derived columns leading each row (0 lex, 1 graded, 2 elimination).
     extra: usize,
     /// Variable columns compare in reverse sense (grevlex tail): after the
@@ -129,7 +101,7 @@ impl FlatLayout {
         // Reversed storage puts the block's precedence prefix at the end.
         let block = width - block_len..width;
         FlatLayout {
-            stride: Dyn(extra + width),
+            stride: extra + width,
             extra,
             reverse,
             block,
@@ -151,46 +123,21 @@ impl FlatLayout {
         FlatLayout::new(order, width.max(1))
     }
 
-    /// The same layout with its row width as the compile-time `N`.
-    fn fixed<const N: usize>(&self) -> FlatLayout<Fixed<N>> {
-        assert_eq!(self.stride.0, N, "row width mismatch");
-        FlatLayout {
-            stride: Fixed,
-            extra: self.extra,
-            reverse: self.reverse,
-            block: self.block.clone(),
-            col_of: self.col_of.clone(),
-        }
-    }
-}
-
-impl<S: Stride> FlatLayout<S> {
     /// Words per term row.
     #[inline]
     pub(crate) fn stride(&self) -> usize {
-        self.stride.get()
+        self.stride
     }
 
     /// Compares two rows under the working order.
     #[inline]
     pub(crate) fn cmp(&self, a: &[u32], b: &[u32]) -> Ordering {
-        let (a, b) = (&a[..self.stride()], &b[..self.stride()]);
-        let x = self.extra;
-        for i in 0..x {
-            if a[i] != b[i] {
-                return a[i].cmp(&b[i]);
-            }
+        let s = self.stride;
+        match a[..s].iter().zip(&b[..s]).position(|(p, q)| p != q) {
+            None => Ordering::Equal,
+            Some(i) if self.reverse && i >= self.extra => b[i].cmp(&a[i]),
+            Some(i) => a[i].cmp(&b[i]),
         }
-        for i in x..self.stride() {
-            if a[i] != b[i] {
-                return if self.reverse {
-                    b[i].cmp(&a[i])
-                } else {
-                    a[i].cmp(&b[i])
-                };
-            }
-        }
-        Ordering::Equal
     }
 
     /// Appends the row of `m`.
@@ -264,13 +211,24 @@ impl<S: Stride> FlatLayout<S> {
     /// [`Monomial::mul`], or when a derived degree does.
     #[inline]
     pub(crate) fn mul_into(&self, a: &[u32], b: &[u32], out: &mut [u32]) {
-        let x = self.extra;
-        for i in 0..x {
-            out[i] = a[i].checked_add(b[i]).expect("total degree overflows u32");
+        let mut overflow = false;
+        for ((o, &p), &q) in out.iter_mut().zip(a).zip(b) {
+            let (sum, carry) = p.overflowing_add(q);
+            *o = sum;
+            overflow |= carry;
         }
-        for i in x..self.stride() {
-            out[i] = a[i].checked_add(b[i]).expect("monomial exponent overflow");
+        if overflow {
+            self.overflow_panic(a, b);
         }
+    }
+
+    /// The panic of an overflowing [`FlatLayout::mul_into`]: a derived
+    /// degree column first, then a variable column.
+    #[cold]
+    fn overflow_panic(&self, a: &[u32], b: &[u32]) -> ! {
+        let derived = (0..self.extra).any(|i| a[i].checked_add(b[i]).is_none());
+        assert!(!derived, "total degree overflows u32");
+        panic!("monomial exponent overflow")
     }
 
     /// Writes `a / b` to `out`; `b` must divide `a`.
@@ -352,7 +310,7 @@ impl<C> FlatPoly<C> {
 
     /// Row of term `t`.
     #[inline]
-    pub(crate) fn row<S: Stride>(&self, layout: &FlatLayout<S>, t: usize) -> &[u32] {
+    pub(crate) fn row(&self, layout: &FlatLayout, t: usize) -> &[u32] {
         &self.exps[t * layout.stride()..(t + 1) * layout.stride()]
     }
 
@@ -387,8 +345,8 @@ impl<C> FlatPoly<C> {
 /// the two descending term streams and dropping coefficients that cancel —
 /// the one merge both clients run. `shifted` is a one-row scratch buffer.
 #[allow(clippy::too_many_arguments)]
-fn merge_shifted<C, S: Stride>(
-    layout: &FlatLayout<S>,
+fn merge_shifted<C>(
+    layout: &FlatLayout,
     out: &mut FlatPoly<C>,
     (p, ps): (&FlatPoly<C>, usize),
     (d, ds): (&FlatPoly<C>, usize),
@@ -447,12 +405,12 @@ struct FpElement {
 }
 
 impl FpElement {
-    fn new<S: Stride>(layout: &FlatLayout<S>, poly: FlatPoly<u64>) -> Self {
+    fn new(layout: &FlatLayout, poly: FlatPoly<u64>) -> Self {
         let mask = layout.mask(poly.row(layout, 0));
         FpElement { poly, mask }
     }
 
-    fn lm<'a, S: Stride>(&'a self, layout: &FlatLayout<S>) -> &'a [u32] {
+    fn lm<'a>(&'a self, layout: &FlatLayout) -> &'a [u32] {
         self.poly.row(layout, 0)
     }
 
@@ -474,12 +432,12 @@ struct FpScratch {
 }
 
 /// The ℤ/p arithmetic and layout one run works in.
-struct FpRing<'a, S> {
+struct FpRing<'a> {
     field: &'a Fp64,
-    layout: FlatLayout<S>,
+    layout: &'a FlatLayout,
 }
 
-impl<S: Stride> FpRing<'_, S> {
+impl FpRing<'_> {
     /// Scales to a monic polynomial (leading coefficient one).
     fn monic(&self, mut p: FlatPoly<u64>) -> FlatPoly<u64> {
         let inv = self.field.inv(p.coeffs[0]);
@@ -502,7 +460,7 @@ impl<S: Stride> FpRing<'_, S> {
         divisors: &[FpElement],
         skip: Option<usize>,
     ) -> FlatPoly<u64> {
-        let (field, layout) = (self.field, &self.layout);
+        let (field, layout) = (self.field, self.layout);
         let s = layout.stride();
         scratch.quot.resize(s, 0);
         scratch.shifted.resize(s, 0);
@@ -560,11 +518,11 @@ struct FlatPairQueue {
 }
 
 impl FlatPairQueue {
-    fn lcm<'a, S: Stride>(&'a self, layout: &FlatLayout<S>, pair: &FlatPair) -> &'a [u32] {
+    fn lcm<'a>(&'a self, layout: &FlatLayout, pair: &FlatPair) -> &'a [u32] {
         &self.lcms[pair.lcm..pair.lcm + layout.stride()]
     }
 
-    fn less<S: Stride>(&self, layout: &FlatLayout<S>, a: &FlatPair, b: &FlatPair) -> bool {
+    fn less(&self, layout: &FlatLayout, a: &FlatPair, b: &FlatPair) -> bool {
         match layout.cmp(self.lcm(layout, a), self.lcm(layout, b)) {
             Ordering::Less => true,
             Ordering::Greater => false,
@@ -577,7 +535,7 @@ impl FlatPairQueue {
         }
     }
 
-    fn push<S: Stride>(&mut self, layout: &FlatLayout<S>, pair: FlatPair) {
+    fn push(&mut self, layout: &FlatLayout, pair: FlatPair) {
         self.heap.push(pair);
         let mut child = self.heap.len() - 1;
         while child > 0 {
@@ -591,7 +549,7 @@ impl FlatPairQueue {
         }
     }
 
-    fn pop<S: Stride>(&mut self, layout: &FlatLayout<S>) -> Option<FlatPair> {
+    fn pop(&mut self, layout: &FlatLayout) -> Option<FlatPair> {
         if self.heap.is_empty() {
             return None;
         }
@@ -646,8 +604,8 @@ impl PairBits {
 }
 
 /// The Buchberger working state of one ℤ/p run.
-struct FpEngine<'a, S> {
-    ring: FpRing<'a, S>,
+struct FpEngine<'a> {
+    ring: FpRing<'a>,
     basis: Vec<FpElement>,
     sugars: Vec<u32>,
     queue: FlatPairQueue,
@@ -657,11 +615,11 @@ struct FpEngine<'a, S> {
     skipped_chain: usize,
 }
 
-impl<S: Stride> FpEngine<'_, S> {
+impl FpEngine<'_> {
     /// Creates the pair `(i, j)` (with `i < j`) unless the coprime criterion
     /// discards it outright.
     fn push_pair(&mut self, i: usize, j: usize) {
-        let layout = &self.ring.layout;
+        let layout = self.ring.layout;
         let (lm_i, lm_j) = (self.basis[i].lm(layout), self.basis[j].lm(layout));
         if self.options.use_coprime_criterion && layout.coprime(lm_i, lm_j) {
             self.skipped_coprime += 1;
@@ -688,7 +646,7 @@ impl<S: Stride> FpEngine<'_, S> {
 
     /// Buchberger's chain (second) criterion.
     fn chain_skippable(&self, pair: &FlatPair) -> bool {
-        let layout = &self.ring.layout;
+        let layout = self.ring.layout;
         let lcm = self.queue.lcm(layout, pair);
         let lcm_mask = layout.mask(lcm);
         (0..self.basis.len()).any(|k| {
@@ -704,7 +662,7 @@ impl<S: Stride> FpEngine<'_, S> {
     /// Writes the S-polynomial of a pair to `scratch.cur`. The scaled
     /// leading terms cancel exactly, so only the tails are merged.
     fn s_polynomial(&self, scratch: &mut FpScratch, pair: &FlatPair) {
-        let (field, layout) = (self.ring.field, &self.ring.layout);
+        let (field, layout) = (self.ring.field, self.ring.layout);
         let (f, g) = (&self.basis[pair.i], &self.basis[pair.j]);
         let s = layout.stride();
         let lcm = self.queue.lcm(layout, pair);
@@ -736,18 +694,13 @@ impl<S: Stride> FpEngine<'_, S> {
     }
 }
 
-/// Buchberger's algorithm over ℤ/p in the flat layout — the lift's image
-/// engine. It is `buchberger_core_in::<Fp64>` step for step (same pair
-/// queue, criteria, division and auto-reduction), so it returns the same
-/// reduced monic basis and the same counters; the differential tests pin
-/// that on every order and option combination. Generators are Montgomery
-/// form `CPoly`s in canonical storage order, like the output.
-///
-/// Rings of three to six row words (the lift's small ideals) run on a
-/// compile-time row width, all others (such as the mapper's 19- and
-/// 33-variable side-relation rings) on a runtime width. The conversions
-/// and sorts at entry and exit stay on the runtime width, so only the
-/// engine proper is compiled once per width.
+/// Buchberger's algorithm over ℤ/p in the flat layout — the engine of the
+/// lift's images and of the prefilter's `FpBasis`. It is
+/// `buchberger_core_in::<Fp64>` step for step (same pair queue, criteria,
+/// division and auto-reduction), so it returns the same reduced monic basis
+/// and the same counters; the differential tests pin that on every order and
+/// option combination. Generators are Montgomery form `CPoly`s in canonical
+/// storage order, like the output.
 pub(crate) fn buchberger_fp(
     field: &Fp64,
     generators: &[CPoly<Fp64>],
@@ -765,15 +718,7 @@ pub(crate) fn buchberger_fp(
         .filter(|g| !g.is_zero())
         .map(|g| FlatPoly::from_terms(&layout, g.terms().iter().map(|(m, c)| (m, *c))))
         .collect();
-    macro_rules! on_width {
-        ($($n:literal)*) => {
-            match layout.stride() {
-                $($n => run_fp(field, layout.fixed::<$n>(), gens, options),)*
-                _ => run_fp(field, layout.clone(), gens, options),
-            }
-        };
-    }
-    let mut run = on_width!(3 4 5 6);
+    let mut run = run_fp(field, &layout, gens, options);
     // Canonical output order: by leading monomial, largest first.
     run.polys
         .sort_by(|a, b| layout.cmp(b.row(&layout, 0), a.row(&layout, 0)));
@@ -801,21 +746,21 @@ struct FpRun {
 }
 
 /// The Buchberger run on the nonzero generators.
-fn run_fp<S: Stride>(
+fn run_fp(
     field: &Fp64,
-    layout: FlatLayout<S>,
+    layout: &FlatLayout,
     generators: Vec<FlatPoly<u64>>,
     options: &GroebnerOptions,
 ) -> FpRun {
     let ring = FpRing { field, layout };
     let basis: Vec<FpElement> = generators
         .into_iter()
-        .map(|g| FpElement::new(&ring.layout, ring.monic(g)))
+        .map(|g| FpElement::new(ring.layout, ring.monic(g)))
         .collect();
     let sugars = basis
         .iter()
         .map(|e| {
-            let layout = &ring.layout;
+            let layout = ring.layout;
             let max = (0..e.poly.len())
                 .map(|t| layout.degree(e.poly.row(layout, t)))
                 .max();
@@ -845,7 +790,7 @@ fn run_fp<S: Stride>(
     let mut scratch = FpScratch::default();
     let mut reductions = 0;
     let mut complete = true;
-    while let Some(pair) = engine.queue.pop(&engine.ring.layout) {
+    while let Some(pair) = engine.queue.pop(engine.ring.layout) {
         engine.pending.set(pair.i, pair.j, false);
         if options.use_chain_criterion && engine.chain_skippable(&pair) {
             engine.skipped_chain += 1;
@@ -861,7 +806,7 @@ fn run_fp<S: Stride>(
         let r = engine.ring.normal_form(&mut scratch, &engine.basis, None);
         reductions += 1;
         if !r.is_zero() {
-            let entry = FpElement::new(&engine.ring.layout, engine.ring.monic(r));
+            let entry = FpElement::new(engine.ring.layout, engine.ring.monic(r));
             let new_index = engine.basis.len();
             engine.basis.push(entry);
             engine.sugars.push(pair.sugar);
@@ -884,12 +829,12 @@ fn run_fp<S: Stride>(
 /// drop elements whose leading monomial another's divides, tail-reduce each
 /// survivor modulo the others and make it monic. No other kept leading
 /// monomial divides a survivor's, so each remainder keeps it as row 0.
-fn auto_reduce_fp<S: Stride>(
-    ring: &FpRing<'_, S>,
+fn auto_reduce_fp(
+    ring: &FpRing<'_>,
     scratch: &mut FpScratch,
     basis: Vec<FpElement>,
 ) -> Vec<FlatPoly<u64>> {
-    let layout = &ring.layout;
+    let layout = ring.layout;
     let mut keep = vec![true; basis.len()];
     for i in 0..basis.len() {
         if !keep[i] {
@@ -1355,6 +1300,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "total degree overflows u32")]
+    fn row_products_check_the_derived_degree_first() {
+        let order = MonomialOrder::grlex(&["fl_a", "fl_b"]);
+        let layout = FlatLayout::new(&order, 2);
+        let mut out = [0; 3];
+        // Both variable columns fit; only their total degree overflows.
+        layout.mul_into(&[u32::MAX, u32::MAX, 0], &[1, 0, 1], &mut out);
+    }
+
+    #[test]
     fn pair_queue_pops_by_lcm_then_sugar_then_age() {
         let order = MonomialOrder::grevlex(&["fl_a", "fl_b"]);
         let mono = |m: &str| p(m).leading_term(&order).unwrap().0;
@@ -1438,8 +1393,8 @@ mod tests {
 
     #[test]
     fn wide_rings_match_the_generic_engine() {
-        // Past the compile-time row widths: a 20-variable ideal, and the
-        // mapper's single-generator 19- and 33-variable shapes.
+        // A 20-variable ideal, and the mapper's single-generator 19- and
+        // 33-variable shapes.
         let names: Vec<String> = (0..33).map(|i| format!("flw_{i}")).collect();
         let x = |i: usize| names[i].as_str();
         let sum = |n: usize| (0..n).map(x).collect::<Vec<_>>().join(" + ");
@@ -1635,12 +1590,12 @@ mod tests {
                     &order,
                     images.iter().chain([&t]).flat_map(|q| q.terms().iter().map(|(m, _)| m)),
                 );
-                let ring = FpRing { field: &field, layout };
+                let ring = FpRing { field: &field, layout: &layout };
                 let flat: Vec<FpElement> = images
                     .iter()
                     .map(|q| {
                         let terms = q.terms().iter().map(|(m, c)| (m, *c));
-                        FpElement::new(&ring.layout, FlatPoly::from_terms(&ring.layout, terms))
+                        FpElement::new(ring.layout, FlatPoly::from_terms(ring.layout, terms))
                     })
                     .collect();
                 let prepared: Vec<CPrepared<Fp64>> = images
@@ -1650,10 +1605,10 @@ mod tests {
                 for skip in [None, Some(0)] {
                     let mut scratch = FpScratch::default();
                     let terms = t.terms().iter().map(|(m, c)| (m, *c));
-                    scratch.cur = FlatPoly::from_terms(&ring.layout, terms);
+                    scratch.cur = FlatPoly::from_terms(ring.layout, terms);
                     let nf = ring.normal_form(&mut scratch, &flat, skip);
                     let generic = normal_form_in(&field, t.clone(), &prepared, &order, skip);
-                    prop_assert_eq!(nf.into_canonical_terms(&ring.layout), generic.into_terms());
+                    prop_assert_eq!(nf.into_canonical_terms(ring.layout), generic.into_terms());
                 }
             }
         }

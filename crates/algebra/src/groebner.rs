@@ -86,11 +86,11 @@ pub struct GroebnerOptions {
     /// lift cannot be certified. The result is byte-identical to the exact
     /// path either way; only the wall clock (and the lift counters) change.
     /// On katsura-3 lex, the coefficient-growth case the lift exists for,
-    /// it is 17–23× faster than exact. **On by default**; a profitability
-    /// gate still routes small all-integer ideals straight to the exact
-    /// engine, where the lift's fixed cost (1.8–3.1× the exact run) is pure
-    /// overhead — see `lift_profitable`. Set `SYMMAP_TEST_MULTIMODULAR=0`
-    /// to opt out.
+    /// it is 11–16× faster than exact (the `multimodular_lift` quick
+    /// bench). **On by default**; a profitability gate still routes small
+    /// all-integer ideals straight to the exact engine, where the lift's
+    /// fixed cost (1.8–3.1× the exact run) is pure overhead — see
+    /// `lift_profitable`. Set `SYMMAP_TEST_MULTIMODULAR=0` to opt out.
     pub multimodular: bool,
 }
 
@@ -476,7 +476,7 @@ const LIFT_NUMERATOR_BITS: usize = 32;
 /// Exact-path cost is driven by *rational coefficient growth* during
 /// elimination, and the input-visible trigger is a fractional or wide
 /// coefficient in some generator (the katsura-3 lex ideals the lift wins
-/// 17–23× on carry a `1/3`). Small all-integer ideals — the mapper's
+/// 11–16× on carry a `1/3`). Small all-integer ideals — the mapper's
 /// typical side-relation systems — reduce in microseconds over ℚ, where the
 /// lift's fixed cost (prime images + CRT + verification) measured 1.8–3.1×
 /// the exact run on the three `groebner_engine` ideals (2-thread x86-64,

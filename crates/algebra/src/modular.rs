@@ -2,9 +2,11 @@
 //!
 //! Buchberger over ℚ spends most of its time in rational arithmetic whose
 //! numerators and denominators grow with every cancellation. Reducing the
-//! ideal's generators modulo a 62-bit prime and running the **same**
-//! field-generic engine ([`crate::coeff`]) over [`Fp64`] keeps every
-//! coefficient in one machine word — typically an order of magnitude faster
+//! ideal's generators modulo a 62-bit prime and running the same algorithm
+//! over [`Fp64`] — on the flat strided engine the multi-modular lift's
+//! images use (`flat`), which is the field-generic
+//! [`crate::coeff`] engine step for step — keeps every coefficient in one
+//! machine word, typically an order of magnitude faster
 //! (the `modular_prefilter` bench pins the ratio on the mapper's hard
 //! side-relation ideal).
 //!
@@ -41,7 +43,7 @@
 
 use symmap_numeric::{Fp64, PrimeIterator, Rational};
 
-use crate::coeff::{buchberger_core_in, normal_form_in, CPoly, CPrepared, CoeffField};
+use crate::coeff::{normal_form_in, CPoly, CPrepared, CoeffField};
 use crate::groebner::GroebnerOptions;
 use crate::monomial::Monomial;
 use crate::ordering::MonomialOrder;
@@ -179,7 +181,7 @@ impl FpBasis {
         for g in generators.iter().filter(|g| !g.is_zero()) {
             lgens.push(localize_generator(&field, g, order)?);
         }
-        let core = buchberger_core_in(&field, &lgens, order, options);
+        let core = crate::flat::buchberger_fp(&field, &lgens, order, options);
         let prepared = core
             .polys
             .into_iter()

@@ -41,10 +41,12 @@ fn hard_ideal() -> Vec<Poly> {
 
 /// The minimum lex speedup of the lift over exact. Derived from what the
 /// lift must beat rather than from history: with flat images and
-/// fraction-free verification the lift measured LEX_MEASURED over exact on
-/// the 2-thread review box, and the floor sits at about half of that, so a
-/// scheduler blip cannot fail it but losing either half of the fast path
-/// (images back on the generic engine, or verification back on ℚ) does.
+/// fraction-free verification the lift measured 11.5–16.4× over exact
+/// (median 16.1×) in five quick runs on a 2-thread x86-64 box, and the
+/// floor sits at about half the median, so a scheduler blip cannot fail it
+/// but losing either half of the fast path (images back on the generic
+/// engine, or verification back on ℚ; the generic-engine lift measured
+/// 5.6–7.4× in the same runs) does.
 const LEX_FLOOR: f64 = 8.0;
 
 /// One order's comparison: exact and lifted bases (asserted byte-identical

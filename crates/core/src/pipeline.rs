@@ -58,11 +58,6 @@ impl CodeVersion {
     }
 }
 
-/// The seed of the synthetic frames a pipeline profiles and measures unless
-/// [`OptimizationPipeline::with_seed`] picks another; the published tables
-/// are computed on it.
-pub const DEFAULT_FRAME_SEED: u64 = 7;
-
 /// The three-step methodology driver.
 ///
 /// Owns one [`MappingEngine`] whose shared Gröbner cache is reused by every
@@ -90,7 +85,7 @@ impl OptimizationPipeline {
             badge,
             library: Arc::new(library),
             stream_frames: 32,
-            seed: DEFAULT_FRAME_SEED,
+            seed: 7,
             mapper_config,
             engine,
         }
@@ -101,18 +96,6 @@ impl OptimizationPipeline {
     pub fn with_stream_frames(mut self, frames: usize) -> Self {
         self.stream_frames = frames.max(1);
         self
-    }
-
-    /// Sets the seed of the synthetic frames used for target identification
-    /// and measurement (default [`DEFAULT_FRAME_SEED`]).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// The seed of the synthetic frames.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Overrides the mapper configuration (used by the ablation benches).
@@ -400,25 +383,6 @@ mod tests {
             optimized.real_time_headroom(pipeline.stream_frames())
                 > original.real_time_headroom(pipeline.stream_frames())
         );
-    }
-
-    #[test]
-    fn frame_seed_defaults_to_seven_and_reseeds_the_measured_frames() {
-        let badge = Badge4::new();
-        let pipeline = small_pipeline(catalog::full_catalog(&badge));
-        assert_eq!(pipeline.seed(), DEFAULT_FRAME_SEED);
-        let name = "IH + IPP SubBand & IMDCT";
-        let default = pipeline.run(name);
-        let seven = pipeline.clone().with_seed(7).run(name);
-        assert_eq!(format!("{seven:?}"), format!("{default:?}"));
-        let other = pipeline.clone().with_seed(8).run(name);
-        assert_ne!(
-            format!("{other:?}"),
-            format!("{default:?}"),
-            "seed 8 decodes other frames"
-        );
-        assert_eq!(other.kernels, default.kernels);
-        assert!(other.compliance.is_sufficient());
     }
 
     #[test]
