@@ -42,6 +42,7 @@
 //!   and the cache memoizes every target's candidate guidance
 //!   ([`SharedGroebnerCache::guidance`]), so a batch derives neither twice.
 
+use std::borrow::Borrow;
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -538,13 +539,19 @@ fn compute_core(
 /// requests with the same localized form are α-equivalent (identical up to a
 /// variable renaming) and have α-equivalent bases, which is what lets the
 /// cache share one core computation between them.
-fn ring_localized(generators: &[Poly], order: &MonomialOrder) -> (Ring, Vec<Poly>, MonomialOrder) {
-    let ring = Ring::spanning(generators);
+fn ring_localized<G: Borrow<Poly>>(
+    generators: &[G],
+    order: &MonomialOrder,
+) -> (Ring, Vec<Poly>, MonomialOrder) {
+    let ring = Ring::spanning(generators.iter().map(Borrow::borrow));
     let lorder = order.localized(&ring);
     let lgens = if ring.is_identity() {
-        generators.to_vec()
+        generators.iter().map(|g| g.borrow().clone()).collect()
     } else {
-        generators.iter().map(|g| ring.localize_poly(g)).collect()
+        generators
+            .iter()
+            .map(|g| ring.localize_poly(g.borrow()))
+            .collect()
     };
     (ring, lgens, lorder)
 }
@@ -664,41 +671,73 @@ impl Default for CacheConfig {
     }
 }
 
-/// Point-in-time counters of one cache shard — a readout of the registry
-/// handles the shard increments (`cache.shard.N.*` / `alpha.shard.N.*`).
-///
-/// The bespoke `delta_since` this struct used to carry is gone: per-batch
-/// deltas now come from the one
-/// [`MetricsSnapshot::delta_since`](symmap_trace::MetricsSnapshot::delta_since)
-/// facade, which the engine re-exports through its `EngineStats`.
+/// Counters of one cache layer, totalled over its shards: a readout of the
+/// registry metrics `cache.{hits,misses,evictions,len}` (the global layer)
+/// or `alpha.*` (the ring-local layer). Per-batch windows come from
+/// [`MetricsSnapshot::delta_since`](symmap_trace::MetricsSnapshot::delta_since).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheShardStats {
-    /// Lookups answered from the shard.
+pub struct CacheStats {
+    /// Lookups answered from the layer.
     pub hits: usize,
-    /// Lookups that computed a fresh basis.
+    /// Lookups that computed a fresh entry.
     pub misses: usize,
     /// Entries evicted by the capacity bound.
     pub evictions: usize,
-    /// Bases currently memoized in the shard.
+    /// Entries currently memoized.
     pub len: usize,
+}
+
+impl CacheStats {
+    /// The totals of the layer whose metrics are named `{family}.*` in
+    /// `snapshot` (`len` is the gauge's level; the rest are counters).
+    pub fn from_snapshot(snapshot: &symmap_trace::MetricsSnapshot, family: &str) -> Self {
+        CacheStats {
+            hits: snapshot.counter(&format!("{family}.hits")) as usize,
+            misses: snapshot.counter(&format!("{family}.misses")) as usize,
+            evictions: snapshot.counter(&format!("{family}.evictions")) as usize,
+            len: snapshot.gauge(&format!("{family}.len")) as usize,
+        }
+    }
+}
+
+/// Registry handles of one cache layer's totals, shared by all its shards.
+#[derive(Debug, Clone)]
+struct LayerCounters {
+    hits: Counter,
+    misses: Counter,
+    evictions: Counter,
+    len: Gauge,
+}
+
+impl LayerCounters {
+    fn new(metrics: &MetricsRegistry, family: &str) -> Self {
+        LayerCounters {
+            hits: metrics.counter(&format!("{family}.hits")),
+            misses: metrics.counter(&format!("{family}.misses")),
+            evictions: metrics.counter(&format!("{family}.evictions")),
+            len: metrics.gauge(&format!("{family}.len")),
+        }
+    }
+
+    fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.get() as usize,
+            misses: self.misses.get() as usize,
+            evictions: self.evictions.get() as usize,
+            len: self.len.get() as usize,
+        }
+    }
 }
 
 // Determinism audit (rule D1, symmap-lint): the cache layers below keep
 // their entries in HashMaps, which is safe ONLY because no code path ever
 // iterates them — every access is a point lookup (`get`/`entry`/`remove`)
-// keyed by an owned `CacheKey`/`LocalKey`. Eviction order comes from the
+// keyed by a key id or an owned `LocalKey`. Eviction order comes from the
 // FIFO `queue: VecDeque<…>` (front = victim), never from map iteration;
-// aggregate stats (`hits()`, `len()`, `shard_stats()`, …) iterate the
-// *shard slice* `Box<[Mutex<…>]>`, whose order is the fixed array order.
-// The same holds for `FifoMemo` (the normal-form memo and the guidance
-// layer). Anyone adding a render/debug path that walks `entries` must sort
-// the keys first or switch the layer to a BTreeMap.
-/// The per-order level of a shard.
-type OptionsMap = HashMap<GroebnerOptions, GeneratorMap>;
-/// The per-(order, options) generator-set level of a shard.
-type GeneratorMap = HashMap<Vec<Poly>, Arc<GroebnerBasis>>;
-/// Owned lookup key, kept in insertion order for eviction.
-type CacheKey = (MonomialOrder, GroebnerOptions, Vec<Poly>);
+// aggregate stats are registry totals. The same holds for `FifoMemo` (the
+// normal-form memo and the guidance layer). Anyone adding a render/debug
+// path that walks `entries` must sort the keys first or switch the layer to
+// a BTreeMap.
 /// Key of the ring-local (α-equivalence) layer: the localized order and
 /// generators of [`ring_localized`] plus the options. Two global keys that
 /// differ only by a variable renaming (or by order entries outside the
@@ -710,42 +749,18 @@ type LocalKey = (MonomialOrder, GroebnerOptions, Vec<Poly>);
 /// basis (in local coordinates), FIFO-bounded like the global layer. Its
 /// `stats.hits` are the *α-hits*: lookups whose global key was never seen
 /// but whose ring-local form was.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct LocalShard {
     entries: HashMap<LocalKey, Arc<CoreBasis>>,
     queue: VecDeque<LocalKey>,
-    hits: Counter,
-    misses: Counter,
-    evictions: Counter,
-    len: Gauge,
 }
 
 impl LocalShard {
-    fn new(metrics: &MetricsRegistry, index: usize) -> Self {
-        LocalShard {
-            entries: HashMap::new(),
-            queue: VecDeque::new(),
-            hits: metrics.counter(&format!("alpha.shard.{index}.hits")),
-            misses: metrics.counter(&format!("alpha.shard.{index}.misses")),
-            evictions: metrics.counter(&format!("alpha.shard.{index}.evictions")),
-            len: metrics.gauge(&format!("alpha.shard.{index}.len")),
-        }
-    }
-
-    fn stats(&self) -> CacheShardStats {
-        CacheShardStats {
-            hits: self.hits.get() as usize,
-            misses: self.misses.get() as usize,
-            evictions: self.evictions.get() as usize,
-            len: self.entries.len(),
-        }
-    }
-
-    fn evict_oldest(&mut self) {
+    fn evict_oldest(&mut self, counters: &LayerCounters) {
         if let Some(key) = self.queue.pop_front() {
             if self.entries.remove(&key).is_some() {
-                self.evictions.inc();
-                self.len.set(self.entries.len() as i64);
+                counters.evictions.inc();
+                counters.len.add(-1);
                 trace_sched!("cache.alpha.evict");
             }
         }
@@ -831,74 +846,74 @@ pub enum ProbeVerdict {
     Advisory(bool),
 }
 
-/// One lock-striped slice of the cache.
+/// One memoized basis of the global layer, with the request it answers.
 #[derive(Debug)]
+struct CacheEntry {
+    order: MonomialOrder,
+    options: GroebnerOptions,
+    generators: Vec<Poly>,
+    basis: Arc<GroebnerBasis>,
+}
+
+impl CacheEntry {
+    fn answers<G: Borrow<Poly>>(
+        &self,
+        generators: &[G],
+        order: &MonomialOrder,
+        options: &GroebnerOptions,
+    ) -> bool {
+        self.order == *order
+            && self.options == *options
+            && self.generators.len() == generators.len()
+            && self
+                .generators
+                .iter()
+                .zip(generators)
+                .all(|(own, g)| own == g.borrow())
+    }
+}
+
+/// One lock-striped slice of the cache.
+#[derive(Debug, Default)]
 struct CacheShard {
-    /// Nested maps so a lookup probes every level with *borrowed* keys (the
-    /// generator level via `Vec<Poly>: Borrow<[Poly]>`): a hit allocates and
-    /// clones nothing — only a miss materializes the owned keys.
-    entries: HashMap<MonomialOrder, OptionsMap>,
-    /// Keys in insertion order; the front is the eviction victim. Inserts
-    /// and removals are 1:1 with the queue, so `queue.len()` *is* the shard
-    /// length.
-    queue: VecDeque<CacheKey>,
-    hits: Counter,
-    misses: Counter,
-    evictions: Counter,
-    len: Gauge,
+    /// [`global_key_id`] → the entries whose request hashes to it, compared
+    /// by equality. The id is computed once per request (it is also the
+    /// trace marker and the shard selector), so a lookup hashes nothing
+    /// again and a hit allocates and clones nothing.
+    entries: HashMap<u64, Vec<CacheEntry>, BuildHasherDefault<WordHasher>>,
+    /// Key ids and bases in insertion order; the front is the eviction
+    /// victim, found in its bucket by pointer. Inserts and removals are 1:1
+    /// with the queue, so `queue.len()` *is* the shard length.
+    queue: VecDeque<(u64, Arc<GroebnerBasis>)>,
 }
 
 impl CacheShard {
-    fn new(metrics: &MetricsRegistry, index: usize) -> Self {
-        CacheShard {
-            entries: HashMap::new(),
-            queue: VecDeque::new(),
-            hits: metrics.counter(&format!("cache.shard.{index}.hits")),
-            misses: metrics.counter(&format!("cache.shard.{index}.misses")),
-            evictions: metrics.counter(&format!("cache.shard.{index}.evictions")),
-            len: metrics.gauge(&format!("cache.shard.{index}.len")),
-        }
-    }
-
-    fn stats(&self) -> CacheShardStats {
-        CacheShardStats {
-            hits: self.hits.get() as usize,
-            misses: self.misses.get() as usize,
-            evictions: self.evictions.get() as usize,
-            len: self.queue.len(),
-        }
-    }
-
-    fn lookup(
+    fn lookup<G: Borrow<Poly>>(
         &self,
-        generators: &[Poly],
+        key_id: u64,
+        generators: &[G],
         order: &MonomialOrder,
         options: &GroebnerOptions,
     ) -> Option<&Arc<GroebnerBasis>> {
-        self.entries
-            .get(order)
-            .and_then(|m| m.get(options))
-            .and_then(|m| m.get(generators))
+        let bucket = self.entries.get(&key_id)?;
+        bucket
+            .iter()
+            .find(|e| e.answers(generators, order, options))
+            .map(|e| &e.basis)
     }
 
-    fn evict_oldest(&mut self) {
-        let Some((order, options, generators)) = self.queue.pop_front() else {
+    fn evict_oldest(&mut self, counters: &LayerCounters) {
+        let Some((key_id, basis)) = self.queue.pop_front() else {
             return;
         };
-        if let Some(options_map) = self.entries.get_mut(&order) {
-            if let Some(generator_map) = options_map.get_mut(&options) {
-                if generator_map.remove(&generators).is_some() {
-                    self.evictions.inc();
-                    self.len.set(self.queue.len() as i64);
-                    trace_sched!("cache.evict");
-                }
-                if generator_map.is_empty() {
-                    options_map.remove(&options);
-                }
+        if let Entry::Occupied(mut bucket) = self.entries.entry(key_id) {
+            bucket.get_mut().retain(|e| !Arc::ptr_eq(&e.basis, &basis));
+            if bucket.get().is_empty() {
+                bucket.remove();
             }
-            if options_map.is_empty() {
-                self.entries.remove(&order);
-            }
+            counters.evictions.inc();
+            counters.len.add(-1);
+            trace_sched!("cache.evict");
         }
     }
 }
@@ -942,11 +957,14 @@ pub struct SharedGroebnerCache {
     /// [`CacheConfig::modular_prefilter`] is set — the disabled path costs
     /// one `is_some` check per probe and nothing per basis lookup.
     fp_shards: Option<Box<[Mutex<FpShard>]>>,
-    /// The unified registry every counter below (and the per-shard handles
-    /// above) registers into. The batch engine snapshots this registry
-    /// before/after a run and reports the delta — there is no second stats
-    /// bookkeeping path.
+    /// The unified registry every counter below registers into. The batch
+    /// engine snapshots this registry before/after a run and reports the
+    /// delta — there is no second stats bookkeeping path.
     metrics: Arc<MetricsRegistry>,
+    /// Totals of the global layer (`cache.*`) and the ring-local layer
+    /// (`alpha.*`) over all their shards.
+    global_counters: LayerCounters,
+    alpha_counters: LayerCounters,
     fp_hits: Counter,
     fp_rejects: Counter,
     unlucky_primes: Counter,
@@ -1002,17 +1020,15 @@ impl SharedGroebnerCache {
         let per_shard_capacity = config.capacity.max(shards).div_ceil(shards);
         let metrics = Arc::new(MetricsRegistry::new());
         SharedGroebnerCache {
-            shards: (0..shards)
-                .map(|i| Mutex::new(CacheShard::new(&metrics, i)))
-                .collect(),
-            local_shards: (0..shards)
-                .map(|i| Mutex::new(LocalShard::new(&metrics, i)))
-                .collect(),
+            shards: (0..shards).map(|_| Mutex::default()).collect(),
+            local_shards: (0..shards).map(|_| Mutex::default()).collect(),
             fp_shards: config.modular_prefilter.then(|| {
                 (0..shards)
                     .map(|_| Mutex::new(FpShard::default()))
                     .collect()
             }),
+            global_counters: LayerCounters::new(&metrics, "cache"),
+            alpha_counters: LayerCounters::new(&metrics, "alpha"),
             fp_hits: metrics.counter("fp.hits"),
             fp_rejects: metrics.counter("fp.rejects"),
             unlucky_primes: metrics.counter("fp.unlucky_primes"),
@@ -1070,11 +1086,11 @@ impl SharedGroebnerCache {
             let locked = shard.lock();
             if let Some(hit) = locked.entries.get(&key) {
                 let hit = Arc::clone(hit);
-                locked.hits.inc();
+                self.alpha_counters.hits.inc();
                 trace_sched!("cache.alpha.hit");
                 return hit;
             }
-            locked.misses.inc();
+            self.alpha_counters.misses.inc();
             trace_sched!("cache.alpha.miss");
         }
         // Compute-channel scope: the computation below is a pure function of
@@ -1122,9 +1138,9 @@ impl SharedGroebnerCache {
         }
         locked.entries.insert(key.clone(), Arc::clone(&core));
         locked.queue.push_back(key);
-        locked.len.set(locked.entries.len() as i64);
+        self.alpha_counters.len.add(1);
         while locked.entries.len() > self.per_shard_capacity {
-            locked.evict_oldest();
+            locked.evict_oldest(&self.alpha_counters);
         }
         core
     }
@@ -1144,9 +1160,12 @@ impl SharedGroebnerCache {
     /// globalization is per-key. α-layer activity is reported separately
     /// ([`SharedGroebnerCache::alpha_hits`]); global `hits`/`misses`
     /// semantics are unchanged.
-    pub fn basis(
+    ///
+    /// The generators may be borrowed (`&[&Poly]`): a request is hashed once,
+    /// and the generators are cloned only when a miss stores its basis.
+    pub fn basis<G: Borrow<Poly> + Hash>(
         &self,
-        generators: &[Poly],
+        generators: &[G],
         order: &MonomialOrder,
         options: &GroebnerOptions,
     ) -> Arc<GroebnerBasis> {
@@ -1159,13 +1178,13 @@ impl SharedGroebnerCache {
         let shard = self.shard_for(key_id);
         {
             let locked = shard.lock();
-            if let Some(hit) = locked.lookup(generators, order, options) {
+            if let Some(hit) = locked.lookup(key_id, generators, order, options) {
                 let hit = Arc::clone(hit);
-                locked.hits.inc();
+                self.global_counters.hits.inc();
                 trace_sched!("cache.hit");
                 return hit;
             }
-            locked.misses.inc();
+            self.global_counters.misses.inc();
             trace_sched!("cache.miss");
         }
         // Resolve through the ring-local layer outside the global lock.
@@ -1180,23 +1199,20 @@ impl SharedGroebnerCache {
         ));
         let mut locked = shard.lock();
         let locked = &mut *locked;
-        if let Some(existing) = locked.lookup(generators, order, options) {
+        if let Some(existing) = locked.lookup(key_id, generators, order, options) {
             // Lost a compute race on this key; adopt the winner's entry.
             return Arc::clone(existing);
         }
-        locked
-            .entries
-            .entry(order.clone())
-            .or_default()
-            .entry(options.clone())
-            .or_default()
-            .insert(generators.to_vec(), Arc::clone(&gb));
-        locked
-            .queue
-            .push_back((order.clone(), options.clone(), generators.to_vec()));
-        locked.len.set(locked.queue.len() as i64);
+        locked.entries.entry(key_id).or_default().push(CacheEntry {
+            order: order.clone(),
+            options: options.clone(),
+            generators: generators.iter().map(|g| g.borrow().clone()).collect(),
+            basis: Arc::clone(&gb),
+        });
+        locked.queue.push_back((key_id, Arc::clone(&gb)));
+        self.global_counters.len.add(1);
         while locked.queue.len() > self.per_shard_capacity {
-            locked.evict_oldest();
+            locked.evict_oldest(&self.global_counters);
         }
         gb
     }
@@ -1224,31 +1240,22 @@ impl SharedGroebnerCache {
 
     /// Number of lookups answered from the cache (all shards).
     pub fn hits(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().hits.get() as usize)
-            .sum()
+        self.stats().hits
     }
 
     /// Number of lookups that had to compute a fresh basis (all shards).
     pub fn misses(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().misses.get() as usize)
-            .sum()
+        self.stats().misses
     }
 
     /// Number of entries evicted by the capacity bound (all shards).
     pub fn evictions(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().evictions.get() as usize)
-            .sum()
+        self.stats().evictions
     }
 
     /// Number of distinct bases currently memoized (all shards).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().queue.len()).sum()
+        self.stats().len
     }
 
     /// Returns `true` when nothing is currently memoized.
@@ -1256,60 +1263,43 @@ impl SharedGroebnerCache {
         self.len() == 0
     }
 
-    /// Number of lock shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Total capacity in bases (per-shard slice × shard count).
     pub fn capacity(&self) -> usize {
         self.per_shard_capacity * self.shards.len()
     }
 
-    /// Point-in-time counters of every shard, in shard order.
-    pub fn shard_stats(&self) -> Vec<CacheShardStats> {
-        self.shards.iter().map(|s| s.lock().stats()).collect()
+    /// The global layer's counters, totalled over its shards.
+    pub fn stats(&self) -> CacheStats {
+        self.global_counters.stats()
+    }
+
+    /// The ring-local layer's counters, totalled over its shards (`hits`
+    /// are α-hits; see [`SharedGroebnerCache::alpha_hits`]).
+    pub fn alpha_stats(&self) -> CacheStats {
+        self.alpha_counters.stats()
     }
 
     /// Lookups answered by the ring-local layer: the global key was new, but
     /// an α-equivalent request had already computed the core basis (all
     /// shards).
     pub fn alpha_hits(&self) -> usize {
-        self.local_shards
-            .iter()
-            .map(|s| s.lock().hits.get() as usize)
-            .sum()
+        self.alpha_stats().hits
     }
 
     /// Ring-local canonical forms that had to run the Buchberger core (all
     /// shards). Every global miss is either an α-hit or an α-miss.
     pub fn alpha_misses(&self) -> usize {
-        self.local_shards
-            .iter()
-            .map(|s| s.lock().misses.get() as usize)
-            .sum()
+        self.alpha_stats().misses
     }
 
     /// Entries evicted from the ring-local layer by the capacity bound.
     pub fn alpha_evictions(&self) -> usize {
-        self.local_shards
-            .iter()
-            .map(|s| s.lock().evictions.get() as usize)
-            .sum()
+        self.alpha_stats().evictions
     }
 
     /// Distinct ring-local canonical forms currently memoized.
     pub fn alpha_len(&self) -> usize {
-        self.local_shards
-            .iter()
-            .map(|s| s.lock().entries.len())
-            .sum()
-    }
-
-    /// Point-in-time counters of every ring-local shard, in shard order
-    /// (`hits` are α-hits; see [`SharedGroebnerCache::alpha_hits`]).
-    pub fn alpha_shard_stats(&self) -> Vec<CacheShardStats> {
-        self.local_shards.iter().map(|s| s.lock().stats()).collect()
+        self.alpha_stats().len
     }
 
     /// Whether the modular (ℤ/p) prefilter layer is enabled
@@ -1319,7 +1309,7 @@ impl SharedGroebnerCache {
     }
 
     /// Point-in-time counters of the modular prefilter. Counter totals under
-    /// concurrency are timing-dependent (like the shard stats), but probe
+    /// concurrency are timing-dependent (like the cache stats), but probe
     /// *answers* never are.
     pub fn fp_probe_stats(&self) -> FpProbeStats {
         FpProbeStats {
@@ -1331,7 +1321,7 @@ impl SharedGroebnerCache {
     }
 
     /// Point-in-time counters of the multi-modular lift. Counter totals
-    /// under concurrency are timing-dependent (like the shard stats), but
+    /// under concurrency are timing-dependent (like the cache stats), but
     /// the lifted *bases* never are — every lift is verified over ℚ and the
     /// exact engine answers whenever verification balks.
     pub fn lift_stats(&self) -> LiftStats {
@@ -1419,9 +1409,9 @@ impl SharedGroebnerCache {
     /// [`SharedGroebnerCache::probe_membership_verdict`], kept for callers
     /// that treat every answer as a hint: `Some(b)` whatever the verdict's
     /// strength, `None` when there is no answer.
-    pub fn probe_membership(
+    pub fn probe_membership<G: Borrow<Poly>>(
         &self,
-        generators: &[Poly],
+        generators: &[G],
         order: &MonomialOrder,
         options: &GroebnerOptions,
         target: &Poly,
@@ -1457,9 +1447,9 @@ impl SharedGroebnerCache {
     ///
     /// The probe deliberately leaves the exact layers' hit/miss counters
     /// untouched: a glance is not a basis request.
-    pub fn probe_membership_verdict(
+    pub fn probe_membership_verdict<G: Borrow<Poly>>(
         &self,
-        generators: &[Poly],
+        generators: &[G],
         order: &MonomialOrder,
         options: &GroebnerOptions,
         target: &Poly,
@@ -1519,7 +1509,13 @@ fn local_key_id(key: &LocalKey) -> u64 {
 /// The fixed-seed hash of a global cache key, used as the job-channel
 /// request marker (`cache.request`): a pure function of the request, so the
 /// marker sequence is deterministic per job.
-fn global_key_id(generators: &[Poly], order: &MonomialOrder, options: &GroebnerOptions) -> u64 {
+/// Borrowed generators hash like owned ones (`&Poly` hashes as `Poly`), so
+/// the id of a request does not depend on how its generators are held.
+fn global_key_id<G: Hash>(
+    generators: &[G],
+    order: &MonomialOrder,
+    options: &GroebnerOptions,
+) -> u64 {
     let mut hasher = DefaultHasher::new();
     order.hash(&mut hasher);
     options.hash(&mut hasher);
@@ -2129,6 +2125,26 @@ mod tests {
     }
 
     #[test]
+    fn borrowed_generators_share_the_owned_key() {
+        let cache = SharedGroebnerCache::new();
+        let order = MonomialOrder::lex(&["x", "y", "s"]);
+        let opts = GroebnerOptions::default();
+        let owned = [p("x + y - s"), p("x*y - 2")];
+        let borrowed: Vec<&Poly> = owned.iter().collect();
+        assert_eq!(
+            global_key_id(&owned, &order, &opts),
+            global_key_id(&borrowed, &order, &opts)
+        );
+        let first = cache.basis(&owned, &order, &opts);
+        let again = cache.basis(&borrowed, &order, &opts);
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 1, 1));
+        // A different generator list under the same order is its own entry.
+        cache.basis(&borrowed[..1], &order, &opts);
+        assert_eq!((cache.misses(), cache.len()), (2, 2));
+    }
+
+    #[test]
     fn cache_evicts_oldest_insertion_first() {
         // One shard, two slots: inserting a third distinct key must evict the
         // *first* inserted key (FIFO), not the least recently used one.
@@ -2179,13 +2195,10 @@ mod tests {
             cache.capacity()
         );
         assert!(cache.evictions() > 0);
-        let stats = cache.shard_stats();
-        assert_eq!(stats.len(), 2);
-        let (hits, misses): (usize, usize) = (
-            stats.iter().map(|s| s.hits).sum(),
-            stats.iter().map(|s| s.misses).sum(),
-        );
-        assert_eq!((hits, misses), (cache.hits(), cache.misses()));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (cache.hits(), cache.misses()));
+        assert_eq!(stats.misses, 39, "39 distinct keys, all misses");
+        assert_eq!(stats.len + stats.evictions, 39);
     }
 
     #[test]
@@ -2327,8 +2340,7 @@ mod tests {
             (3, 2, 1)
         );
         assert_eq!(gb_pad.polys(), gb_a.polys());
-        let stats_sum: usize = cache.alpha_shard_stats().iter().map(|s| s.hits).sum();
-        assert_eq!(stats_sum, cache.alpha_hits());
+        assert_eq!(cache.alpha_stats().hits, cache.alpha_hits());
         assert_eq!(cache.alpha_evictions(), 0);
     }
 
@@ -2353,9 +2365,9 @@ mod tests {
     }
 
     #[test]
-    fn shard_deltas_come_from_the_metrics_registry() {
-        // The bespoke `CacheShardStats::delta_since` is gone; shard activity
-        // windows are computed through the shared registry snapshot instead.
+    fn cache_deltas_come_from_the_metrics_registry() {
+        // Layer activity windows are computed through the shared registry
+        // snapshot, from one total per layer (no per-shard keys).
         let cache = SharedGroebnerCache::new();
         let order = MonomialOrder::lex(&["x", "y"]);
         let opts = GroebnerOptions::default();
@@ -2364,16 +2376,12 @@ mod tests {
         let before = cache.metrics_snapshot();
         cache.basis(&gens, &order, &opts); // pure hit
         let delta = cache.metrics_snapshot().delta_since(&before);
-        assert_eq!(delta.sum_matching("cache.shard.", ".hits"), 1);
-        assert_eq!(delta.sum_matching("cache.shard.", ".misses"), 0);
+        let window = CacheStats::from_snapshot(&delta, "cache");
+        assert_eq!((window.hits, window.misses, window.evictions), (1, 0, 0));
         // Gauges report the current level, not a flow: len survives the delta.
-        let len_total: i64 = delta
-            .gauges
-            .iter()
-            .filter(|(n, _)| n.starts_with("cache.shard.") && n.ends_with(".len"))
-            .map(|(_, v)| *v)
-            .sum();
-        assert_eq!(len_total as usize, cache.len());
+        assert_eq!(window.len, cache.len());
+        assert_eq!(CacheStats::from_snapshot(&delta, "alpha").len, 1);
+        assert!(delta.counters.keys().all(|n| !n.contains("shard")));
     }
 
     #[test]

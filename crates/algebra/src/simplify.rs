@@ -19,7 +19,9 @@
 //! same shape under renamed variables, or reused across targets whose
 //! variable sets differ — additionally share one memoized Buchberger core.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
+use std::hash::Hash;
 
 use crate::error::AlgebraError;
 use crate::groebner::{buchberger, GroebnerOptions, ProbeVerdict, SharedGroebnerCache};
@@ -59,7 +61,8 @@ impl SideRelations {
     /// # Errors
     ///
     /// Returns [`AlgebraError::InvalidSideRelation`] if the symbol is already
-    /// defined, occurs in its own body, or occurs in a previously added body.
+    /// defined or occurs in its own body. A symbol that occurs in a
+    /// previously added body is accepted.
     pub fn push(&mut self, symbol: &str, body: Poly) -> Result<(), AlgebraError> {
         let var = Var::new(symbol);
         if self.relations.iter().any(|(v, _)| *v == var) {
@@ -68,9 +71,7 @@ impl SideRelations {
             )));
         }
         if body.vars().contains(var) {
-            return Err(AlgebraError::InvalidSideRelation(format!(
-                "symbol `{symbol}` occurs in its own definition"
-            )));
+            return Err(self_reference(var));
         }
         self.relations.push((var, body));
         Ok(())
@@ -125,6 +126,82 @@ impl SideRelations {
             assignment.insert(*v, p.clone());
         }
         crate::subst::substitute_all(f, &assignment).expect("bounded exponents")
+    }
+}
+
+fn self_reference(symbol: Var) -> AlgebraError {
+    AlgebraError::InvalidSideRelation(format!(
+        "symbol `{}` occurs in its own definition",
+        symbol.name()
+    ))
+}
+
+/// One side relation `symbol = body` in the form a search over element
+/// subsets consumes: the interned symbol, the ideal generator
+/// `body − symbol`, the body's variables and whether the symbol occurs in its
+/// own body. It is a pure function of `(symbol, body)`, so a library element
+/// computes it once and every subset that contains the element borrows it.
+///
+/// ```
+/// use symmap_algebra::poly::Poly;
+/// use symmap_algebra::simplify::SideRelation;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let r = SideRelation::new("s", &Poly::parse("x + y")?);
+/// assert_eq!(r.generator(), &Poly::parse("x + y - s")?);
+/// assert!(r.check().is_ok());
+/// assert!(SideRelation::new("t", &Poly::parse("t + x")?).check().is_err());
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone)]
+pub struct SideRelation {
+    symbol: Var,
+    generator: Poly,
+    body_vars: VarSet,
+    self_referential: bool,
+}
+
+impl SideRelation {
+    /// Interns `symbol` and derives the relation's generator and variables.
+    pub fn new(symbol: &str, body: &Poly) -> Self {
+        let symbol = Var::new(symbol);
+        let body_vars = body.vars();
+        SideRelation {
+            symbol,
+            generator: body.sub(&Poly::var(symbol)),
+            self_referential: body_vars.contains(symbol),
+            body_vars,
+        }
+    }
+
+    /// The introduced symbol.
+    pub fn symbol(&self) -> Var {
+        self.symbol
+    }
+
+    /// The ideal generator `body − symbol`.
+    pub fn generator(&self) -> &Poly {
+        &self.generator
+    }
+
+    /// The body's variables, in [`Poly::vars`] order.
+    pub fn body_vars(&self) -> &VarSet {
+        &self.body_vars
+    }
+
+    /// The check [`SideRelations::push`] makes on one relation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AlgebraError::InvalidSideRelation`] if the symbol occurs in
+    /// its own body.
+    pub fn check(&self) -> Result<(), AlgebraError> {
+        if self.self_referential {
+            Err(self_reference(self.symbol))
+        } else {
+            Ok(())
+        }
     }
 }
 
@@ -197,9 +274,7 @@ pub fn simplify_modulo_cached(
 
 /// Like [`simplify_modulo_cached`], but takes the complete lex precedence as
 /// a [`VarSet`] instead of names, so no name is resolved and no order is
-/// completed per call. This is the entry point the mapper's branch-and-bound
-/// search uses: it resolves the target's variables once per job and builds
-/// each subset's order with [`default_order`].
+/// completed per call.
 ///
 /// `order` is used as given. Build it with [`default_order`] so it lists every
 /// variable of the target and the relations; a variable it leaves out ranks
@@ -218,6 +293,37 @@ pub fn simplify_modulo_ordered(
     simplify_impl(target, relations, order, options, Some(cache))
 }
 
+/// Like [`simplify_modulo_ordered`], but takes the ideal generators
+/// `body − symbol` directly, borrowed ([`SideRelation::generator`]). This is
+/// the entry point the mapper's branch-and-bound search uses: each node
+/// borrows the generators of its chosen elements instead of building a
+/// [`SideRelations`], and the cache clones them only when it stores a new
+/// basis. `generators` and `order` must be what [`SideRelations::generators`]
+/// and [`default_order`] give for the same relations; the result is then
+/// the same.
+pub fn simplify_generators<G: Borrow<Poly> + Hash>(
+    target: &Poly,
+    generators: &[G],
+    order: VarSet,
+    options: &GroebnerOptions,
+    cache: &SharedGroebnerCache,
+) -> Simplification {
+    if generators.is_empty() {
+        return Simplification {
+            result: target.clone(),
+            complete: true,
+            reductions: 0,
+        };
+    }
+    reduce_cached(
+        target,
+        generators,
+        &MonomialOrder::Lex(order),
+        options,
+        cache,
+    )
+}
+
 /// The complete precedence for a name-listed order: the listed names first,
 /// then every remaining variable in [`default_order`].
 fn listed_order(target: &Poly, relations: &SideRelations, var_order: &[&str]) -> VarSet {
@@ -231,40 +337,50 @@ fn simplify_impl(
     options: &GroebnerOptions,
     cache: Option<&SharedGroebnerCache>,
 ) -> Result<Simplification, AlgebraError> {
-    if relations.is_empty() {
-        return Ok(Simplification {
+    let generators = relations.generators();
+    Ok(match cache {
+        Some(cache) => simplify_generators(target, &generators, vars, options, cache),
+        None if generators.is_empty() => Simplification {
             result: target.clone(),
             complete: true,
             reductions: 0,
-        });
-    }
-    let order = MonomialOrder::Lex(vars);
-    let generators = relations.generators();
-    let (result, complete, reductions) = match cache {
-        Some(cache) => {
-            // Membership prefilter: a no-op unless the cache was built with
-            // `CacheConfig::modular_prefilter`. An *advisory* (mod-p) verdict
-            // only feeds the probe counters — the exact reduction below runs
-            // and decides. A *certified* membership verdict came from the
-            // resident exact basis, so the zero normal form is already
-            // proven and re-reducing over ℚ would only reproduce it.
-            let verdict = cache.probe_membership_verdict(&generators, &order, options, target);
-            let gb = cache.basis(&generators, &order, options);
-            match verdict {
-                Some(ProbeVerdict::Certified(true)) => (Poly::zero(), gb.complete, gb.reductions),
-                _ => (gb.reduce(target), gb.complete, gb.reductions),
+        },
+        None => {
+            let gb = buchberger(&generators, &MonomialOrder::Lex(vars), options);
+            Simplification {
+                result: gb.reduce(target),
+                complete: gb.complete,
+                reductions: gb.reductions,
             }
         }
-        None => {
-            let gb = buchberger(&generators, &order, options);
-            (gb.reduce(target), gb.complete, gb.reductions)
-        }
-    };
-    Ok(Simplification {
-        result,
-        complete,
-        reductions,
     })
+}
+
+/// Reduces `target` modulo the cached basis of a nonempty generator list.
+fn reduce_cached<G: Borrow<Poly> + Hash>(
+    target: &Poly,
+    generators: &[G],
+    order: &MonomialOrder,
+    options: &GroebnerOptions,
+    cache: &SharedGroebnerCache,
+) -> Simplification {
+    // Membership prefilter: a no-op unless the cache was built with
+    // `CacheConfig::modular_prefilter`. An *advisory* (mod-p) verdict
+    // only feeds the probe counters — the exact reduction below runs
+    // and decides. A *certified* membership verdict came from the
+    // resident exact basis, so the zero normal form is already
+    // proven and re-reducing over ℚ would only reproduce it.
+    let verdict = cache.probe_membership_verdict(generators, order, options, target);
+    let gb = cache.basis(generators, order, options);
+    let result = match verdict {
+        Some(ProbeVerdict::Certified(true)) => Poly::zero(),
+        _ => gb.reduce(target),
+    };
+    Simplification {
+        result,
+        complete: gb.complete,
+        reductions: gb.reductions,
+    }
 }
 
 /// Default variable order for a simplification, given the target's
@@ -357,6 +473,16 @@ mod tests {
         sr.push("s", p("x + y")).unwrap();
         assert!(sr.push("s", p("x - y")).is_err());
         assert!(sr.push("t", p("t + x")).is_err());
+    }
+
+    #[test]
+    fn symbol_in_an_earlier_body_is_accepted() {
+        // `push` checks only duplicates and self-reference; a symbol may
+        // occur in a body pushed before it.
+        let mut sr = SideRelations::new();
+        sr.push("s", p("x + y")).unwrap();
+        sr.push("x", p("y^2")).unwrap();
+        assert_eq!(sr.len(), 2);
     }
 
     #[test]

@@ -158,7 +158,7 @@ impl OptimizationPipeline {
     }
 
     /// Like [`map_decoder`](OptimizationPipeline::map_decoder), but also
-    /// returns the engine's batch statistics (jobs, steals, per-shard cache
+    /// returns the engine's batch statistics (jobs, steals, cache
     /// counters, wall time) for reporting.
     pub fn map_decoder_with_stats(
         &self,

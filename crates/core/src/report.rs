@@ -132,7 +132,7 @@ pub fn render_table6(versions: &[CodeVersion]) -> String {
 }
 
 /// The batch engine's run report: job volume, worker scheduling and the
-/// shared Gröbner cache's per-shard activity for one mapping batch.
+/// shared Gröbner cache's activity for one mapping batch.
 pub fn render_engine_stats(stats: &EngineStats) -> String {
     let mut out = format!(
         "Batch engine: {} jobs on {} workers ({} steals) in {:.3} ms\n",
@@ -142,12 +142,11 @@ pub fn render_engine_stats(stats: &EngineStats) -> String {
         stats.wall.as_secs_f64() * 1e3,
     );
     out.push_str(&format!(
-        "  cache: {} hits / {} misses / {} evictions, {} bases resident in {} shards\n",
+        "  cache: {} hits / {} misses / {} evictions, {} bases resident\n",
         stats.cache_hits(),
         stats.cache_misses(),
         stats.cache_evictions(),
         stats.cache_len(),
-        stats.cache_shards.len(),
     ));
     out.push_str(&format!(
         "  ring-local sharing: {} α-hits / {} Buchberger cores run \
@@ -182,16 +181,6 @@ pub fn render_engine_stats(stats: &EngineStats) -> String {
             stats.index_shards_skipped,
             100.0 * stats.index_rejected as f64
                 / (stats.index_rejected + stats.index_kept).max(1) as f64,
-        ));
-    }
-    for (i, shard) in stats.cache_shards.iter().enumerate() {
-        // Shards untouched by the batch (and currently empty) add no signal.
-        if shard.hits + shard.misses + shard.evictions + shard.len == 0 {
-            continue;
-        }
-        out.push_str(&format!(
-            "    shard {i}: {:>5} hits {:>5} misses {:>4} evictions {:>5} resident\n",
-            shard.hits, shard.misses, shard.evictions, shard.len
         ));
     }
     // Per-phase breakdown over the unified registry window: every counter
@@ -301,7 +290,12 @@ mod tests {
         assert!(rendered.contains("Batch engine:"), "{rendered}");
         assert!(rendered.contains(&format!("{} jobs", stats.jobs)));
         assert!(rendered.contains("misses"));
-        assert!(rendered.contains("shard"), "{rendered}");
+        let totals = format!(
+            "cache: {} hits / {} misses",
+            stats.cache_hits(),
+            stats.cache_misses()
+        );
+        assert!(rendered.contains(&totals), "{rendered}");
     }
 
     #[test]

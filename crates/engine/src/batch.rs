@@ -30,7 +30,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use symmap_algebra::groebner::{CacheConfig, CacheShardStats, SharedGroebnerCache};
+use symmap_algebra::groebner::{CacheConfig, CacheStats, SharedGroebnerCache};
 use symmap_algebra::poly::Poly;
 use symmap_algebra::var::Var;
 use symmap_libchar::Library;
@@ -177,20 +177,20 @@ pub struct EngineStats {
     pub steals: usize,
     /// Wall time of the batch, including result collection.
     pub wall: Duration,
-    /// Per-shard cache counters over this batch's run (`len` is the shard's
-    /// current resident count). The counters are global to the shared cache,
-    /// so when several engines share one cache and run batches
+    /// Cache counters over this batch's run, totalled over the shards
+    /// (`len` is the current resident count). The counters are global to the
+    /// shared cache, so when several engines share one cache and run batches
     /// *concurrently*, a batch's deltas include the concurrent batches'
     /// activity; with one batch in flight at a time (how every in-repo
     /// consumer runs) they are exactly this batch's.
-    pub cache_shards: Vec<CacheShardStats>,
-    /// Per-shard counters of the cache's ring-local (α-equivalence) layer
-    /// over this batch's run: `hits` are lookups whose global key was new
-    /// but whose ring-local canonical form — the same side-relation ideal up
-    /// to variable renaming, or up to order entries outside the ideal's ring
-    /// — was already memoized, so only a cheap globalization ran instead of
-    /// a Buchberger computation.
-    pub alpha_shards: Vec<CacheShardStats>,
+    pub cache: CacheStats,
+    /// Counters of the cache's ring-local (α-equivalence) layer over this
+    /// batch's run: `hits` are lookups whose global key was new but whose
+    /// ring-local canonical form — the same side-relation ideal up to
+    /// variable renaming, or up to order entries outside the ideal's ring —
+    /// was already memoized, so only a cheap globalization ran instead of a
+    /// Buchberger computation.
+    pub alpha: CacheStats,
     /// Modular-prefilter probes during this batch whose target reduced to
     /// zero mod p (membership *likely*; the exact run decides). Zero when
     /// the prefilter is disabled.
@@ -239,35 +239,35 @@ pub struct EngineStats {
 impl EngineStats {
     /// Cache lookups answered from the shared cache during this batch.
     pub fn cache_hits(&self) -> usize {
-        self.cache_shards.iter().map(|s| s.hits).sum()
+        self.cache.hits
     }
 
     /// Cache lookups that computed a fresh basis during this batch.
     pub fn cache_misses(&self) -> usize {
-        self.cache_shards.iter().map(|s| s.misses).sum()
+        self.cache.misses
     }
 
     /// Cache entries evicted by the capacity bound during this batch.
     pub fn cache_evictions(&self) -> usize {
-        self.cache_shards.iter().map(|s| s.evictions).sum()
+        self.cache.evictions
     }
 
     /// Bases resident in the shared cache after the batch.
     pub fn cache_len(&self) -> usize {
-        self.cache_shards.iter().map(|s| s.len).sum()
+        self.cache.len
     }
 
     /// Global-key misses answered by the ring-local layer during this batch
     /// (an α-equivalent ideal's core basis was reused; see
-    /// [`EngineStats::alpha_shards`]).
+    /// [`EngineStats::alpha`]).
     pub fn cache_alpha_hits(&self) -> usize {
-        self.alpha_shards.iter().map(|s| s.hits).sum()
+        self.alpha.hits
     }
 
     /// Ring-local canonical forms that ran the Buchberger core during this
     /// batch — the batch's real basis-computation count.
     pub fn cache_alpha_misses(&self) -> usize {
-        self.alpha_shards.iter().map(|s| s.misses).sum()
+        self.alpha.misses
     }
 }
 
@@ -404,7 +404,6 @@ impl MappingEngine {
         steal_counter.add(pool_stats.steals as u64);
 
         let delta = self.cache.metrics_snapshot().delta_since(&before);
-        let shard_count = self.cache.shard_count();
         BatchResult {
             outcomes,
             stats: EngineStats {
@@ -412,8 +411,8 @@ impl MappingEngine {
                 workers: pool_stats.workers,
                 steals: pool_stats.steals,
                 wall: start.elapsed(),
-                cache_shards: shard_deltas(&delta, "cache.shard", shard_count),
-                alpha_shards: shard_deltas(&delta, "alpha.shard", shard_count),
+                cache: CacheStats::from_snapshot(&delta, "cache"),
+                alpha: CacheStats::from_snapshot(&delta, "alpha"),
                 fp_hits: delta.counter("fp.hits") as usize,
                 fp_rejects: delta.counter("fp.rejects") as usize,
                 unlucky_primes: delta.counter("fp.unlucky_primes") as usize,
@@ -456,23 +455,10 @@ impl SchedObserver for PoolTraceAdapter {
     }
 }
 
-/// Rebuilds the per-shard counter view from the registry delta: counters
-/// (`hits`/`misses`/`evictions`) are windowed, `len` is the post-run level
-/// (gauges survive `delta_since` at their current value).
-fn shard_deltas(delta: &MetricsSnapshot, family: &str, shard_count: usize) -> Vec<CacheShardStats> {
-    (0..shard_count)
-        .map(|i| CacheShardStats {
-            hits: delta.counter(&format!("{family}.{i}.hits")) as usize,
-            misses: delta.counter(&format!("{family}.{i}.misses")) as usize,
-            evictions: delta.counter(&format!("{family}.{i}.evictions")) as usize,
-            len: delta.gauge(&format!("{family}.{i}.len")) as usize,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use symmap_algebra::AlgebraError;
     use symmap_libchar::LibraryElement;
 
     fn p(s: &str) -> Poly {
@@ -565,7 +551,6 @@ mod tests {
             "jobs over the same library must share side-relation bases"
         );
         assert_eq!(batch.stats.cache_len(), engine.cache().len());
-        assert_eq!(batch.stats.cache_shards.len(), engine.cache().shard_count());
         // A repeated batch is answered from the cache: no new bases.
         let again = engine.run(&jobs);
         assert_eq!(again.stats.cache_misses(), 0);
@@ -607,6 +592,50 @@ mod tests {
             0,
             "second engine recomputed bases the shared cache already holds"
         );
+    }
+
+    #[test]
+    fn self_referential_element_fails_alike_through_mapper_and_engine() {
+        // `t = t + x` cannot be a side relation. The search fails at the
+        // first node that would price it, and a node cap that stops the
+        // search before that node leaves a solution.
+        let mut lib = Library::new("t");
+        for (name, symbol, poly) in [("sum", "s", "x + y"), ("loop", "t", "t + x")] {
+            lib.push(
+                LibraryElement::builder(name, symbol)
+                    .polynomial(p(poly))
+                    .cycles(3)
+                    .accuracy(1e-9)
+                    .build()
+                    .unwrap(),
+            );
+        }
+        let library = Arc::new(lib);
+        let target = p("x^2 + 2*x*y + y^2");
+        for max_nodes in [1, 2, 3, 20_000] {
+            let mapper_config = MapperConfig {
+                max_nodes,
+                ..MapperConfig::default()
+            };
+            let direct = Mapper::new(&library, mapper_config.clone()).map_polynomial(&target);
+            let job = MapJob::new("loop", target.clone(), Arc::clone(&library), mapper_config);
+            let batch = MappingEngine::new(config(1)).run(&[job]);
+            assert_eq!(
+                format!("{direct:?}"),
+                format!("{:?}", batch.outcomes[0]),
+                "max_nodes {max_nodes}"
+            );
+            // Node 1 is the root and node 2 prices {sum}, which maps the
+            // target and prunes its subtree; node 3 would price {loop}.
+            if max_nodes < 3 {
+                assert!(direct.is_ok(), "max_nodes {max_nodes}: {direct:?}");
+            } else {
+                let expected = CoreError::Algebra(AlgebraError::InvalidSideRelation(
+                    "symbol `t` occurs in its own definition".to_string(),
+                ));
+                assert_eq!(direct.unwrap_err(), expected);
+            }
+        }
     }
 
     #[test]

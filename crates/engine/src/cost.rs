@@ -8,7 +8,7 @@
 
 use symmap_algebra::poly::Poly;
 use symmap_algebra::var::VarSet;
-use symmap_libchar::Library;
+use symmap_libchar::LibraryElement;
 use symmap_platform::cost::{CostModel, InstructionClass};
 
 /// Performance/energy cost of a candidate mapping.
@@ -68,14 +68,11 @@ impl CostEvaluator {
         self
     }
 
-    /// Cost of invoking a named library element once.
-    pub fn element_cost(&self, library: &Library, name: &str) -> CostEstimate {
-        match library.element(name) {
-            Some(e) => CostEstimate {
-                cycles: e.cycles(),
-                energy_nj: e.energy_nj(),
-            },
-            None => CostEstimate::zero(),
+    /// Cost of invoking a library element once.
+    pub fn element_cost(&self, element: &LibraryElement) -> CostEstimate {
+        CostEstimate {
+            cycles: element.cycles(),
+            energy_nj: element.energy_nj(),
         }
     }
 
@@ -137,21 +134,16 @@ impl Default for CostEvaluator {
 
 /// Combines the accuracy bounds of the elements used by a mapping into a
 /// single worst-case estimate (errors add in the worst case).
-pub fn combined_accuracy(library: &Library, used: &[(String, u32)]) -> f64 {
+pub fn combined_accuracy(used: &[(&LibraryElement, u32)]) -> f64 {
     used.iter()
-        .map(|(name, times)| {
-            library
-                .element(name)
-                .map(|e| e.accuracy() * *times as f64)
-                .unwrap_or(0.0)
-        })
+        .map(|(e, times)| e.accuracy() * *times as f64)
         .sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use symmap_libchar::LibraryElement;
+    use symmap_libchar::Library;
 
     fn library() -> Library {
         let mut lib = Library::new("test");
@@ -180,8 +172,8 @@ mod tests {
     fn element_cost_lookup() {
         let evaluator = CostEvaluator::new();
         let lib = library();
-        assert_eq!(evaluator.element_cost(&lib, "cheap").cycles, 4);
-        assert_eq!(evaluator.element_cost(&lib, "missing").cycles, 0);
+        let cheap = evaluator.element_cost(lib.element("cheap").unwrap());
+        assert_eq!((cheap.cycles, cheap.energy_nj), (4, 2.0));
     }
 
     #[test]
@@ -223,9 +215,10 @@ mod tests {
     #[test]
     fn combined_accuracy_sums_worst_case() {
         let lib = library();
-        let acc = combined_accuracy(&lib, &[("cheap".into(), 2), ("dear".into(), 1)]);
+        let (cheap, dear) = (lib.element("cheap").unwrap(), lib.element("dear").unwrap());
+        let acc = combined_accuracy(&[(cheap, 2), (dear, 1)]);
         assert!((acc - (2e-6 + 1e-12)).abs() < 1e-18);
-        assert_eq!(combined_accuracy(&lib, &[]), 0.0);
+        assert_eq!(combined_accuracy(&[]), 0.0);
     }
 
     #[test]

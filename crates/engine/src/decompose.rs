@@ -16,7 +16,7 @@ use std::sync::Arc;
 use symmap_algebra::fingerprint::{PolyFingerprint, TargetGuidance};
 use symmap_algebra::groebner::{GroebnerOptions, SharedGroebnerCache};
 use symmap_algebra::poly::Poly;
-use symmap_algebra::simplify::{default_order, simplify_modulo_ordered, SideRelations};
+use symmap_algebra::simplify::{simplify_generators, SideRelations};
 use symmap_algebra::var::VarSet;
 use symmap_libchar::{Library, LibraryElement};
 use symmap_trace::{trace_event, trace_span};
@@ -167,20 +167,12 @@ impl Mapper {
 
         let mut best: Option<MappingSolution> = None;
         let mut nodes = 0_usize;
-        let mut chosen: Vec<&LibraryElement> = Vec::new();
+        let mut path = Path::default();
         // The branch-and-bound within one job is sequential and a pure
         // function of (target, library, config), so every event below is
         // deterministic job-channel material.
         trace_span!(begin "mapper.search", candidates = ordered.len());
-        let explored = self.explore(
-            target,
-            tvars,
-            &ordered,
-            0,
-            &mut chosen,
-            &mut best,
-            &mut nodes,
-        );
+        let explored = self.explore(target, tvars, &ordered, 0, &mut path, &mut best, &mut nodes);
         trace_span!(
             end "mapper.search",
             nodes = nodes,
@@ -288,7 +280,7 @@ impl Mapper {
         tvars: &VarSet,
         candidates: &[&'a LibraryElement],
         start: usize,
-        chosen: &mut Vec<&'a LibraryElement>,
+        path: &mut Path<'a>,
         best: &mut Option<MappingSolution>,
         nodes: &mut usize,
     ) -> Result<(), CoreError> {
@@ -296,33 +288,41 @@ impl Mapper {
             return Ok(());
         }
         *nodes += 1;
+        // The newest element joins the generator stack at its first node:
+        // this is where its symbol is first interned, and a self-referential
+        // element fails here, at the node that would have priced it.
+        if let Some(newest) = path.elements.last() {
+            let relation = newest.side_relation();
+            relation.check()?;
+            path.generators.push(relation.generator());
+        }
 
-        let solution = self.evaluate(target, tvars, chosen)?;
-        let chosen_element_cost: u64 = solution
-            .used_elements
+        let priced = self.price(target, tvars, path);
+        let chosen_element_cost: u64 = priced
+            .used
             .iter()
-            .filter_map(|(n, times)| self.library.element(n).map(|e| e.cycles() * *times as u64))
+            .map(|(e, times)| e.cycles() * *times as u64)
             .sum();
 
-        let acceptable = solution.is_accurate_within(self.config.accuracy_tolerance);
+        let acceptable = priced.accuracy <= self.config.accuracy_tolerance;
         let improves = best
             .as_ref()
-            .map(|b| solution.cost.better_than(&b.cost))
+            .map(|b| priced.cost.better_than(&b.cost))
             .unwrap_or(true);
         // One subset-pricing decision: what the node cost and whether it was
         // adopted as the incumbent.
         trace_event!(
             "mapper.price",
-            depth = chosen.len(),
-            cycles = solution.cost.cycles,
+            depth = path.elements.len(),
+            cycles = priced.cost.cycles,
             acceptable = acceptable as usize,
             adopted = (acceptable && improves) as usize,
         );
         if acceptable && improves {
-            *best = Some(solution);
+            *best = Some(priced.into_solution(target, &path.elements)?);
         }
 
-        if chosen.len() >= self.config.max_depth {
+        if path.elements.len() >= self.config.max_depth {
             return Ok(());
         }
         // Bounding: the element invocations already selected are a lower bound
@@ -332,7 +332,7 @@ impl Mapper {
                 if chosen_element_cost >= b.cost.cycles {
                     trace_event!(
                         "mapper.prune",
-                        depth = chosen.len(),
+                        depth = path.elements.len(),
                         bound = chosen_element_cost,
                         incumbent = b.cost.cycles,
                     );
@@ -345,54 +345,63 @@ impl Mapper {
             // Two alternatives with the same output symbol (e.g. the float,
             // fixed and IPP versions of the same function) are mutually
             // exclusive within one solution.
-            if chosen
+            if path
+                .elements
                 .iter()
                 .any(|e| e.output_symbol() == candidate.output_symbol())
             {
                 continue;
             }
-            chosen.push(candidate);
-            self.explore(target, tvars, candidates, i + 1, chosen, best, nodes)?;
-            chosen.pop();
+            path.elements.push(candidate);
+            self.explore(target, tvars, candidates, i + 1, path, best, nodes)?;
+            path.elements.pop();
+            // A child cut by `max_nodes` never pushed its generator.
+            path.generators.truncate(path.elements.len());
         }
         Ok(())
     }
 
-    /// Prices the mapping induced by a set of chosen elements.
-    fn evaluate(
-        &self,
-        target: &Poly,
-        tvars: &VarSet,
-        chosen: &[&LibraryElement],
-    ) -> Result<MappingSolution, CoreError> {
-        let mut relations = SideRelations::new();
-        for e in chosen {
-            relations
-                .push(e.output_symbol(), e.polynomial().clone())
-                .map_err(CoreError::from)?;
+    /// Prices the mapping induced by the path's chosen elements: the target
+    /// reduced modulo their side relations under
+    /// [`default_order`](symmap_algebra::simplify::default_order)'s
+    /// policy (target variables, then body variables, then symbols), the
+    /// invocations of each element and the residual software.
+    fn price<'a>(&self, target: &Poly, tvars: &VarSet, path: &Path<'a>) -> Priced<'a> {
+        let mut order = tvars.clone();
+        for e in &path.elements {
+            for v in e.side_relation().body_vars().iter() {
+                order.push(v);
+            }
         }
-        let simplification = simplify_modulo_ordered(
+        let symbols: VarSet = path
+            .elements
+            .iter()
+            .map(|e| e.side_relation().symbol())
+            .collect();
+        for v in symbols.iter() {
+            order.push(v);
+        }
+        let simplification = simplify_generators(
             target,
-            &relations,
-            default_order(tvars, &relations),
+            &path.generators,
+            order,
             &self.config.groebner,
             &self.cache,
-        )?;
+        );
         let rewritten = simplification.result;
 
-        let symbols: VarSet = relations.symbols();
-        let mut used_elements: Vec<(String, u32)> = Vec::new();
-        for e in chosen {
-            let sym = symmap_algebra::var::Var::new(e.output_symbol());
+        let mut used: Vec<(&'a LibraryElement, u32)> = Vec::new();
+        for e in &path.elements {
+            let sym = e.side_relation().symbol();
             let occurrences: u32 = rewritten.iter().map(|(m, _)| m.degree_of(sym)).sum();
             if occurrences > 0 {
-                used_elements.push((e.name().to_string(), occurrences));
+                used.push((e, occurrences));
             }
         }
 
         let mut cost = CostEstimate::zero();
-        for (name, times) in &used_elements {
-            let unit = self.evaluator.element_cost(&self.library, name);
+        for (e, times) in &used {
+            let unit = self.evaluator.element_cost(e);
             cost = cost.add(&CostEstimate {
                 cycles: unit.cycles * *times as u64,
                 energy_nj: unit.energy_nj * *times as f64,
@@ -403,17 +412,61 @@ impl Mapper {
             &symbols,
             self.config.float_residual,
         ));
-        let accuracy = combined_accuracy(&self.library, &used_elements);
+        let accuracy = combined_accuracy(&used);
 
-        Ok(MappingSolution {
-            target: target.clone(),
+        Priced {
             rewritten,
-            used_elements,
-            relations,
+            used,
             cost,
             accuracy,
-            nodes_explored: 0,
             basis_complete: simplification.complete,
+        }
+    }
+}
+
+/// The search's current subset: the chosen elements and, for every chosen
+/// element whose node has been visited, its borrowed side-relation generator
+/// (so `generators.len() <= elements.len()`).
+#[derive(Default)]
+struct Path<'a> {
+    elements: Vec<&'a LibraryElement>,
+    generators: Vec<&'a Poly>,
+}
+
+/// One node's pricing, before (and unless) it becomes the incumbent.
+struct Priced<'a> {
+    rewritten: Poly,
+    /// The chosen elements the rewrite invokes, with their invocation counts.
+    used: Vec<(&'a LibraryElement, u32)>,
+    cost: CostEstimate,
+    accuracy: f64,
+    basis_complete: bool,
+}
+
+impl Priced<'_> {
+    /// The full solution record, built only for an adopted incumbent.
+    fn into_solution(
+        self,
+        target: &Poly,
+        chosen: &[&LibraryElement],
+    ) -> Result<MappingSolution, CoreError> {
+        let mut relations = SideRelations::new();
+        for e in chosen {
+            relations.push(e.output_symbol(), e.polynomial().clone())?;
+        }
+        Ok(MappingSolution {
+            target: target.clone(),
+            rewritten: self.rewritten,
+            used_elements: self
+                .used
+                .iter()
+                .map(|(e, times)| (e.name().to_string(), *times))
+                .collect(),
+            relations,
+            cost: self.cost,
+            accuracy: self.accuracy,
+            nodes_explored: 0,
+            basis_complete: self.basis_complete,
         })
     }
 }
@@ -421,7 +474,8 @@ impl Mapper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use symmap_libchar::LibraryElement;
+    use symmap_algebra::simplify::{default_order, simplify_modulo_ordered};
+    use symmap_algebra::var::Var;
 
     fn element(name: &str, symbol: &str, poly: &str, cycles: u64, accuracy: f64) -> LibraryElement {
         LibraryElement::builder(name, symbol)
@@ -712,6 +766,256 @@ mod tests {
         assert_eq!(snapshot.counter("index.kept"), 1);
         assert_eq!(snapshot.counter("index.rejected"), 1);
         assert_eq!(snapshot.counter("index.shards_skipped"), 1);
+    }
+
+    /// The search as it ran before per-element side relations, kept as the
+    /// oracle: every node builds a `SideRelations`, prices it through
+    /// `simplify_modulo_ordered` under `default_order` and looks the used
+    /// elements up by name. At each node it also checks that
+    /// [`Mapper::price`] over the same path prices the subset identically.
+    struct Oracle<'m> {
+        mapper: &'m Mapper,
+        target: &'m Poly,
+        tvars: VarSet,
+        best: Option<MappingSolution>,
+        nodes: usize,
+    }
+
+    impl<'m> Oracle<'m> {
+        fn map(mapper: &'m Mapper, target: &'m Poly) -> Result<MappingSolution, CoreError> {
+            let guidance = mapper.cache.guidance(target);
+            let candidates = mapper.candidates(&guidance.vars, &guidance.fingerprint);
+            if candidates.is_empty() {
+                return Err(CoreError::NoCandidateElements {
+                    target: target.to_string(),
+                });
+            }
+            let ordered = mapper.order_candidates(target, &guidance, candidates);
+            let mut oracle = Oracle {
+                mapper,
+                target,
+                tvars: guidance.vars.clone(),
+                best: None,
+                nodes: 0,
+            };
+            oracle.explore(&ordered, 0, &mut Vec::new())?;
+            let mut best = oracle.best.ok_or_else(|| CoreError::NoAccurateSolution {
+                target: target.to_string(),
+                required: mapper.config.accuracy_tolerance,
+            })?;
+            best.nodes_explored = oracle.nodes;
+            Ok(best)
+        }
+
+        fn explore<'a>(
+            &mut self,
+            candidates: &[&'a LibraryElement],
+            start: usize,
+            chosen: &mut Vec<&'a LibraryElement>,
+        ) -> Result<(), CoreError> {
+            let config = &self.mapper.config;
+            if self.nodes >= config.max_nodes {
+                return Ok(());
+            }
+            self.nodes += 1;
+            let solution = self.evaluate(chosen)?;
+            let library = &self.mapper.library;
+            let chosen_element_cost: u64 = solution
+                .used_elements
+                .iter()
+                .filter_map(|(n, times)| library.element(n).map(|e| e.cycles() * *times as u64))
+                .sum();
+            let acceptable = solution.is_accurate_within(config.accuracy_tolerance);
+            let improves = self
+                .best
+                .as_ref()
+                .map(|b| solution.cost.better_than(&b.cost))
+                .unwrap_or(true);
+            if acceptable && improves {
+                self.best = Some(solution);
+            }
+            if chosen.len() >= config.max_depth {
+                return Ok(());
+            }
+            if config.use_bounding {
+                if let Some(b) = self.best.as_ref() {
+                    if chosen_element_cost >= b.cost.cycles {
+                        return Ok(());
+                    }
+                }
+            }
+            for i in start..candidates.len() {
+                let candidate = candidates[i];
+                if chosen
+                    .iter()
+                    .any(|e| e.output_symbol() == candidate.output_symbol())
+                {
+                    continue;
+                }
+                chosen.push(candidate);
+                self.explore(candidates, i + 1, chosen)?;
+                chosen.pop();
+            }
+            Ok(())
+        }
+
+        fn evaluate(&self, chosen: &[&LibraryElement]) -> Result<MappingSolution, CoreError> {
+            let mapper = self.mapper;
+            let mut relations = SideRelations::new();
+            for e in chosen {
+                relations.push(e.output_symbol(), e.polynomial().clone())?;
+            }
+            let simplification = simplify_modulo_ordered(
+                self.target,
+                &relations,
+                default_order(&self.tvars, &relations),
+                &mapper.config.groebner,
+                &mapper.cache,
+            )?;
+            let rewritten = simplification.result;
+            let mut used_elements: Vec<(String, u32)> = Vec::new();
+            for e in chosen {
+                let sym = Var::new(e.output_symbol());
+                let occurrences: u32 = rewritten.iter().map(|(m, _)| m.degree_of(sym)).sum();
+                if occurrences > 0 {
+                    used_elements.push((e.name().to_string(), occurrences));
+                }
+            }
+            let by_name = |name: &str| mapper.library.element(name).expect("a chosen element");
+            let mut cost = CostEstimate::zero();
+            for (name, times) in &used_elements {
+                let e = by_name(name);
+                cost = cost.add(&CostEstimate {
+                    cycles: e.cycles() * *times as u64,
+                    energy_nj: e.energy_nj() * *times as f64,
+                });
+            }
+            let accuracy: f64 = used_elements
+                .iter()
+                .map(|(name, times)| by_name(name).accuracy() * *times as f64)
+                .sum();
+            cost = cost.add(&mapper.evaluator.residual_cost(
+                &rewritten,
+                &relations.symbols(),
+                mapper.config.float_residual,
+            ));
+
+            let path = Path {
+                elements: chosen.to_vec(),
+                generators: chosen
+                    .iter()
+                    .map(|e| e.side_relation().generator())
+                    .collect(),
+            };
+            let priced = mapper.price(self.target, &self.tvars, &path);
+            assert_eq!(priced.rewritten, rewritten, "rewrite of {chosen:?}");
+            assert_eq!(priced.basis_complete, simplification.complete);
+            assert_eq!(priced.cost, cost, "cost of {chosen:?}");
+            assert_eq!(priced.accuracy.to_bits(), accuracy.to_bits());
+            let names: Vec<(String, u32)> = priced
+                .used
+                .iter()
+                .map(|(e, times)| (e.name().to_string(), *times))
+                .collect();
+            assert_eq!(names, used_elements);
+
+            Ok(MappingSolution {
+                target: self.target.clone(),
+                rewritten,
+                used_elements,
+                relations,
+                cost,
+                accuracy,
+                nodes_explored: 0,
+                basis_complete: simplification.complete,
+            })
+        }
+    }
+
+    /// Element bodies over three variables: linear, product, square and
+    /// mixed shapes, so subsets reduce the target in different ways.
+    const SHAPES: [&str; 8] = [
+        "dq_a + dq_b",
+        "dq_a - dq_b",
+        "dq_a*dq_b",
+        "dq_a^2",
+        "dq_b*dq_c + dq_a",
+        "dq_c^2 - dq_a",
+        "dq_a*dq_b*dq_c",
+        "dq_b + dq_c",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(24))]
+
+        /// On small random libraries (alternatives share output symbols,
+        /// some elements too inaccurate to use) the search prices every
+        /// node as the `SideRelations` search did and returns the same
+        /// outcome, node count included, under depth and node caps.
+        #[test]
+        fn prop_search_prices_every_node_like_the_side_relations_search(
+            elements in proptest::collection::vec((0usize..8, 0usize..4, 1u64..60, proptest::prelude::any::<bool>()), 2..7),
+            target in (0usize..8, 0usize..8, 0usize..3, 0usize..3),
+            max_depth in 1usize..5,
+            max_nodes in 1usize..40,
+        ) {
+            let mut lib = Library::new("prop");
+            for (i, (shape, symbol, cycles, accurate)) in elements.iter().enumerate() {
+                let accuracy = if *accurate { 1e-9 } else { 1e-3 };
+                lib.push(element(
+                    &format!("e{i}"),
+                    &format!("dq_s{symbol}"),
+                    SHAPES[*shape],
+                    *cycles,
+                    accuracy,
+                ));
+            }
+            let (t1, t2, op, extra) = target;
+            let (f, g) = (p(SHAPES[t1]), p(SHAPES[t2]));
+            let mut t = match op {
+                0 => f.mul(&g),
+                1 => f.mul(&f).add(&g),
+                _ => f.add(&g.mul(&p("dq_c"))),
+            };
+            if extra == 0 {
+                t = t.add(&p("dq_c^3"));
+            }
+            for (depth, nodes) in [(max_depth, max_nodes), (max_depth, 20_000), (4, max_nodes)] {
+                let config = MapperConfig {
+                    max_depth: depth,
+                    max_nodes: nodes,
+                    ..MapperConfig::default()
+                };
+                let mapper = Mapper::new(&lib, config);
+                let expected = Oracle::map(&mapper, &t);
+                let got = mapper.map_polynomial(&t);
+                proptest::prop_assert_eq!(format!("{got:?}"), format!("{expected:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn bounding_counts_only_the_elements_a_rewrite_uses() {
+        // {sum, prod} rewrites the target to s^2 + q for 407 cycles (7 for
+        // the elements, 400 for the two residual additions). `high` is
+        // never used by a rewrite, so the bound of {sum, high} is sum's
+        // 3 invocations, 6 cycles, and its child {sum, high, diff} is still
+        // searched; charging `high`'s 500 cycles would prune it.
+        let mut lib = Library::new("t");
+        lib.push(element("sum", "s", "x + y", 2, 1e-9));
+        lib.push(element("prod", "q", "x*y", 3, 1e-9));
+        lib.push(element("high", "h", "x^3*y^2", 500, 1e-9));
+        lib.push(element("diff", "d", "x - y", 600, 1e-9));
+        let target = p("x^2 + 3*x*y + y^2");
+        let mapper = Mapper::new(&lib, MapperConfig::default());
+        let got = mapper.map_polynomial(&target);
+        assert_eq!(
+            format!("{got:?}"),
+            format!("{:?}", Oracle::map(&mapper, &target))
+        );
+        let solution = got.unwrap();
+        assert_eq!(solution.element_names(), vec!["sum", "prod"]);
+        assert_eq!(solution.cost.cycles, 407);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   polynomial + library + mapper configuration) executed over the pool
 //!   while every worker shares one lock-striped, capacity-bounded
 //!   [`SharedGroebnerCache`], with an [`EngineStats`] report (jobs, steals,
-//!   per-shard cache counters, wall time) per batch.
+//!   cache counters, wall time) per batch.
 //!
 //! Mapping jobs are pure functions of their inputs — the only thing worker
 //! scheduling can change is cache *timing* (which lookup computes and which

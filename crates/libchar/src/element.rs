@@ -1,10 +1,12 @@
 //! The library-element model.
 
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 use symmap_algebra::fingerprint::PolyFingerprint;
 use symmap_algebra::poly::Poly;
+use symmap_algebra::simplify::SideRelation;
 
 /// Numeric format of an element's inputs and outputs (from the library's
 /// include files, as §3.1 puts it).
@@ -54,7 +56,10 @@ impl fmt::Display for LibrarySource {
 /// The polynomial representation is expressed in the element's formal input
 /// variables; `output_symbol` is the fresh variable the mapper introduces when
 /// it uses the element as a side relation.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality and `Debug` cover the element's data, not its lazily filled
+/// side-relation memo ([`LibraryElement::side_relation`]).
+#[derive(Clone)]
 pub struct LibraryElement {
     name: String,
     output_symbol: String,
@@ -68,6 +73,43 @@ pub struct LibraryElement {
     accuracy: f64,
     format: NumericFormat,
     source: LibrarySource,
+    /// The element's side relation, derived on first use by the mapper's
+    /// search — not at build time, because deriving it interns
+    /// `output_symbol`, and interner indices follow first-intern order.
+    /// Shared with every clone: clones have the same symbol and polynomial
+    /// for life (no method changes either), so the libraries built from one
+    /// element (`Library::union` clones) derive its relation once.
+    side_relation: Arc<OnceLock<SideRelation>>,
+}
+
+impl PartialEq for LibraryElement {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.output_symbol == other.output_symbol
+            && self.polynomial == other.polynomial
+            && self.fingerprint == other.fingerprint
+            && self.cycles == other.cycles
+            && self.energy_nj == other.energy_nj
+            && self.accuracy == other.accuracy
+            && self.format == other.format
+            && self.source == other.source
+    }
+}
+
+impl fmt::Debug for LibraryElement {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LibraryElement")
+            .field("name", &self.name)
+            .field("output_symbol", &self.output_symbol)
+            .field("polynomial", &self.polynomial)
+            .field("fingerprint", &self.fingerprint)
+            .field("cycles", &self.cycles)
+            .field("energy_nj", &self.energy_nj)
+            .field("accuracy", &self.accuracy)
+            .field("format", &self.format)
+            .field("source", &self.source)
+            .finish()
+    }
 }
 
 impl LibraryElement {
@@ -107,6 +149,16 @@ impl LibraryElement {
     /// [`polynomial`]: LibraryElement::polynomial
     pub fn fingerprint(&self) -> &PolyFingerprint {
         &self.fingerprint
+    }
+
+    /// The side relation `output_symbol = polynomial` the mapper prices this
+    /// element with: symbol, generator, body variables and the
+    /// self-reference flag, derived on the first call on the element or any
+    /// of its clones and shared by every later one. The first call interns
+    /// the output symbol.
+    pub fn side_relation(&self) -> &SideRelation {
+        self.side_relation
+            .get_or_init(|| SideRelation::new(&self.output_symbol, &self.polynomial))
     }
 
     /// Execution cycles on the characterized platform (per invocation).
@@ -247,6 +299,7 @@ impl LibraryElementBuilder {
             accuracy: self.accuracy,
             format: self.format,
             source: self.source,
+            side_relation: Arc::default(),
         })
     }
 }
@@ -299,6 +352,62 @@ mod tests {
         e.set_cost(123, 9.0);
         assert_eq!(e.cycles(), 123);
         assert_eq!(e.energy_nj(), 9.0);
+    }
+
+    #[test]
+    fn building_and_scanning_leave_the_output_symbol_uninterned() {
+        use crate::library::Library;
+        use symmap_algebra::var::Var;
+
+        let body = Poly::parse("memo_in_a*memo_in_b + memo_in_a").unwrap();
+        let e = LibraryElement::builder("memo_elem", "memo_out_sym")
+            .polynomial(body)
+            .build()
+            .unwrap();
+        let mut lib = Library::new("memo");
+        lib.push(e.clone());
+        let target = Poly::parse("memo_in_a^2").unwrap();
+        let scan = lib.candidates(&PolyFingerprint::of(&target));
+        assert_eq!(scan.elements.len(), 1);
+        let _ = format!("{e:?} {e}");
+        // Nothing above interned the symbol: a name interned now ranks
+        // before it, as it would have before the memo existed.
+        let probe = Var::new("memo_probe_after_build");
+        let relation = lib.element("memo_elem").unwrap().side_relation();
+        assert!(probe.index() < relation.symbol().index());
+        assert_eq!(relation.symbol().name(), "memo_out_sym");
+    }
+
+    #[test]
+    fn priced_element_equals_its_unpriced_clone() {
+        let build = || {
+            LibraryElement::builder("mac", "m")
+                .polynomial(Poly::parse("a*b + c").unwrap())
+                .build()
+                .unwrap()
+        };
+        let (priced, unpriced) = (build(), build());
+        assert_eq!(
+            priced.side_relation().generator(),
+            &Poly::parse("a*b + c - m").unwrap()
+        );
+        assert!(priced.side_relation().check().is_ok());
+        assert_eq!(priced, unpriced);
+        assert_eq!(format!("{priced:?}"), format!("{unpriced:?}"));
+        // Clones made before or after pricing share the one relation.
+        let early = unpriced.clone();
+        assert!(std::ptr::eq(
+            early.side_relation(),
+            unpriced.side_relation()
+        ));
+        assert!(std::ptr::eq(
+            priced.clone().side_relation(),
+            priced.side_relation()
+        ));
+        assert!(!std::ptr::eq(
+            priced.side_relation(),
+            unpriced.side_relation()
+        ));
     }
 
     #[test]

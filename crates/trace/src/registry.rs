@@ -45,7 +45,7 @@ impl Counter {
     }
 }
 
-/// A last-write-wins gauge handle (e.g. current cache-shard length).
+/// A level gauge handle (e.g. the number of bases a cache holds).
 #[derive(Debug, Clone, Default)]
 pub struct Gauge(Arc<AtomicI64>);
 
@@ -54,6 +54,13 @@ impl Gauge {
     #[inline]
     pub fn set(&self, v: i64) {
         self.0.store(v, Ordering::Relaxed);
+    }
+
+    /// Adds `delta` (negative to lower the level), so several writers can
+    /// keep one total.
+    #[inline]
+    pub fn add(&self, delta: i64) {
+        self.0.fetch_add(delta, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -262,17 +269,6 @@ impl MetricsSnapshot {
         self.gauges.get(name).copied().unwrap_or(0)
     }
 
-    /// Sum of every counter whose name starts with `prefix` and ends with
-    /// `suffix` — e.g. `sum_matching("cache.shard.", ".hits")` totals the
-    /// per-shard hit counters.
-    pub fn sum_matching(&self, prefix: &str, suffix: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|(name, _)| name.starts_with(prefix) && name.ends_with(suffix))
-            .map(|(_, v)| *v)
-            .sum()
-    }
-
     /// Machine-readable JSON rendering (`{"counters": {...}, "gauges":
     /// {...}, "histograms": {...}}`). Names are registry-controlled ASCII,
     /// but escaped anyway so the output is valid JSON for any name.
@@ -348,15 +344,17 @@ mod tests {
     #[test]
     fn counters_gauges_histograms_register_once_and_share_handles() {
         let registry = MetricsRegistry::new();
-        let a = registry.counter("cache.shard.0.hits");
-        let b = registry.counter("cache.shard.0.hits");
+        let a = registry.counter("cache.hits");
+        let b = registry.counter("cache.hits");
         a.inc();
         b.add(2);
-        assert_eq!(registry.counter("cache.shard.0.hits").get(), 3);
+        assert_eq!(registry.counter("cache.hits").get(), 3);
 
-        let g = registry.gauge("cache.shard.0.len");
+        let g = registry.gauge("cache.len");
         g.set(7);
-        assert_eq!(registry.gauge("cache.shard.0.len").get(), 7);
+        assert_eq!(registry.gauge("cache.len").get(), 7);
+        g.add(-2);
+        assert_eq!(registry.gauge("cache.len").get(), 5);
 
         let h = registry.histogram("groebner.reductions");
         h.observe(0);
@@ -394,19 +392,6 @@ mod tests {
         registry.counter("new").add(4);
         let delta2 = registry.snapshot().delta_since(&before);
         assert_eq!(delta2.counter("new"), 4);
-    }
-
-    #[test]
-    fn sum_matching_totals_shard_families() {
-        let registry = MetricsRegistry::new();
-        registry.counter("cache.shard.0.hits").add(2);
-        registry.counter("cache.shard.1.hits").add(3);
-        registry.counter("cache.shard.0.misses").add(10);
-        registry.counter("alpha.shard.0.hits").add(100);
-        let snap = registry.snapshot();
-        assert_eq!(snap.sum_matching("cache.shard.", ".hits"), 5);
-        assert_eq!(snap.sum_matching("cache.shard.", ".misses"), 10);
-        assert_eq!(snap.sum_matching("alpha.shard.", ".hits"), 100);
     }
 
     #[test]
