@@ -17,7 +17,7 @@
 //!   path is byte-identical to the historic concrete implementation — the
 //!   seed-oracle differential tests in `groebner.rs` pin this down.
 //! * [`symmap_numeric::Fp64`] instantiates it over ℤ/p (see
-//!   [`crate::modular`]), giving the mapper's prefilter a basis run whose
+//!   [`crate::modular`]), giving the multi-modular lift prime images whose
 //!   coefficients never leave one machine word.
 //!
 //! Every algorithm here mirrors its `Poly` counterpart operation for

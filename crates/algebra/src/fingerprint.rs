@@ -1,7 +1,7 @@
 //! Invariant fingerprints over polynomials: cheap, deterministic summaries
-//! that let a caller reject "these two polynomials cannot be equal" or "this
-//! polynomial cannot divide that one" in O(support) integer work, without
-//! touching a single [`Rational`].
+//! that let a caller reject "these two polynomials cannot be equal" or
+//! "these two polynomials share no variable" in O(support) integer work,
+//! without touching a single [`Rational`].
 //!
 //! The mapper's branch-and-bound prices library subsets through the Gröbner
 //! cache, but before any algebra runs it must *select* candidates from the
@@ -16,12 +16,8 @@
 //!   Disjoint masks prove disjoint supports; equal-bit collisions are
 //!   confirmed against the exact sorted support.
 //! * **degree signature** — total degree, per-support-var maximum degree and
-//!   term count. Equal polynomials have equal signatures, and over the
-//!   integral domain ℚ\[x₁…xₙ\] per-variable and total degree are *additive*
-//!   under multiplication, so `deg(f) ≤ deg(f·g)` holds variable-by-variable:
-//!   the signature yields a sound necessary condition for divisibility.
-//!   (Term count is **not** monotone under multiplication — `(x−1)(x+1)` has
-//!   fewer terms than either factor squared — so [`may_divide`] ignores it.)
+//!   term count. Equal polynomials have equal signatures, so
+//!   [`PolyFingerprint::may_equal`] compares them before the hash.
 //! * **finite-field evaluation hash** — the polynomial evaluated over
 //!   [`Fp64`] at fixed pseudo-random points derived from each variable's
 //!   *name* (stable across interner orders), using the first prime from the
@@ -35,7 +31,6 @@
 //! arguments and the one tempting filter that is provably unsound
 //! (degree-based candidate rejection in the mapper).
 //!
-//! [`may_divide`]: PolyFingerprint::may_divide
 //! [`Monomial::var_mask`]: crate::monomial::Monomial::var_mask
 //! [`Rational`]: symmap_numeric::rational::Rational
 
@@ -181,34 +176,6 @@ impl PolyFingerprint {
             && self.support == other.support
             && self.max_degrees == other.max_degrees
     }
-
-    /// Conservative divisibility test: `false` proves `self`'s polynomial
-    /// does not divide `other`'s over ℚ\[x\]; `true` means "possibly — run
-    /// the exact check". Sound because ℚ\[x₁…xₙ\] is an integral domain, so
-    /// both total degree and each per-variable degree are additive under
-    /// multiplication: `f · g = t` forces `deg(f) ≤ deg(t)` in every
-    /// variable and in total, and `support(f) ⊆ support(t)`. Term count is
-    /// deliberately not consulted (not monotone under multiplication), and
-    /// the evaluation hash proves nothing here (the hash of a product is not
-    /// the product of hashes once coefficients reduce mod p).
-    pub fn may_divide(&self, other: &PolyFingerprint) -> bool {
-        if self.total_degree > other.total_degree || self.mask & other.mask != self.mask {
-            return false;
-        }
-        let mut j = 0;
-        for (i, &v) in self.support.iter().enumerate() {
-            while j < other.support.len() && other.support[j] < v {
-                j += 1;
-            }
-            if j >= other.support.len()
-                || other.support[j] != v
-                || other.max_degrees[j] < self.max_degrees[i]
-            {
-                return false;
-            }
-        }
-        true
-    }
 }
 
 /// What the mapper's candidate scan and ordering need of a target: its
@@ -279,7 +246,7 @@ fn mix64(mut z: u64) -> u64 {
 
 /// Evaluation hash driver: walks the deterministic prime stream until a
 /// prime divides no coefficient denominator (the same rotation discipline as
-/// the modular prefilter, so the chosen prime is a pure function of the
+/// the multi-modular lift, so the chosen prime is a pure function of the
 /// polynomial), then evaluates once. The practically unreachable exhaustion
 /// case falls back to a structural hash — still deterministic, still equal
 /// for equal polynomials.
@@ -437,25 +404,6 @@ mod tests {
         let z = PolyFingerprint::of(&Poly::zero());
         assert_eq!(z.term_count(), 0);
         assert_eq!(z.eval_hash(), 0);
-    }
-
-    #[test]
-    fn divisibility_prefilter_is_a_necessary_condition() {
-        // Real divisors always pass.
-        let f = p("x + y");
-        let g = p("x^2 - x*y + y^2");
-        let prod = f.mul(&g); // x^3 + y^3
-        let (ff, pf) = (PolyFingerprint::of(&f), PolyFingerprint::of(&prod));
-        assert!(ff.may_divide(&pf));
-        // Degree excess in one variable refutes.
-        assert!(!fp("x^4").may_divide(&pf));
-        // Support excess refutes.
-        assert!(!fp("x*z").may_divide(&pf));
-        // Total-degree excess refutes.
-        assert!(!fp("x^2*y^2").may_divide(&fp("x^2 + y^2")));
-        // Term count must NOT refute: x^3+y^3 has 2 terms, its divisor
-        // x^2-x*y+y^2 has 3.
-        assert!(PolyFingerprint::of(&g).may_divide(&pf));
     }
 
     #[test]

@@ -23,10 +23,9 @@
 //!   columns check against `u32` like [`Monomial::total_degree`].
 //!
 //! Two clients share it. [`buchberger_fp`] is the crate's ℤ/p Buchberger
-//! run, behind every lift image and the membership prefilter's basis: step
-//! for step the generic engine's algorithm (pair order, criteria,
-//! first-divisor division, auto-reduction), so the basis and every counter
-//! are identical, with merges into reused buffers and a bit matrix for the
+//! run, behind every lift image: step for step the generic engine's
+//! algorithm (pair order, criteria, first-divisor division,
+//! auto-reduction), so the basis and every counter are identical, with merges into reused buffers and a bit matrix for the
 //! pending pairs. [`IntReducer`] is the lift's ℚ verification done
 //! fraction-free over ℤ (see [`IntReducer::reduces_to_zero`]).
 
@@ -695,11 +694,10 @@ impl FpEngine<'_> {
 }
 
 /// Buchberger's algorithm over ℤ/p in the flat layout — the engine of the
-/// lift's images and of the prefilter's `FpBasis`. It is
-/// `buchberger_core_in::<Fp64>` step for step (same pair queue, criteria,
-/// division and auto-reduction), so it returns the same reduced monic basis
-/// and the same counters; the differential tests pin that on every order and
-/// option combination. Generators are Montgomery form `CPoly`s in canonical
+/// lift's images. It is `buchberger_core_in::<Fp64>` step for step (same
+/// pair queue, criteria, division and auto-reduction), so it returns the
+/// same reduced monic basis and the same counters; the differential tests
+/// pin that on every order and option combination. Generators are Montgomery form `CPoly`s in canonical
 /// storage order, like the output.
 pub(crate) fn buchberger_fp(
     field: &Fp64,

@@ -18,12 +18,13 @@
 //!   division loop parameterized over the coefficient field, instantiated by
 //!   ℚ and by ℤ/p,
 //! * Buchberger's algorithm for Gröbner bases ([`groebner`]),
-//! * a modular (ℤ/p) Gröbner fast path ([`modular`]) — the sound
-//!   membership prefilter used by the mapper's shared cache,
+//! * ℤ/p localization ([`modular`]) — [`Fp64`](symmap_numeric::Fp64) as a
+//!   coefficient field and the unlucky-prime checks of the multi-modular
+//!   lift,
 //! * invariant polynomial fingerprints ([`fingerprint`]) — support masks,
 //!   degree signatures and ℤ/p evaluation hashes giving conservative O(1)
-//!   "cannot be equal / cannot divide / disjoint support" answers before any
-//!   exact arithmetic runs,
+//!   "cannot be equal / disjoint support" answers before any exact
+//!   arithmetic runs,
 //! * a multi-modular engine ([`multimodular`]) — reduced bases computed
 //!   mod a deterministic prime sequence, CRT-combined, rationally
 //!   reconstructed and *verified* over ℚ, making the mod-p run the primary

@@ -1,51 +1,31 @@
-//! Modular (ℤ/p) Gröbner fast path.
+//! ℤ/p localization for the multi-modular lift.
 //!
-//! Buchberger over ℚ spends most of its time in rational arithmetic whose
-//! numerators and denominators grow with every cancellation. Reducing the
-//! ideal's generators modulo a 62-bit prime and running the same algorithm
-//! over [`Fp64`] — on the flat strided engine the multi-modular lift's
-//! images use (`flat`), which is the field-generic
-//! [`crate::coeff`] engine step for step — keeps every coefficient in one
-//! machine word, typically an order of magnitude faster
-//! (the `modular_prefilter` bench pins the ratio on the mapper's hard
-//! side-relation ideal).
+//! [`crate::multimodular`] computes a Gröbner basis of the ideal's image
+//! modulo each of a deterministic sequence of 62-bit primes and lifts the
+//! images back to ℚ. This module holds the pieces those images share:
+//! [`Fp64`] as a [`CoeffField`], and the strict localization of one
+//! generator into 𝔽p\[x\].
 //!
-//! # What a mod-p run can and cannot tell us
+//! # Unlucky primes
 //!
 //! Reduction mod p is a ring homomorphism ℤ(p)\[x\] → 𝔽p\[x\] on p-integral
-//! rationals, so an **exact-zero certificate transfers in one direction**:
-//! if `f = Σ hᵢ·gᵢ` over ℚ and no denominator in `f`, the `gᵢ` *or the
-//! cofactors `hᵢ`* is divisible by p, then `f̄` reduces to zero modulo the
-//! mod-p basis. Contrapositively, a **nonzero** mod-p normal form (under a
-//! *complete* mod-p basis) certifies non-membership — the cheap direction
-//! the mapper's prefilter exploits to discard candidates early.
-//!
-//! Two failure modes make a prime *unlucky* for an ideal, and only the first
-//! is visible at localization time:
+//! rationals. Two failure modes make a prime *unlucky* for an ideal, and
+//! only the first is visible at localization time:
 //!
 //! * **p divides a denominator** of some generator coefficient (or the
 //!   leading numerator, collapsing the leading term): detected by
-//!   [`FpBasis::with_prime`], which reports [`UnluckyPrime`] so
-//!   [`FpBasis::compute`] can rotate to the next prime of the deterministic
-//!   [`PrimeIterator`] sequence.
-//! * **p divides a cofactor denominator** arising *inside* the ℚ division —
-//!   undetectable without the exact computation. This is why the cache wires
-//!   the probe as a **hint**: every mod-p verdict is confirmed by the exact
-//!   ℚ run before it can affect a mapping solution (see
-//!   `SharedGroebnerCache::probe_membership` and DESIGN.md §6). Promoting
-//!   mod-p answers to trusted results needs the multi-modular CRT lift
-//!   tracked in the roadmap.
+//!   `localize_generator`, which reports [`UnluckyPrime`] so the lift
+//!   rotates to the next prime of the [`PrimeIterator`] sequence.
+//! * **p divides a cofactor denominator** arising *inside* the ℚ division:
+//!   undetectable without the exact computation. The lift outvotes such an
+//!   image by its basis shape and checks every reconstruction over ℚ
+//!   before using it (see [`crate::multimodular`]).
 //!
-//! Targets are localized more leniently than generators
-//! ([`FpBasis::normal_form`] returns `None` only when a target denominator
-//! vanishes): a vanishing target *leading* coefficient is a legitimate
-//! homomorphic image, not an unlucky prime.
+//! [`PrimeIterator`]: symmap_numeric::PrimeIterator
 
-use symmap_numeric::{Fp64, PrimeIterator, Rational};
+use symmap_numeric::{Fp64, Rational};
 
-use crate::coeff::{normal_form_in, CPoly, CPrepared, CoeffField};
-use crate::groebner::GroebnerOptions;
-use crate::monomial::Monomial;
+use crate::coeff::{CPoly, CoeffField};
 use crate::ordering::MonomialOrder;
 use crate::poly::Poly;
 
@@ -89,9 +69,9 @@ pub enum UnluckyPrime {
     LeadingCoefficient,
 }
 
-/// How many primes [`FpBasis::compute`] tries before giving up. Each
-/// rotation only rules out finitely many divisors, so in practice the first
-/// prime almost always succeeds; the bound exists to keep adversarial
+/// How many unlucky primes the lift rotates past beyond its image budget.
+/// Each rotation only rules out finitely many divisors, so in practice the
+/// first prime almost always succeeds; the bound exists to keep adversarial
 /// inputs from walking the iterator forever.
 pub const MAX_PRIME_ROTATIONS: usize = 16;
 
@@ -109,8 +89,6 @@ fn localize_coefficient(field: &Fp64, c: &Rational) -> Option<u64> {
 
 /// Localizes a **generator**: strict about unlucky primes. Errors when p
 /// divides a denominator or kills the leading coefficient under `order`.
-/// Shared with [`crate::multimodular`], whose per-prime images must reject
-/// unlucky primes by exactly the same criterion as the prefilter.
 pub(crate) fn localize_generator(
     field: &Fp64,
     g: &Poly,
@@ -134,167 +112,28 @@ pub(crate) fn localize_generator(
     Ok(CPoly::from_sorted_terms(terms))
 }
 
-/// Localizes a **target**: lenient. Coefficients whose numerator vanishes
-/// mod p simply drop out (a valid homomorphic image); only a vanishing
-/// denominator makes the image undefined (`None`).
-fn localize_target(field: &Fp64, f: &Poly) -> Option<CPoly<Fp64>> {
-    let mut terms = Vec::with_capacity(f.num_terms());
-    for (m, c) in f.sorted_terms() {
-        match localize_coefficient(field, c)? {
-            0 => {}
-            k => terms.push((m.clone(), k)),
-        }
-    }
-    Some(CPoly::from_sorted_terms(terms))
-}
-
-/// A reduced Gröbner basis of an ideal's image in 𝔽p\[x\], prepared for
-/// repeated normal-form queries — the modular half of the cache's
-/// membership prefilter.
-#[derive(Debug, Clone)]
-pub struct FpBasis {
-    field: Fp64,
-    order: MonomialOrder,
-    prepared: Vec<CPrepared<Fp64>>,
-    /// Whether the mod-p Buchberger run finished within its iteration bound.
-    /// Only a complete basis makes a nonzero normal form a non-membership
-    /// certificate.
-    pub complete: bool,
-    /// S-polynomial reductions the mod-p run performed.
-    pub reductions: usize,
-    /// How many unlucky primes [`FpBasis::compute`] rotated past before this
-    /// basis's prime was accepted.
-    pub rotations: usize,
-}
-
-impl FpBasis {
-    /// Computes the mod-p reduced basis for one specific prime, failing fast
-    /// with [`UnluckyPrime`] when the generators have no clean image.
-    pub fn with_prime(
-        prime: u64,
-        generators: &[Poly],
-        order: &MonomialOrder,
-        options: &GroebnerOptions,
-    ) -> Result<FpBasis, UnluckyPrime> {
-        let field = Fp64::new(prime);
-        let mut lgens = Vec::with_capacity(generators.len());
-        for g in generators.iter().filter(|g| !g.is_zero()) {
-            lgens.push(localize_generator(&field, g, order)?);
-        }
-        let core = crate::flat::buchberger_fp(&field, &lgens, order, options);
-        let prepared = core
-            .polys
-            .into_iter()
-            .map(|p| CPrepared::new(p, order).expect("reduced basis elements are nonzero"))
-            .collect();
-        Ok(FpBasis {
-            field,
-            order: order.clone(),
-            prepared,
-            complete: core.complete,
-            reductions: core.reductions,
-            rotations: 0,
-        })
-    }
-
-    /// Computes a mod-p basis under the first prime of the deterministic
-    /// [`PrimeIterator`] sequence that is not unlucky for these generators,
-    /// recording how many primes were rotated past. `None` when
-    /// [`MAX_PRIME_ROTATIONS`] consecutive primes were all unlucky.
-    pub fn compute(
-        generators: &[Poly],
-        order: &MonomialOrder,
-        options: &GroebnerOptions,
-    ) -> Option<FpBasis> {
-        for (rotations, prime) in PrimeIterator::new().take(MAX_PRIME_ROTATIONS).enumerate() {
-            if let Ok(mut basis) = Self::with_prime(prime, generators, order, options) {
-                basis.rotations = rotations;
-                return Some(basis);
-            }
-        }
-        None
-    }
-
-    /// The prime this basis was computed under.
-    pub fn prime(&self) -> u64 {
-        self.field.modulus()
-    }
-
-    /// The basis elements' leading monomials, in basis order (descending).
-    /// For a lucky prime these coincide with the exact ℚ basis's leading
-    /// monomials — the differential tests pin this down.
-    pub fn leading_monomials(&self) -> Vec<Monomial> {
-        self.prepared.iter().map(|d| d.lm.clone()).collect()
-    }
-
-    /// Number of basis elements.
-    pub fn len(&self) -> usize {
-        self.prepared.len()
-    }
-
-    /// Whether the basis is empty (zero ideal).
-    pub fn is_empty(&self) -> bool {
-        self.prepared.is_empty()
-    }
-
-    /// Normal form of `f`'s image mod p; `None` when p divides one of `f`'s
-    /// denominators (the image is undefined — not an unlucky prime for the
-    /// *ideal*, just an unanswerable query).
-    pub fn normal_form(&self, f: &Poly) -> Option<CPoly<Fp64>> {
-        let lf = localize_target(&self.field, f)?;
-        Some(normal_form_in(
-            &self.field,
-            lf,
-            &self.prepared,
-            &self.order,
-            None,
-        ))
-    }
-
-    /// Whether `f`'s image reduces to zero modulo this basis. `Some(false)`
-    /// from a [`FpBasis::complete`] basis certifies `f` is not in the exact
-    /// ideal *provided the prime is lucky for the membership witness* — see
-    /// the module docs for why callers must treat it as a hint.
-    pub fn reduces_to_zero(&self, f: &Poly) -> Option<bool> {
-        self.normal_form(f).map(|r| r.is_zero())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use symmap_numeric::fp64::PRIME_SEED;
-
-    fn p(s: &str) -> Poly {
-        Poly::parse(s).unwrap()
-    }
+    use crate::monomial::Monomial;
+    use crate::var::Var;
+    use symmap_numeric::PrimeIterator;
 
     fn first_primes(n: usize) -> Vec<u64> {
         PrimeIterator::new().take(n).collect()
     }
 
-    #[test]
-    fn fp_basis_matches_exact_leading_monomials_on_the_circle_system() {
-        let gens = [p("x^2 + y^2 + z^2 - 1"), p("x*y - z"), p("x - y + z^2")];
-        let order = MonomialOrder::grevlex(&["x", "y", "z"]);
-        let options = GroebnerOptions::default();
-        let exact = crate::groebner::buchberger(&gens, &order, &options);
-        let exact_lms: Vec<Monomial> = exact
-            .polys()
-            .iter()
-            .map(|g| g.leading_monomial(&order).unwrap())
-            .collect();
-        let fp = FpBasis::compute(&gens, &order, &options).unwrap();
-        assert!(fp.complete);
-        assert_eq!(fp.rotations, 0);
-        assert_eq!(fp.prime(), PRIME_SEED - 56);
-        assert_eq!(fp.leading_monomials(), exact_lms);
-        // Membership transfers: each exact basis element reduces to zero.
-        for g in exact.polys() {
-            assert_eq!(fp.reduces_to_zero(g), Some(true));
+    /// The first prime of the sequence for which `g` localizes, with the
+    /// rejections of the primes before it.
+    fn first_lucky(g: &Poly, order: &MonomialOrder) -> (u64, Vec<UnluckyPrime>) {
+        let mut rejected = Vec::new();
+        for prime in PrimeIterator::new().take(MAX_PRIME_ROTATIONS) {
+            match localize_generator(&Fp64::new(prime), g, order) {
+                Ok(_) => return (prime, rejected),
+                Err(why) => rejected.push(why),
+            }
         }
-        // And x (clearly not in the ideal) does not.
-        assert_eq!(fp.reduces_to_zero(&p("x")), Some(false));
+        panic!("every prime was unlucky")
     }
 
     #[test]
@@ -306,15 +145,10 @@ mod tests {
             Rational::new(1, primes[0] as i64),
         )]));
         let order = MonomialOrder::lex(&["x", "y"]);
-        let options = GroebnerOptions::default();
         assert_eq!(
-            FpBasis::with_prime(primes[0], std::slice::from_ref(&unlucky), &order, &options)
-                .unwrap_err(),
-            UnluckyPrime::Denominator
+            first_lucky(&unlucky, &order),
+            (primes[1], vec![UnluckyPrime::Denominator])
         );
-        let fp = FpBasis::compute(&[unlucky], &order, &options).unwrap();
-        assert_eq!(fp.rotations, 1);
-        assert_eq!(fp.prime(), primes[1]);
     }
 
     #[test]
@@ -323,41 +157,31 @@ mod tests {
         // p * x^2 - y: the seed prime kills the leading coefficient.
         let unlucky = Poly::from_terms([
             (
-                Monomial::from_pairs(&[(crate::var::Var::new("x"), 2)]),
+                Monomial::from_pairs(&[(Var::new("x"), 2)]),
                 Rational::from(primes[0] as i64),
             ),
             (
-                Monomial::from_pairs(&[(crate::var::Var::new("y"), 1)]),
+                Monomial::from_pairs(&[(Var::new("y"), 1)]),
                 Rational::from(-1),
             ),
         ]);
         let order = MonomialOrder::lex(&["x", "y"]);
-        let options = GroebnerOptions::default();
         assert_eq!(
-            FpBasis::with_prime(primes[0], std::slice::from_ref(&unlucky), &order, &options)
-                .unwrap_err(),
-            UnluckyPrime::LeadingCoefficient
+            first_lucky(&unlucky, &order),
+            (primes[1], vec![UnluckyPrime::LeadingCoefficient])
         );
-        let fp = FpBasis::compute(&[unlucky], &order, &options).unwrap();
-        assert_eq!(fp.rotations, 1);
-        assert_eq!(fp.prime(), primes[1]);
-    }
-
-    #[test]
-    fn target_leading_vanish_is_not_unlucky() {
-        let primes = first_primes(1);
-        let gens = [p("x^2 - y")];
-        let order = MonomialOrder::lex(&["x", "y"]);
-        let fp =
-            FpBasis::with_prime(primes[0], &gens, &order, &GroebnerOptions::default()).unwrap();
-        // p*x vanishes entirely mod p — a legal image that reduces to zero.
-        let target = Poly::from_terms([(
-            Monomial::from_pairs(&[(crate::var::Var::new("x"), 1)]),
-            Rational::from(primes[0] as i64),
-        )]);
-        assert_eq!(fp.reduces_to_zero(&target), Some(true));
-        // A denominator of p makes the query unanswerable, not unlucky.
-        let bad = Poly::from_terms([(Monomial::one(), Rational::new(1, primes[0] as i64))]);
-        assert_eq!(fp.reduces_to_zero(&bad), None);
+        // A vanishing trailing coefficient is a legal image, not unlucky.
+        let trailing = Poly::from_terms([
+            (
+                Monomial::from_pairs(&[(Var::new("x"), 2)]),
+                Rational::from(1),
+            ),
+            (
+                Monomial::from_pairs(&[(Var::new("y"), 1)]),
+                Rational::from(primes[0] as i64),
+            ),
+        ]);
+        let image = localize_generator(&Fp64::new(primes[0]), &trailing, &order).unwrap();
+        assert_eq!(image.num_terms(), 1);
     }
 }

@@ -2,9 +2,9 @@
 //! with a CRT + rational-reconstruction lift verified over ℚ.
 //!
 //! The exact-ℚ Buchberger run pays for coefficient growth; the identical
-//! run over ℤ/p does not (the `modular_prefilter` bench measures about 34×
-//! on the katsura-3 coefficient-growth regime). This module makes the
-//! cheap run *authoritative* instead of advisory:
+//! run over ℤ/p does not (one prime's run measured about 34× cheaper on the
+//! katsura-3 coefficient-growth regime). This module makes the cheap run
+//! authoritative:
 //!
 //! 1. **Images.** Compute the reduced Gröbner basis of the localized
 //!    generators modulo successive primes of the deterministic
@@ -295,7 +295,7 @@ pub fn multimodular_basis(
 ///
 /// `max_images` bounds the number of *accepted* images; localization
 /// rejections additionally consume at most [`MAX_PRIME_ROTATIONS`] extra
-/// draws, mirroring the prefilter's rotation bound. A `None` basis in the
+/// draws. A `None` basis in the
 /// returned [`LiftOutcome`] means "fall back to the exact engine".
 pub fn multimodular_basis_with_primes(
     generators: &[Poly],

@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 use std::hash::Hash;
 
 use crate::error::AlgebraError;
-use crate::groebner::{buchberger, GroebnerOptions, ProbeVerdict, SharedGroebnerCache};
+use crate::groebner::{buchberger, GroebnerOptions, SharedGroebnerCache};
 use crate::ordering::MonomialOrder;
 use crate::poly::Poly;
 use crate::var::{Var, VarSet};
@@ -315,13 +315,12 @@ pub fn simplify_generators<G: Borrow<Poly> + Hash>(
             reductions: 0,
         };
     }
-    reduce_cached(
-        target,
-        generators,
-        &MonomialOrder::Lex(order),
-        options,
-        cache,
-    )
+    let gb = cache.basis(generators, &MonomialOrder::Lex(order), options);
+    Simplification {
+        result: gb.reduce(target),
+        complete: gb.complete,
+        reductions: gb.reductions,
+    }
 }
 
 /// The complete precedence for a name-listed order: the listed names first,
@@ -354,33 +353,6 @@ fn simplify_impl(
             }
         }
     })
-}
-
-/// Reduces `target` modulo the cached basis of a nonempty generator list.
-fn reduce_cached<G: Borrow<Poly> + Hash>(
-    target: &Poly,
-    generators: &[G],
-    order: &MonomialOrder,
-    options: &GroebnerOptions,
-    cache: &SharedGroebnerCache,
-) -> Simplification {
-    // Membership prefilter: a no-op unless the cache was built with
-    // `CacheConfig::modular_prefilter`. An *advisory* (mod-p) verdict
-    // only feeds the probe counters — the exact reduction below runs
-    // and decides. A *certified* membership verdict came from the
-    // resident exact basis, so the zero normal form is already
-    // proven and re-reducing over ℚ would only reproduce it.
-    let verdict = cache.probe_membership_verdict(generators, order, options, target);
-    let gb = cache.basis(generators, order, options);
-    let result = match verdict {
-        Some(ProbeVerdict::Certified(true)) => Poly::zero(),
-        _ => gb.reduce(target),
-    };
-    Simplification {
-        result,
-        complete: gb.complete,
-        reductions: gb.reductions,
-    }
 }
 
 /// Default variable order for a simplification, given the target's

@@ -138,8 +138,8 @@ fn unlucky_leading_prime_is_outvoted_and_the_lift_recovers() {
 }
 
 /// A localization-rejecting prime (denominator divisible by the planted
-/// prime) is skipped by rotation, exactly like the prefilter's rotation
-/// path, and the lift proceeds on the remaining primes.
+/// prime) is skipped by rotation, and the lift proceeds on the remaining
+/// primes.
 #[test]
 fn localization_rejected_prime_is_rotated_past() {
     let gens = [p("x^2 - 1/3*y"), p("y^2 - 1")];

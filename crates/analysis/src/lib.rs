@@ -2,7 +2,7 @@
 //!
 //! The repo's load-bearing guarantee is the determinism policy (DESIGN.md):
 //! mapping output is byte-identical at any worker count, cache shape, or
-//! prefilter setting. That guarantee is enforced by two complementary
+//! trace setting. That guarantee is enforced by two complementary
 //! subsystems in this crate, neither of which depends on anything outside
 //! the standard library (consistent with the vendored-offline build):
 //!

@@ -1,8 +1,7 @@
 //! Model of the shared Gröbner cache's compute-outside-lock / adopt-winner
 //! shard protocol. Its sites in `crates/algebra/src/groebner.rs`:
 //!
-//! * the basis layers: `SharedGroebnerCache::basis`, `local_basis` and
-//!   `fp_basis_for`;
+//! * the basis layers: `SharedGroebnerCache::basis` and `local_basis`;
 //! * the guidance layer: `SharedGroebnerCache::guidance`;
 //! * the per-basis normal-form memo: `GroebnerBasis::reduce`, through
 //!   `NfMemo::get` (step 1) and `FifoMemo::publish` (step 3).

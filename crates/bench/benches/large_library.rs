@@ -7,9 +7,9 @@
 //! paper: when the library aggregates many subsystems' catalogs, the
 //! per-element scan pays `Poly::vars()` (a sort plus a set build) for every
 //! element on every mapping call, while the index answers the same question
-//! with one mask test per support-homogeneous shard. Both paths return the
-//! same candidates in the same order, so the mapped solutions are
-//! byte-identical — asserted here before anything is timed.
+//! with one mask test per support-homogeneous shard. Both return the same
+//! candidates in the same order — asserted here before anything is timed —
+//! and the mapper is deterministic given its candidate list.
 //!
 //! Quick mode (`SYMMAP_QUICK=1`) additionally enforces the regression floor
 //! (index ≥ 5× faster than the legacy scan at ≈1024 elements), appends the
@@ -22,7 +22,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use symmap_algebra::fingerprint::PolyFingerprint;
 use symmap_algebra::poly::Poly;
 use symmap_bench::mp3_kernel_jobs;
-use symmap_engine::{EngineConfig, MapJob, MapperConfig, MappingEngine};
+use symmap_engine::MapperConfig;
 use symmap_libchar::synthetic::synthetic_large_library;
 use symmap_libchar::{Library, LibraryElement};
 use symmap_platform::machine::Badge4;
@@ -31,15 +31,9 @@ use symmap_platform::machine::Badge4;
 /// catalog replicated onto 11 and 46 disjoint variable pools).
 const SCALES: [(&str, usize); 2] = [("256", 11), ("1024", 46)];
 
-fn config(index: bool) -> MapperConfig {
-    MapperConfig {
-        use_fingerprint_index: index,
-        ..MapperConfig::default()
-    }
-}
-
-/// The legacy candidate scan, verbatim from the mapper's ablation path:
-/// support-intersection via `Poly::vars()` over every element, per call.
+/// The legacy candidate scan, verbatim from the mapper's former full-scan
+/// path: support-intersection via `Poly::vars()` over every element, per
+/// call.
 fn legacy_scan<'a>(library: &'a Library, target: &Poly) -> Vec<&'a LibraryElement> {
     let tvars = target.vars();
     library
@@ -48,31 +42,42 @@ fn legacy_scan<'a>(library: &'a Library, target: &Poly) -> Vec<&'a LibraryElemen
         .collect()
 }
 
-/// Runs the full 11-kernel batch with the index on and off and asserts the
-/// outcomes are byte-identical. Returns `(rejected, kept, shards_skipped)`
-/// from the index-on run for the prune-metrics artifact.
-fn assert_identical_solutions(library: &Arc<Library>) -> (usize, usize, usize) {
-    let run = |index: bool| {
-        let jobs: Vec<MapJob> = mp3_kernel_jobs(library, &config(index));
-        MappingEngine::new(EngineConfig::default()).run(&jobs)
-    };
-    let on = run(true);
-    let off = run(false);
-    assert_eq!(
-        format!("{:?}", on.outcomes),
-        format!("{:?}", off.outcomes),
-        "fingerprint index changed the mapped solutions"
-    );
-    assert!(on.stats.index_kept > 0, "the index kept no candidates");
+/// The 11 MP3 kernel targets mapped against `library`.
+fn kernel_targets(library: &Arc<Library>) -> Vec<Poly> {
+    mp3_kernel_jobs(library, &MapperConfig::default())
+        .into_iter()
+        .map(|j| j.target)
+        .collect()
+}
+
+/// Asserts the index keeps exactly the legacy scan's candidates, in scan
+/// order, for every target. Returns the prune stats `(rejected, kept,
+/// shards_skipped)` summed over the targets — what one mapping batch
+/// records — for the prune-metrics artifact.
+fn assert_identical_candidates(library: &Library, targets: &[Poly]) -> (usize, usize, usize) {
+    let mut prune = (0, 0, 0);
+    for t in targets {
+        let scan = library.candidates(&PolyFingerprint::of(t));
+        let legacy = legacy_scan(library, t);
+        assert!(
+            scan.elements.len() == legacy.len()
+                && scan
+                    .elements
+                    .iter()
+                    .zip(&legacy)
+                    .all(|(a, b)| std::ptr::eq(*a, *b)),
+            "fingerprint index changed the candidate list"
+        );
+        prune.0 += scan.stats.rejected;
+        prune.1 += scan.stats.kept;
+        prune.2 += scan.stats.shards_skipped;
+    }
+    assert!(prune.1 > 0, "the index kept no candidates");
     assert!(
-        on.stats.index_rejected > on.stats.index_kept,
+        prune.0 > prune.1,
         "a redundant synthetic library should prune more than it keeps"
     );
-    (
-        on.stats.index_rejected,
-        on.stats.index_kept,
-        on.stats.index_shards_skipped,
-    )
+    prune
 }
 
 /// Writes the prune-rate metrics JSON CI uploads as an artifact. The path
@@ -118,7 +123,8 @@ fn bench(c: &mut Criterion) {
         let mut prune_rows = Vec::new();
         for (label, groups) in SCALES {
             let library = Arc::new(synthetic_large_library(&badge, groups));
-            let (rejected, kept, shards_skipped) = assert_identical_solutions(&library);
+            let targets = kernel_targets(&library);
+            let (rejected, kept, shards_skipped) = assert_identical_candidates(&library, &targets);
             prune_rows.push((
                 label.to_string(),
                 library.len(),
@@ -127,10 +133,6 @@ fn bench(c: &mut Criterion) {
                 shards_skipped,
             ));
 
-            let targets: Vec<Poly> = mp3_kernel_jobs(&library, &config(true))
-                .into_iter()
-                .map(|j| j.target)
-                .collect();
             let fps: Vec<PolyFingerprint> = targets.iter().map(PolyFingerprint::of).collect();
             // Warm steady state: the candidate scan runs once per mapping
             // call, so one iteration sweeps all 11 kernels.
@@ -187,11 +189,8 @@ fn bench(c: &mut Criterion) {
 
     for (label, groups) in SCALES {
         let library = Arc::new(synthetic_large_library(&badge, groups));
-        assert_identical_solutions(&library);
-        let targets: Vec<Poly> = mp3_kernel_jobs(&library, &config(true))
-            .into_iter()
-            .map(|j| j.target)
-            .collect();
+        let targets = kernel_targets(&library);
+        assert_identical_candidates(&library, &targets);
         let fps: Vec<PolyFingerprint> = targets.iter().map(PolyFingerprint::of).collect();
         c.bench_function(&format!("large_library/scan-{label}-index"), |b| {
             b.iter(|| {

@@ -1,11 +1,9 @@
 //! The multi-modular lift bench: the exact ℚ Buchberger run against the
 //! full verified lift (mod-p images → CRT → rational reconstruction →
-//! ℚ-verification) on the katsura-3 coefficient-growth ideal from the
-//! `modular_prefilter` bench, under lex and under grevlex.
+//! ℚ-verification) on the katsura-3 coefficient-growth ideal, under lex and
+//! under grevlex.
 //!
-//! Unlike the prefilter bench — which times a *bare* mod-p basis run and is
-//! only an advisory speed ceiling — this one times the whole primary
-//! compute path the cache now routes through when
+//! It times the whole primary compute path the cache routes through when
 //! `GroebnerOptions::multimodular` is set, verification included, and
 //! asserts its output byte-identical to the exact engine's under both
 //! orders. Grevlex exercises the flat image layout's order-sorted rows
@@ -27,9 +25,10 @@ fn p(s: &str) -> Poly {
     Poly::parse(s).unwrap()
 }
 
-/// The katsura-3 hard ideal (see `modular_prefilter.rs` for why): dense
-/// quadratics with a fractional constant under pure lex, the classic
-/// rational-coefficient-growth trigger the lift is built to bypass.
+/// The katsura-3 hard ideal: dense quadratics with a fractional constant
+/// under pure lex, the classic rational-coefficient-growth trigger the lift
+/// is built to bypass. Exact lex elimination on it produces rationals with
+/// hundreds of digits; mod p every coefficient stays in one machine word.
 fn hard_ideal() -> Vec<Poly> {
     vec![
         p("u0 + 2*u1 + 2*u2 + 2*u3 - 1/3"),

@@ -154,13 +154,6 @@ pub fn render_engine_stats(stats: &EngineStats) -> String {
         stats.cache_alpha_hits(),
         stats.cache_alpha_misses(),
     ));
-    if stats.fp_hits + stats.fp_rejects + stats.unlucky_primes + stats.fp_exact_reuse > 0 {
-        out.push_str(&format!(
-            "  modular prefilter: {} mod-p zero / {} mod-p nonzero probes, \
-             {} unlucky primes rotated, {} certified from resident exact bases\n",
-            stats.fp_hits, stats.fp_rejects, stats.unlucky_primes, stats.fp_exact_reuse,
-        ));
-    }
     if stats.lift_success + stats.lift_retry + stats.lift_fallback + stats.lift_bypass > 0 {
         out.push_str(&format!(
             "  multi-modular lift: {} verified lifts ({} prime images CRT-combined) / \

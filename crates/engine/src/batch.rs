@@ -57,9 +57,10 @@ pub struct EngineConfig {
     pub cache_shards: usize,
     /// Bounded capacity (in memoized bases) of the shared Gröbner cache.
     pub cache_capacity: usize,
-    /// Enables the cache's modular (ℤ/p) membership prefilter. Advisory in
-    /// this phase: mapper output is byte-identical with it on or off — the
-    /// probe only adds mod-p telemetry to [`EngineStats`].
+    /// Has no effect: nothing reads it. The advisory mod-p membership
+    /// prefilter it used to switch on is gone; the field stays only because
+    /// the frozen end-to-end benchmark still sets it, and is removed
+    /// together with that benchmark's pin.
     pub modular_prefilter: bool,
     /// Enables structured tracing for the batch: every run collects per-job
     /// and per-compute event streams plus a sched channel, returned as
@@ -73,16 +74,15 @@ impl Default for EngineConfig {
     /// One worker — the sequential path — unless the `SYMMAP_TEST_WORKERS`
     /// environment variable overrides it (CI sets it to 4 so the whole test
     /// suite exercises the parallel path; output is identical either way).
-    /// The modular prefilter is off unless `SYMMAP_TEST_MODULAR` enables it
-    /// the same way (CI runs the suite a third time with it on), and tracing
-    /// is off unless `SYMMAP_TEST_TRACE` enables it (a fifth CI pass).
+    /// Tracing is off unless `SYMMAP_TEST_TRACE` enables it the same way (a
+    /// fourth CI pass).
     fn default() -> Self {
         let cache = CacheConfig::default();
         EngineConfig {
             workers: workers_from_env().unwrap_or(1),
             cache_shards: cache.shards,
             cache_capacity: cache.capacity,
-            modular_prefilter: modular_from_env().unwrap_or(false),
+            modular_prefilter: false,
             trace: trace_from_env().unwrap_or(false),
         }
     }
@@ -94,7 +94,6 @@ impl EngineConfig {
         CacheConfig {
             shards: self.cache_shards,
             capacity: self.cache_capacity,
-            modular_prefilter: self.modular_prefilter,
         }
     }
 }
@@ -108,15 +107,6 @@ fn workers_from_env() -> Option<usize> {
         .parse()
         .ok()
         .filter(|&w| w >= 1)
-}
-
-fn modular_from_env() -> Option<bool> {
-    // lint:allow(D5): this IS the CI switch — the modular prefilter is an
-    // advisory cache prefilter and cannot change mapping output.
-    match std::env::var("SYMMAP_TEST_MODULAR").ok()?.trim() {
-        "" | "0" => Some(false),
-        _ => Some(true),
-    }
 }
 
 fn trace_from_env() -> Option<bool> {
@@ -191,20 +181,6 @@ pub struct EngineStats {
     /// was already memoized, so only a cheap globalization ran instead of a
     /// Buchberger computation.
     pub alpha: CacheStats,
-    /// Modular-prefilter probes during this batch whose target reduced to
-    /// zero mod p (membership *likely*; the exact run decides). Zero when
-    /// the prefilter is disabled.
-    pub fp_hits: usize,
-    /// Probes whose target had a nonzero normal form under a complete mod-p
-    /// basis (non-membership, confirmed by the exact run in this phase).
-    pub fp_rejects: usize,
-    /// Unlucky primes rotated past while computing mod-p bases this batch.
-    pub unlucky_primes: usize,
-    /// Probes answered *certified* from a resident exact basis this batch —
-    /// the prefilter reused the already-lifted basis shard instead of
-    /// localizing a fresh mod-p image (see
-    /// `SharedGroebnerCache::probe_membership_verdict`).
-    pub fp_exact_reuse: usize,
     /// Basis computations settled by the verified multi-modular lift this
     /// batch (no exact Buchberger run). Zero unless jobs carried
     /// `GroebnerOptions::multimodular`.
@@ -413,10 +389,6 @@ impl MappingEngine {
                 wall: start.elapsed(),
                 cache: CacheStats::from_snapshot(&delta, "cache"),
                 alpha: CacheStats::from_snapshot(&delta, "alpha"),
-                fp_hits: delta.counter("fp.hits") as usize,
-                fp_rejects: delta.counter("fp.rejects") as usize,
-                unlucky_primes: delta.counter("fp.unlucky_primes") as usize,
-                fp_exact_reuse: delta.counter("fp.exact_reuse") as usize,
                 lift_success: delta.counter("lift.success") as usize,
                 lift_retry: delta.counter("lift.retry") as usize,
                 lift_fallback: delta.counter("lift.fallback") as usize,

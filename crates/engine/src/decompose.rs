@@ -45,12 +45,6 @@ pub struct MapperConfig {
     /// Whether residual (unmapped) arithmetic runs in software floating point
     /// (true for the original double-precision code) or fixed point.
     pub float_residual: bool,
-    /// Select candidates through the library's fingerprint index (shard mask
-    /// tests) instead of scanning every element's polynomial. The surviving
-    /// candidate list is identical either way — same elements, same order;
-    /// the index only reaches "no shared variable" faster (see `DESIGN.md`
-    /// §9). Off only for ablation benches and paranoia suites.
-    pub use_fingerprint_index: bool,
     /// Options for the Gröbner-basis computations behind every candidate
     /// pricing (iteration bound, Buchberger criteria, pair-queue tiebreak).
     pub groebner: GroebnerOptions,
@@ -71,7 +65,6 @@ impl Default for MapperConfig {
             use_bounding: true,
             use_guidance: true,
             float_residual: true,
-            use_fingerprint_index: true,
             groebner: GroebnerOptions::default(),
             engine: EngineConfig::default(),
         }
@@ -157,7 +150,7 @@ impl Mapper {
     pub fn map_polynomial(&self, target: &Poly) -> Result<MappingSolution, CoreError> {
         let guidance = self.cache.guidance(target);
         let tvars = &guidance.vars;
-        let candidates = self.candidates(tvars, &guidance.fingerprint);
+        let candidates = self.candidates(&guidance.fingerprint);
         if candidates.is_empty() {
             return Err(CoreError::NoCandidateElements {
                 target: target.to_string(),
@@ -188,43 +181,35 @@ impl Mapper {
         Ok(best)
     }
 
-    /// Elements that share at least one variable with the target.
+    /// Elements that share at least one variable with the target, in
+    /// library insertion order.
     ///
-    /// The indexed path asks the library's shard index, which rejects on
-    /// support disjointness only — the one predicate this method has ever
-    /// filtered on, now answered per *shard* instead of per element. Both
-    /// paths produce the same elements in the same (insertion) order;
-    /// `use_fingerprint_index: false` keeps the legacy full scan alive for
-    /// ablation. Degree signatures deliberately take no part in rejection
-    /// here: a low-degree target can still be mapped through higher-degree
-    /// elements whose ideal cancels the excess (see `DESIGN.md` §9 for the
-    /// counterexample), so support disjointness is the only sound filter.
-    fn candidates(&self, tvars: &VarSet, tfp: &PolyFingerprint) -> Vec<&'_ LibraryElement> {
-        if self.config.use_fingerprint_index {
-            let scan = self.library.candidates(tfp);
-            // Deterministic per-job prune record (a pure function of target
-            // and library), plus scheduling-tolerant aggregate counters.
-            trace_event!(
-                "mapper.candidates",
-                shards_skipped = scan.stats.shards_skipped,
-                shards_scanned = scan.stats.shards_scanned,
-                rejected = scan.stats.rejected,
-                kept = scan.stats.kept,
-            );
-            let metrics = self.cache.metrics();
-            metrics
-                .counter("index.shards_skipped")
-                .add(scan.stats.shards_skipped as u64);
-            metrics
-                .counter("index.rejected")
-                .add(scan.stats.rejected as u64);
-            metrics.counter("index.kept").add(scan.stats.kept as u64);
-            return scan.elements;
-        }
-        self.library
-            .iter()
-            .filter(|e| e.polynomial().vars().iter().any(|v| tvars.contains(v)))
-            .collect()
+    /// The library's shard index rejects on support disjointness only, per
+    /// *shard* instead of per element. Degree signatures deliberately take
+    /// no part in rejection here: a low-degree target can still be mapped
+    /// through higher-degree elements whose ideal cancels the excess (see
+    /// `DESIGN.md` §9 for the counterexample), so support disjointness is
+    /// the only sound filter.
+    fn candidates(&self, tfp: &PolyFingerprint) -> Vec<&'_ LibraryElement> {
+        let scan = self.library.candidates(tfp);
+        // Deterministic per-job prune record (a pure function of target
+        // and library), plus scheduling-tolerant aggregate counters.
+        trace_event!(
+            "mapper.candidates",
+            shards_skipped = scan.stats.shards_skipped,
+            shards_scanned = scan.stats.shards_scanned,
+            rejected = scan.stats.rejected,
+            kept = scan.stats.kept,
+        );
+        let metrics = self.cache.metrics();
+        metrics
+            .counter("index.shards_skipped")
+            .add(scan.stats.shards_skipped as u64);
+        metrics
+            .counter("index.rejected")
+            .add(scan.stats.rejected as u64);
+        metrics.counter("index.kept").add(scan.stats.kept as u64);
+        scan.elements
     }
 
     /// Orders candidates using the factorization guideline: an element whose
@@ -736,21 +721,18 @@ mod tests {
             "q^2 + 1",
         ] {
             let t = p(target);
-            let on = Mapper::new(&lib, MapperConfig::default()).map_polynomial(&t);
-            let off = Mapper::new(
-                &lib,
-                MapperConfig {
-                    use_fingerprint_index: false,
-                    ..MapperConfig::default()
-                },
-            )
-            .map_polynomial(&t);
-            // Byte-identical outcomes, node counts included: the index must
-            // feed the search the exact candidate list the scan did.
-            assert_eq!(
-                format!("{on:?}"),
-                format!("{off:?}"),
-                "index changed the outcome for {target}"
+            let tvars = t.vars();
+            let scan: Vec<&LibraryElement> = lib
+                .iter()
+                .filter(|e| e.polynomial().vars().iter().any(|v| tvars.contains(v)))
+                .collect();
+            // The mapper is deterministic given its candidate list, so the
+            // index must hand it exactly the scan's elements, in scan order.
+            let indexed = lib.candidates(&PolyFingerprint::of(&t)).elements;
+            assert_eq!(indexed.len(), scan.len(), "candidate count for {target}");
+            assert!(
+                indexed.iter().zip(&scan).all(|(a, b)| std::ptr::eq(*a, *b)),
+                "index changed the candidate list for {target}"
             );
         }
     }
@@ -784,7 +766,7 @@ mod tests {
     impl<'m> Oracle<'m> {
         fn map(mapper: &'m Mapper, target: &'m Poly) -> Result<MappingSolution, CoreError> {
             let guidance = mapper.cache.guidance(target);
-            let candidates = mapper.candidates(&guidance.vars, &guidance.fingerprint);
+            let candidates = mapper.candidates(&guidance.fingerprint);
             if candidates.is_empty() {
                 return Err(CoreError::NoCandidateElements {
                     target: target.to_string(),

@@ -14,7 +14,7 @@
 //!   `finite_field.rs`.
 //! * [`PrimeIterator`] — a deterministic stream of 62-bit primes starting
 //!   from the fixed seed candidate [`PRIME_SEED`]. Determinism matters: the
-//!   modular prefilter rotates to the next prime when one turns out
+//!   multi-modular lift rotates to the next prime when one turns out
 //!   *unlucky* for an ideal (it divides a leading coefficient or a
 //!   denominator), and the chosen prime must be a pure function of the ideal
 //!   so that cached bases are scheduling-independent.
@@ -290,9 +290,9 @@ pub fn is_prime(n: u64) -> bool {
 }
 
 /// How many leading primes of the stream [`PrimeIterator`] serves from
-/// [`prime_table`]. The prime-rotation budgets of the fingerprint hash, the
-/// modular prefilter and the multi-modular lift are 16 primes each, so
-/// nearly every stream ends inside the table.
+/// [`prime_table`]. The prime-rotation budgets of the fingerprint hash and
+/// the multi-modular lift are 16 primes each, so nearly every stream ends
+/// inside the table.
 const PRIME_TABLE_LEN: usize = 32;
 
 /// Walks `candidate` downward by 2 to the next prime in the band, leaving it

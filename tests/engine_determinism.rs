@@ -1,9 +1,8 @@
 //! Differential test of the batch engine's determinism contract: mapping the
 //! full 11-kernel MP3 batch must produce byte-identical `MappingSolution`s
-//! at every worker count, across repeated runs, and with the modular (ℤ/p)
-//! prefilter on or off — scheduling nondeterminism may move work between
-//! threads and change cache *timing*, and the prefilter may add mod-p
-//! probes, but never results. (See `DESIGN.md` §5/§6 for why this holds.)
+//! at every worker count and across repeated runs — scheduling
+//! nondeterminism may move work between threads and change cache *timing*,
+//! but never results. (See `DESIGN.md` §5 for why this holds.)
 
 use std::sync::Arc;
 
@@ -12,14 +11,13 @@ use symmap::libchar::catalog;
 use symmap::platform::machine::Badge4;
 use symmap_bench::mp3_kernel_jobs;
 
-fn run_batch_debug_with(workers: usize, modular_prefilter: bool) -> String {
+fn run_batch_debug(workers: usize) -> String {
     let badge = Badge4::new();
     let library = Arc::new(catalog::full_catalog(&badge));
     let jobs = mp3_kernel_jobs(&library, &MapperConfig::default());
     assert_eq!(jobs.len(), 11);
     let engine = MappingEngine::new(EngineConfig {
         workers,
-        modular_prefilter,
         ..EngineConfig::default()
     });
     let batch = engine.run(&jobs);
@@ -28,12 +26,6 @@ fn run_batch_debug_with(workers: usize, modular_prefilter: bool) -> String {
     // rewrites, used elements, relations, costs, accuracy, node counts,
     // completeness), so equal strings mean byte-identical solutions.
     format!("{:?}", batch.outcomes)
-}
-
-fn run_batch_debug(workers: usize) -> String {
-    // Inherit the ambient default so the SYMMAP_TEST_MODULAR CI run also
-    // exercises these paths with the prefilter on.
-    run_batch_debug_with(workers, EngineConfig::default().modular_prefilter)
 }
 
 #[test]
@@ -46,46 +38,6 @@ fn mp3_kernel_batch_is_byte_identical_across_worker_counts() {
             "solutions diverged at {workers} workers"
         );
     }
-}
-
-#[test]
-fn mp3_kernel_batch_is_byte_identical_with_modular_prefilter_on_and_off() {
-    let reference = run_batch_debug_with(1, false);
-    for workers in [1, 2, 4, 8] {
-        for modular in [false, true] {
-            assert_eq!(
-                run_batch_debug_with(workers, modular),
-                reference,
-                "solutions diverged at {workers} workers, modular_prefilter={modular}"
-            );
-        }
-    }
-}
-
-#[test]
-fn modular_prefilter_probes_fire_on_the_mp3_batch() {
-    let badge = Badge4::new();
-    let library = Arc::new(catalog::full_catalog(&badge));
-    let jobs = mp3_kernel_jobs(&library, &MapperConfig::default());
-    let engine = MappingEngine::new(EngineConfig {
-        workers: 1,
-        modular_prefilter: true,
-        ..EngineConfig::default()
-    });
-    let batch = engine.run(&jobs);
-    // The mapper prices many candidate rewrites per kernel, so a real batch
-    // must generate mod-p probe traffic — otherwise the prefilter is wired
-    // to a dead path.
-    let stats = &batch.stats;
-    assert!(
-        stats.fp_hits + stats.fp_rejects > 0,
-        "no mod-p probes fired: fp_hits={} fp_rejects={} unlucky={}",
-        stats.fp_hits,
-        stats.fp_rejects,
-        stats.unlucky_primes
-    );
-    let rendered = symmap::core::report::render_engine_stats(stats);
-    assert!(rendered.contains("modular prefilter"), "{rendered}");
 }
 
 #[test]

@@ -26,7 +26,6 @@ const ALPHA_MISSES: usize = 6;
 fn engine_config() -> EngineConfig {
     EngineConfig {
         workers: 1,
-        modular_prefilter: false,
         trace: true,
         ..EngineConfig::default()
     }

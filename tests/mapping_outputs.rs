@@ -22,7 +22,6 @@ const FIXTURE: &str = include_str!("fixtures/mapping_outputs.txt");
 fn engine_config() -> EngineConfig {
     EngineConfig {
         workers: 1,
-        modular_prefilter: false,
         trace: true,
         ..EngineConfig::default()
     }
