@@ -30,17 +30,16 @@
 //!   before the engine runs, so every monomial operation costs the ideal's
 //!   variable count, never the process-wide interner width; conversions are
 //!   confined to the entry/exit boundary and the output is byte-identical to
-//!   the global-coordinate path (kept as [`buchberger_unringed`] for the
+//!   the exact engine run on global coordinates (the oracle of the
 //!   differential tests and the `wide_interner` bench).
 //! * **Shared memoization.** [`SharedGroebnerCache`] memoizes whole bases by
-//!   `(generators, order, options)` behind lock-striped shards with a bounded
-//!   FIFO capacity, so the mapper's branch-and-bound — and the batch engine's
-//!   worker threads — compute each side-relation basis once per process. A
-//!   second, ring-local layer shares one core computation between
-//!   α-equivalent requests (same ideal up to variable renaming). Each
-//!   cached basis memoizes its normal forms ([`GroebnerBasis::reduce`]),
-//!   and the cache memoizes every target's candidate guidance
-//!   ([`SharedGroebnerCache::guidance`]), so a batch derives neither twice.
+//!   `(generators, order, options)` in one table behind one lock, with a
+//!   bounded FIFO capacity, so the mapper's branch-and-bound — and the batch
+//!   engine's worker threads — compute each side-relation basis once per
+//!   process. Each cached basis memoizes its normal forms
+//!   ([`GroebnerBasis::reduce`]), and the cache memoizes every target's
+//!   candidate guidance ([`SharedGroebnerCache::guidance`]), so a batch
+//!   derives neither twice.
 
 use std::borrow::Borrow;
 use std::collections::hash_map::{DefaultHasher, Entry};
@@ -287,11 +286,10 @@ impl Clone for NfMemo {
 /// memoizes the result.
 #[derive(Debug, Clone)]
 pub struct GroebnerBasis {
-    /// Ring of the computation; `None` when `local_polys` already are in
-    /// global coordinates (the [`buchberger_unringed`] oracle path).
-    ring: Option<Ring>,
-    /// The (reduced, monic) basis in the computation's coordinates.
-    local_polys: Arc<[Poly]>,
+    /// Ring of the computation.
+    ring: Ring,
+    /// The (reduced, monic) basis in the ring's local coordinates.
+    local_polys: Vec<Poly>,
     /// Lazily globalized basis (untouched when the ring is the identity).
     global: OnceLock<Vec<Poly>>,
     /// Lazily prepared reduction state for [`GroebnerBasis::reduce`]'s
@@ -318,16 +316,15 @@ impl GroebnerBasis {
     /// memoized. Callers that only reduce modulo the basis never pay this —
     /// [`GroebnerBasis::reduce`] stays in local coordinates.
     pub fn polys(&self) -> &[Poly] {
-        match &self.ring {
-            None => &self.local_polys,
-            Some(ring) if ring.is_identity() => &self.local_polys,
-            Some(ring) => self.global.get_or_init(|| {
-                self.local_polys
-                    .iter()
-                    .map(|p| ring.globalize_poly(p))
-                    .collect()
-            }),
+        if self.ring.is_identity() {
+            return &self.local_polys;
         }
+        self.global.get_or_init(|| {
+            self.local_polys
+                .iter()
+                .map(|p| self.ring.globalize_poly(p))
+                .collect()
+        })
     }
 
     /// Normal form of `f` modulo this basis.
@@ -355,9 +352,7 @@ impl GroebnerBasis {
 
     /// [`GroebnerBasis::reduce`] without the memo.
     fn normal_form_of(&self, f: &Poly) -> Poly {
-        let Some(ring) = &self.ring else {
-            return normal_form(f, &self.local_polys, &self.order);
-        };
+        let ring = &self.ring;
         if ring.is_identity() {
             return normal_form(f, &self.local_polys, &self.order);
         }
@@ -406,13 +401,10 @@ impl GroebnerBasis {
 
 /// Basis data in whatever coordinate system the computation ran in — the
 /// ring-agnostic core result, wrapped into a [`GroebnerBasis`] (with the
-/// caller's order and global coordinates) at the ring boundary. Also the
-/// value memoized by the cache's ring-local (α-equivalence) layer.
+/// caller's order and global coordinates) at the ring boundary.
 #[derive(Debug)]
 struct CoreBasis {
-    /// `Arc`-shared so α-equivalent cache keys reference one copy instead of
-    /// each deep-cloning the basis (see `SharedGroebnerCache::basis`).
-    polys: Arc<[Poly]>,
+    polys: Vec<Poly>,
     complete: bool,
     reductions: usize,
     skipped_coprime: usize,
@@ -421,7 +413,7 @@ struct CoreBasis {
 
 /// The Buchberger engine proper. Coordinate-agnostic: generators and order
 /// merely have to agree on a coordinate system; [`buchberger`] feeds it
-/// ring-local data, the [`buchberger_unringed`] oracle feeds it global data.
+/// ring-local data, the differential tests' oracle feeds it global data.
 ///
 /// Since PR 6 this is a thin ℚ instantiation of the field-generic engine in
 /// [`crate::coeff`] (which ℤ/p shares — see [`crate::modular`]). The entry
@@ -444,7 +436,7 @@ fn buchberger_core(
         .map(|p| Poly::from_sorted_terms_unchecked(p.into_terms()))
         .collect();
     CoreBasis {
-        polys: polys.into(),
+        polys,
         complete: core.complete,
         reductions: core.reductions,
         skipped_coprime: core.skipped_coprime,
@@ -522,7 +514,7 @@ fn compute_core(
     };
     let core = match outcome.basis {
         Some(lifted) => CoreBasis {
-            polys: lifted.polys.into(),
+            polys: lifted.polys,
             complete: true,
             reductions: lifted.reductions,
             skipped_coprime: lifted.skipped_coprime,
@@ -535,9 +527,9 @@ fn compute_core(
 
 /// The ring-local canonical form of a basis request: the spanning [`Ring`]
 /// plus the generators and order rewritten into its local coordinates. Two
-/// requests with the same localized form are α-equivalent (identical up to a
-/// variable renaming) and have α-equivalent bases, which is what lets the
-/// cache share one core computation between them.
+/// requests with the same localized form are equal up to a variable renaming
+/// (or up to order entries outside the ideal's ring), so their bases are the
+/// same core computation under two renamings.
 fn ring_localized<G: Borrow<Poly>>(
     generators: &[G],
     order: &MonomialOrder,
@@ -558,15 +550,14 @@ fn ring_localized<G: Borrow<Poly>>(
 /// Wraps a core result (in `ring`'s local coordinates) into a lazily
 /// globalizing [`GroebnerBasis`] under the caller's order.
 fn basis_from_core(
-    local_polys: Arc<[Poly]>,
-    core: &CoreBasis,
+    core: CoreBasis,
     ring: Ring,
     order: &MonomialOrder,
     nf_counters: Option<NfCounters>,
 ) -> GroebnerBasis {
     GroebnerBasis {
-        ring: Some(ring),
-        local_polys,
+        ring,
+        local_polys: core.polys,
         global: OnceLock::new(),
         local_prepared: OnceLock::new(),
         nf_memo: NfMemo {
@@ -592,9 +583,9 @@ fn basis_from_core(
 /// costs `O(n)` — the ideal's variable count — independent of how many
 /// symbols the process-wide interner holds. The result is globalized at exit
 /// and is byte-identical to the global-coordinate path (differential-tested
-/// against [`buchberger_unringed`]); when the ring already coincides with
-/// the interner prefix (the mapper's intern-early profile) the conversions
-/// are skipped entirely.
+/// against the exact engine on global coordinates); when the ring already
+/// coincides with the interner prefix (the mapper's intern-early profile)
+/// the conversions are skipped entirely.
 pub fn buchberger(
     generators: &[Poly],
     order: &MonomialOrder,
@@ -602,38 +593,7 @@ pub fn buchberger(
 ) -> GroebnerBasis {
     let (ring, lgens, lorder) = ring_localized(generators, order);
     let (core, _lift) = compute_core(&lgens, &lorder, options);
-    basis_from_core(Arc::clone(&core.polys), &core, ring, order, None)
-}
-
-/// [`buchberger`] on **global** interner coordinates, with no ring boundary —
-/// the pre-ring code path, kept callable on purpose:
-///
-/// * the differential tests (`crates/bench/tests/ring_differential.rs`, the
-///   proptests below) assert its output is byte-identical to [`buchberger`]'s
-///   on every workload, which is the correctness argument for the ring layer;
-/// * the `wide_interner` bench measures it to demonstrate the
-///   interner-width-proportional cost the ring layer removes.
-///
-/// Never use it for real work: on late-interned variables every monomial
-/// operation pays the full interner width.
-pub fn buchberger_unringed(
-    generators: &[Poly],
-    order: &MonomialOrder,
-    options: &GroebnerOptions,
-) -> GroebnerBasis {
-    let (core, _lift) = compute_core(generators, order, options);
-    GroebnerBasis {
-        ring: None,
-        local_polys: core.polys,
-        global: OnceLock::new(),
-        local_prepared: OnceLock::new(),
-        nf_memo: NfMemo::default(),
-        order: order.clone(),
-        complete: core.complete,
-        reductions: core.reductions,
-        skipped_coprime: core.skipped_coprime,
-        skipped_chain: core.skipped_chain,
-    }
+    basis_from_core(core, ring, order, None)
 }
 
 /// Computes a Gröbner basis with default options.
@@ -641,35 +601,26 @@ pub fn groebner_basis(generators: &[Poly], order: &MonomialOrder) -> GroebnerBas
     buchberger(generators, order, &GroebnerOptions::default())
 }
 
-/// Sizing of a [`SharedGroebnerCache`]: lock shards and bounded capacity.
+/// Sizing of a [`SharedGroebnerCache`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Number of independently locked shards. More shards mean less lock
-    /// contention between worker threads whose lookups hash to different
-    /// shards; one shard degenerates to a single-mutex cache.
-    pub shards: usize,
-    /// Total bounded capacity in memoized bases, split evenly across shards.
-    /// When a shard exceeds its slice, its oldest *inserted* entry is evicted
-    /// (deterministic insertion-order eviction).
+    /// Bounded capacity in memoized bases. Past it, the oldest *inserted*
+    /// entry is evicted (deterministic insertion-order eviction).
     pub capacity: usize,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        CacheConfig {
-            shards: 8,
-            capacity: 4096,
-        }
+        CacheConfig { capacity: 4096 }
     }
 }
 
-/// Counters of one cache layer, totalled over its shards: a readout of the
-/// registry metrics `cache.{hits,misses,evictions,len}` (the global layer)
-/// or `alpha.*` (the ring-local layer). Per-batch windows come from
+/// The basis table's counters: a readout of the registry metrics
+/// `cache.{hits,misses,evictions,len}`. Per-batch windows come from
 /// [`MetricsSnapshot::delta_since`](symmap_trace::MetricsSnapshot::delta_since).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from the layer.
+    /// Lookups answered from the cache.
     pub hits: usize,
     /// Lookups that computed a fresh entry.
     pub misses: usize,
@@ -680,81 +631,14 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// The totals of the layer whose metrics are named `{family}.*` in
-    /// `snapshot` (`len` is the gauge's level; the rest are counters).
-    pub fn from_snapshot(snapshot: &symmap_trace::MetricsSnapshot, family: &str) -> Self {
+    /// The `cache.*` totals in `snapshot` (`len` is the gauge's level; the
+    /// rest are counters).
+    pub fn from_snapshot(snapshot: &symmap_trace::MetricsSnapshot) -> Self {
         CacheStats {
-            hits: snapshot.counter(&format!("{family}.hits")) as usize,
-            misses: snapshot.counter(&format!("{family}.misses")) as usize,
-            evictions: snapshot.counter(&format!("{family}.evictions")) as usize,
-            len: snapshot.gauge(&format!("{family}.len")) as usize,
-        }
-    }
-}
-
-/// Registry handles of one cache layer's totals, shared by all its shards.
-#[derive(Debug, Clone)]
-struct LayerCounters {
-    hits: Counter,
-    misses: Counter,
-    evictions: Counter,
-    len: Gauge,
-}
-
-impl LayerCounters {
-    fn new(metrics: &MetricsRegistry, family: &str) -> Self {
-        LayerCounters {
-            hits: metrics.counter(&format!("{family}.hits")),
-            misses: metrics.counter(&format!("{family}.misses")),
-            evictions: metrics.counter(&format!("{family}.evictions")),
-            len: metrics.gauge(&format!("{family}.len")),
-        }
-    }
-
-    fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.get() as usize,
-            misses: self.misses.get() as usize,
-            evictions: self.evictions.get() as usize,
-            len: self.len.get() as usize,
-        }
-    }
-}
-
-// Determinism audit (rule D1, symmap-lint): the cache layers below keep
-// their entries in HashMaps, which is safe ONLY because no code path ever
-// iterates them — every access is a point lookup (`get`/`entry`/`remove`)
-// keyed by a key id or an owned `LocalKey`. Eviction order comes from the
-// FIFO `queue: VecDeque<…>` (front = victim), never from map iteration;
-// aggregate stats are registry totals. The same holds for `FifoMemo` (the
-// normal-form memo and the guidance layer). Anyone adding a render/debug
-// path that walks `entries` must sort the keys first or switch the layer to
-// a BTreeMap.
-/// Key of the ring-local (α-equivalence) layer: the localized order and
-/// generators of [`ring_localized`] plus the options. Two global keys that
-/// differ only by a variable renaming (or by order entries outside the
-/// ideal's ring — e.g. target-only variables in the mapper's default orders)
-/// collapse onto one local key.
-type LocalKey = (MonomialOrder, GroebnerOptions, Vec<Poly>);
-
-/// One lock-striped slice of the ring-local layer: localized key → core
-/// basis (in local coordinates), FIFO-bounded like the global layer. Its
-/// `stats.hits` are the *α-hits*: lookups whose global key was never seen
-/// but whose ring-local form was.
-#[derive(Debug, Default)]
-struct LocalShard {
-    entries: HashMap<LocalKey, Arc<CoreBasis>>,
-    queue: VecDeque<LocalKey>,
-}
-
-impl LocalShard {
-    fn evict_oldest(&mut self, counters: &LayerCounters) {
-        if let Some(key) = self.queue.pop_front() {
-            if self.entries.remove(&key).is_some() {
-                counters.evictions.inc();
-                counters.len.add(-1);
-                trace_sched!("cache.alpha.evict");
-            }
+            hits: snapshot.counter("cache.hits") as usize,
+            misses: snapshot.counter("cache.misses") as usize,
+            evictions: snapshot.counter("cache.evictions") as usize,
+            len: snapshot.gauge("cache.len") as usize,
         }
     }
 }
@@ -783,7 +667,7 @@ pub struct LiftStats {
     pub crt_primes_used: usize,
 }
 
-/// One memoized basis of the global layer, with the request it answers.
+/// One memoized basis, with the request it answers.
 #[derive(Debug)]
 struct CacheEntry {
     order: MonomialOrder,
@@ -810,21 +694,29 @@ impl CacheEntry {
     }
 }
 
-/// One lock-striped slice of the cache.
+// Determinism audit (rule D1, symmap-lint): the basis table keeps its
+// entries in a HashMap, which is safe ONLY because no code path ever
+// iterates it — every access is a point lookup (`get`/`entry`) keyed by a
+// key id. Eviction order comes from the FIFO `queue: VecDeque<…>` (front =
+// victim), never from map iteration; aggregate stats are registry totals.
+// The same holds for `FifoMemo` (the normal-form memo and the guidance
+// layer). Anyone adding a render/debug path that walks `entries` must sort
+// the keys first or switch the table to a BTreeMap.
+/// The cache's basis table.
 #[derive(Debug, Default)]
-struct CacheShard {
+struct BasisTable {
     /// [`global_key_id`] → the entries whose request hashes to it, compared
     /// by equality. The id is computed once per request (it is also the
-    /// trace marker and the shard selector), so a lookup hashes nothing
-    /// again and a hit allocates and clones nothing.
+    /// trace marker), so a lookup hashes nothing again and a hit allocates
+    /// and clones nothing.
     entries: HashMap<u64, Vec<CacheEntry>, BuildHasherDefault<WordHasher>>,
     /// Key ids and bases in insertion order; the front is the eviction
     /// victim, found in its bucket by pointer. Inserts and removals are 1:1
-    /// with the queue, so `queue.len()` *is* the shard length.
+    /// with the queue, so `queue.len()` *is* the table length.
     queue: VecDeque<(u64, Arc<GroebnerBasis>)>,
 }
 
-impl CacheShard {
+impl BasisTable {
     fn lookup<G: Borrow<Poly>>(
         &self,
         key_id: u64,
@@ -839,7 +731,8 @@ impl CacheShard {
             .map(|e| &e.basis)
     }
 
-    fn evict_oldest(&mut self, counters: &LayerCounters) {
+    /// Removes the oldest inserted entry, if any.
+    fn evict_oldest(&mut self) {
         let Some((key_id, basis)) = self.queue.pop_front() else {
             return;
         };
@@ -848,15 +741,12 @@ impl CacheShard {
             if bucket.get().is_empty() {
                 bucket.remove();
             }
-            counters.evictions.inc();
-            counters.len.add(-1);
-            trace_sched!("cache.evict");
         }
     }
 }
 
-/// A sharded, thread-safe, capacity-bounded memoization layer over
-/// [`buchberger`], keyed by `(generators, order, options)`.
+/// A thread-safe, capacity-bounded memoization layer over [`buchberger`],
+/// keyed by `(generators, order, options)`.
 ///
 /// The mapper's branch-and-bound search and the optimization pipeline price
 /// many candidate element subsets, and distinct targets (or repeated pipeline
@@ -867,37 +757,32 @@ impl CacheShard {
 ///
 /// # Concurrency
 ///
-/// Entries are striped over [`CacheConfig::shards`] independently locked
-/// shards; the shard of a key is a deterministic (fixed-seed) hash of the
-/// key, so the same request always lands on the same shard. A miss computes
-/// the basis *outside* the shard lock — colliding lookups proceed, and two
-/// threads racing on one key both compute the same pure value (the loser
-/// adopts the winner's entry, so at most one copy is retained). Counter
-/// totals under concurrency are therefore timing-dependent, but cached
-/// *values* never are: a basis is a pure function of its key, which is what
-/// makes the batch engine's output independent of the worker count.
+/// Entries live in one table behind one lock. A miss computes the basis
+/// *outside* the lock — other lookups proceed, and two threads racing on one
+/// key both compute the same pure value (the loser adopts the winner's
+/// entry, so at most one copy is retained). Counter totals under
+/// concurrency are therefore timing-dependent, but cached *values* never
+/// are: a basis is a pure function of its key, which is what makes the
+/// batch engine's output independent of the worker count.
 ///
 /// # Eviction
 ///
-/// Capacity is bounded ([`CacheConfig::capacity`], split across shards).
-/// When a shard overflows, its oldest inserted entry is evicted first —
-/// deterministic insertion-order (FIFO) eviction, so a long-lived engine's
-/// memory stays bounded without any clock- or randomness-dependent policy.
+/// Capacity is bounded ([`CacheConfig::capacity`]). When the table
+/// overflows, its oldest inserted entry is evicted first — deterministic
+/// insertion-order (FIFO) eviction, so a long-lived engine's memory stays
+/// bounded without any clock- or randomness-dependent policy.
 #[derive(Debug)]
 pub struct SharedGroebnerCache {
-    shards: Box<[Mutex<CacheShard>]>,
-    /// The ring-local (α-equivalence) layer, striped independently of the
-    /// global layer because α-equivalent global keys hash to unrelated
-    /// global shards.
-    local_shards: Box<[Mutex<LocalShard>]>,
+    table: Mutex<BasisTable>,
     /// The unified registry every counter below registers into. The batch
     /// engine snapshots this registry before/after a run and reports the
     /// delta — there is no second stats bookkeeping path.
     metrics: Arc<MetricsRegistry>,
-    /// Totals of the global layer (`cache.*`) and the ring-local layer
-    /// (`alpha.*`) over all their shards.
-    global_counters: LayerCounters,
-    alpha_counters: LayerCounters,
+    /// The basis table's totals (`cache.*`).
+    hits: Counter,
+    misses: Counter,
+    evictions: Counter,
+    len: Gauge,
     lift_success: Counter,
     lift_retry: Counter,
     lift_fallback: Counter,
@@ -909,12 +794,11 @@ pub struct SharedGroebnerCache {
     /// hits and misses on.
     nf_counters: NfCounters,
     /// The guidance layer ([`SharedGroebnerCache::guidance`]): target →
-    /// candidate guidance, FIFO-bounded by [`CacheConfig::capacity`]. One
-    /// lock, not shards: it is consulted once per job.
+    /// candidate guidance, FIFO-bounded by [`CacheConfig::capacity`].
     guidance: Mutex<FifoMemo<Arc<TargetGuidance>>>,
     guidance_hits: Counter,
     guidance_misses: Counter,
-    per_shard_capacity: usize,
+    capacity: usize,
 }
 
 impl Default for SharedGroebnerCache {
@@ -936,23 +820,21 @@ fn _assert_send_sync() {
 }
 
 impl SharedGroebnerCache {
-    /// Creates an empty cache with the default sharding and capacity.
+    /// Creates an empty cache with the default capacity.
     pub fn new() -> Self {
         SharedGroebnerCache::with_config(CacheConfig::default())
     }
 
-    /// Creates an empty cache with explicit sharding and capacity. Shard
-    /// count is clamped to at least 1 and capacity to at least one entry per
-    /// shard.
+    /// Creates an empty cache with an explicit capacity, clamped to at least
+    /// one entry.
     pub fn with_config(config: CacheConfig) -> Self {
-        let shards = config.shards.max(1);
-        let per_shard_capacity = config.capacity.max(shards).div_ceil(shards);
         let metrics = Arc::new(MetricsRegistry::new());
         SharedGroebnerCache {
-            shards: (0..shards).map(|_| Mutex::default()).collect(),
-            local_shards: (0..shards).map(|_| Mutex::default()).collect(),
-            global_counters: LayerCounters::new(&metrics, "cache"),
-            alpha_counters: LayerCounters::new(&metrics, "alpha"),
+            table: Mutex::default(),
+            hits: metrics.counter("cache.hits"),
+            misses: metrics.counter("cache.misses"),
+            evictions: metrics.counter("cache.evictions"),
+            len: metrics.gauge("cache.len"),
             lift_success: metrics.counter("lift.success"),
             lift_retry: metrics.counter("lift.retry"),
             lift_fallback: metrics.counter("lift.fallback"),
@@ -967,7 +849,7 @@ impl SharedGroebnerCache {
             guidance_hits: metrics.counter("guidance.hits"),
             guidance_misses: metrics.counter("guidance.misses"),
             metrics,
-            per_shard_capacity,
+            capacity: config.capacity.max(1),
         }
     }
 
@@ -983,47 +865,27 @@ impl SharedGroebnerCache {
         self.metrics.snapshot()
     }
 
-    /// The shard a key lives in, by its [`global_key_id`]: a fixed-seed
-    /// hash, so shard assignment is reproducible across runs (eviction
-    /// behavior at `workers = 1` is a deterministic function of the request
-    /// sequence).
-    fn shard_for(&self, key_id: u64) -> &Mutex<CacheShard> {
-        &self.shards[(key_id % self.shards.len() as u64) as usize]
-    }
-
-    /// The ring-local shard a localized key lives in (same fixed-seed
-    /// hashing discipline as [`SharedGroebnerCache::shard_for`]).
-    fn local_shard_for(&self, key: &LocalKey) -> &Mutex<LocalShard> {
-        &self.local_shards[(local_key_id(key) % self.local_shards.len() as u64) as usize]
-    }
-
-    /// Returns the memoized core basis of a ring-local canonical form,
-    /// computing and inserting it on first use. The compute happens outside
-    /// the shard lock; a lost key race adopts the winner's entry.
-    fn local_basis(&self, key: LocalKey, options: &GroebnerOptions) -> Arc<CoreBasis> {
-        let shard = self.local_shard_for(&key);
-        {
-            let locked = shard.lock();
-            if let Some(hit) = locked.entries.get(&key) {
-                let hit = Arc::clone(hit);
-                self.alpha_counters.hits.inc();
-                trace_sched!("cache.alpha.hit");
-                return hit;
-            }
-            self.alpha_counters.misses.inc();
-            trace_sched!("cache.alpha.miss");
-        }
-        // Compute-channel scope: the computation below is a pure function of
-        // the α-canonical key, so racing duplicate computations record
-        // byte-identical streams that collapse onto one key in the collector
-        // (DESIGN.md §8). Which lookup computes is scheduling-dependent —
-        // that outcome was reported to the sched channel above.
+    /// Runs the core computation of a missed request, given in ring-local
+    /// coordinates, and counts it. Called outside the table lock.
+    fn compute(
+        &self,
+        generators: &[Poly],
+        order: &MonomialOrder,
+        options: &GroebnerOptions,
+    ) -> CoreBasis {
+        // Compute-channel scope, keyed by the fixed-seed hash of the
+        // ring-local request: the computation below is a pure function of
+        // it, so racing duplicate computations — and requests equal up to a
+        // variable renaming — record byte-identical streams that collapse
+        // onto one key in the collector (DESIGN.md §8). Which lookup
+        // computes is scheduling-dependent — that outcome was reported to
+        // the sched channel by the caller.
         // lint:allow(D6): the shared cache IS the compute-channel entry point
         let _compute_scope = symmap_trace::recorder::install_compute_scope(
-            local_key_id(&key),
-            &format!("groebner: {} gens", key.2.len()),
+            global_key_id(generators, order, options),
+            &format!("groebner: {} gens", generators.len()),
         );
-        let (core, lift) = compute_core(&key.2, &key.0, options);
+        let (core, lift) = compute_core(generators, order, options);
         trace_event!(
             "groebner.core",
             // "Pair selections": every queue pop is either a chain-criterion
@@ -1049,37 +911,17 @@ impl SharedGroebnerCache {
                 self.lift_retry.add(report.retries as u64);
             }
         }
-        drop(_compute_scope);
-        let core = Arc::new(core);
-        let mut locked = shard.lock();
-        let locked = &mut *locked;
-        if let Some(existing) = locked.entries.get(&key) {
-            return Arc::clone(existing);
-        }
-        locked.entries.insert(key.clone(), Arc::clone(&core));
-        locked.queue.push_back(key);
-        self.alpha_counters.len.add(1);
-        while locked.entries.len() > self.per_shard_capacity {
-            locked.evict_oldest(&self.alpha_counters);
-        }
         core
     }
 
     /// Returns the (possibly cached) Gröbner basis of `generators` under
     /// `order` with `options`, computing and memoizing it on first use.
     ///
-    /// Lookups go through two layers. The **global** layer is keyed by the
-    /// request verbatim — a hit is one pointer clone, exactly as before. A
-    /// global miss computes the request's ring-local canonical form
-    /// (generators and order rewritten through a spanning [`Ring`] into
-    /// dense local indices) and consults the **ring-local** layer, where
-    /// α-equivalent requests — same ideal shape under renamed variables, or
-    /// the same side-relation set reduced for targets with different
-    /// variable sets (whose default orders differ only outside the ideal's
-    /// ring) — share one memoized core computation; only the cheap
-    /// globalization is per-key. α-layer activity is reported separately
-    /// ([`SharedGroebnerCache::alpha_hits`]); global `hits`/`misses`
-    /// semantics are unchanged.
+    /// The table is keyed by the request verbatim — a hit is one pointer
+    /// clone. A miss rewrites the request into ring-local coordinates
+    /// (generators and order through a spanning [`Ring`] into dense local
+    /// indices), runs the core computation there and publishes the lazily
+    /// globalizing basis.
     ///
     /// The generators may be borrowed (`&[&Poly]`): a request is hashed once,
     /// and the generators are cloned only when a miss stores its basis.
@@ -1095,44 +937,44 @@ impl SharedGroebnerCache {
         // and goes to the sched channel below.
         let key_id = global_key_id(generators, order, options);
         trace_event!("cache.request", key = key_id, gens = generators.len());
-        let shard = self.shard_for(key_id);
         {
-            let locked = shard.lock();
-            if let Some(hit) = locked.lookup(key_id, generators, order, options) {
+            let table = self.table.lock();
+            if let Some(hit) = table.lookup(key_id, generators, order, options) {
                 let hit = Arc::clone(hit);
-                self.global_counters.hits.inc();
+                self.hits.inc();
                 trace_sched!("cache.hit");
                 return hit;
             }
-            self.global_counters.misses.inc();
+            self.misses.inc();
             trace_sched!("cache.miss");
         }
-        // Resolve through the ring-local layer outside the global lock.
         let (ring, lgens, lorder) = ring_localized(generators, order);
-        let core = self.local_basis((lorder, options.clone(), lgens), options);
+        let core = self.compute(&lgens, &lorder, options);
         let gb = Arc::new(basis_from_core(
-            Arc::clone(&core.polys),
-            &core,
+            core,
             ring,
             order,
             Some(self.nf_counters.clone()),
         ));
-        let mut locked = shard.lock();
-        let locked = &mut *locked;
-        if let Some(existing) = locked.lookup(key_id, generators, order, options) {
+        let mut table = self.table.lock();
+        let table = &mut *table;
+        if let Some(existing) = table.lookup(key_id, generators, order, options) {
             // Lost a compute race on this key; adopt the winner's entry.
             return Arc::clone(existing);
         }
-        locked.entries.entry(key_id).or_default().push(CacheEntry {
+        table.entries.entry(key_id).or_default().push(CacheEntry {
             order: order.clone(),
             options: options.clone(),
             generators: generators.iter().map(|g| g.borrow().clone()).collect(),
             basis: Arc::clone(&gb),
         });
-        locked.queue.push_back((key_id, Arc::clone(&gb)));
-        self.global_counters.len.add(1);
-        while locked.queue.len() > self.per_shard_capacity {
-            locked.evict_oldest(&self.global_counters);
+        table.queue.push_back((key_id, Arc::clone(&gb)));
+        self.len.add(1);
+        while table.queue.len() > self.capacity {
+            table.evict_oldest();
+            self.evictions.inc();
+            self.len.add(-1);
+            trace_sched!("cache.evict");
         }
         gb
     }
@@ -1158,22 +1000,22 @@ impl SharedGroebnerCache {
             .publish(target, computed, self.capacity())
     }
 
-    /// Number of lookups answered from the cache (all shards).
+    /// Number of lookups answered from the cache.
     pub fn hits(&self) -> usize {
         self.stats().hits
     }
 
-    /// Number of lookups that had to compute a fresh basis (all shards).
+    /// Number of lookups that had to compute a fresh basis.
     pub fn misses(&self) -> usize {
         self.stats().misses
     }
 
-    /// Number of entries evicted by the capacity bound (all shards).
+    /// Number of entries evicted by the capacity bound.
     pub fn evictions(&self) -> usize {
         self.stats().evictions
     }
 
-    /// Number of distinct bases currently memoized (all shards).
+    /// Number of distinct bases currently memoized.
     pub fn len(&self) -> usize {
         self.stats().len
     }
@@ -1183,43 +1025,14 @@ impl SharedGroebnerCache {
         self.len() == 0
     }
 
-    /// Total capacity in bases (per-shard slice × shard count).
+    /// Capacity in bases.
     pub fn capacity(&self) -> usize {
-        self.per_shard_capacity * self.shards.len()
+        self.capacity
     }
 
-    /// The global layer's counters, totalled over its shards.
+    /// The basis table's counters.
     pub fn stats(&self) -> CacheStats {
-        self.global_counters.stats()
-    }
-
-    /// The ring-local layer's counters, totalled over its shards (`hits`
-    /// are α-hits; see [`SharedGroebnerCache::alpha_hits`]).
-    pub fn alpha_stats(&self) -> CacheStats {
-        self.alpha_counters.stats()
-    }
-
-    /// Lookups answered by the ring-local layer: the global key was new, but
-    /// an α-equivalent request had already computed the core basis (all
-    /// shards).
-    pub fn alpha_hits(&self) -> usize {
-        self.alpha_stats().hits
-    }
-
-    /// Ring-local canonical forms that had to run the Buchberger core (all
-    /// shards). Every global miss is either an α-hit or an α-miss.
-    pub fn alpha_misses(&self) -> usize {
-        self.alpha_stats().misses
-    }
-
-    /// Entries evicted from the ring-local layer by the capacity bound.
-    pub fn alpha_evictions(&self) -> usize {
-        self.alpha_stats().evictions
-    }
-
-    /// Distinct ring-local canonical forms currently memoized.
-    pub fn alpha_len(&self) -> usize {
-        self.alpha_stats().len
+        CacheStats::from_snapshot(&self.metrics.snapshot())
     }
 
     /// Point-in-time counters of the multi-modular lift. Counter totals
@@ -1237,22 +1050,13 @@ impl SharedGroebnerCache {
     }
 }
 
-/// The fixed-seed hash of a ring-local key: shard selector, compute-channel
-/// stream id and trace label, all from one value so they agree. The
-/// `DefaultHasher` here is constructed with fixed keys, so ids are
-/// reproducible across runs — the same discipline
-/// [`SharedGroebnerCache::shard_for`] has always relied on.
-fn local_key_id(key: &LocalKey) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    key.hash(&mut hasher);
-    hasher.finish()
-}
-
-/// The fixed-seed hash of a global cache key, used as the job-channel
-/// request marker (`cache.request`): a pure function of the request, so the
-/// marker sequence is deterministic per job.
-/// Borrowed generators hash like owned ones (`&Poly` hashes as `Poly`), so
-/// the id of a request does not depend on how its generators are held.
+/// The fixed-seed hash of a basis request, field by field: `order`,
+/// `options`, then `generators`. The `DefaultHasher` here is constructed
+/// with fixed keys, so ids are reproducible across runs. On the request as
+/// made it is the job-channel marker (`cache.request`) and the table key; on
+/// the ring-local request it is the compute-channel stream id. Borrowed
+/// generators hash like owned ones (`&Poly` hashes as `Poly`), so the id of
+/// a request does not depend on how its generators are held.
 fn global_key_id<G: Hash>(
     generators: &[G],
     order: &MonomialOrder,
@@ -1795,12 +1599,9 @@ mod tests {
 
     #[test]
     fn cache_evicts_oldest_insertion_first() {
-        // One shard, two slots: inserting a third distinct key must evict the
-        // *first* inserted key (FIFO), not the least recently used one.
-        let cache = SharedGroebnerCache::with_config(CacheConfig {
-            shards: 1,
-            capacity: 2,
-        });
+        // Two slots: inserting a third distinct key must evict the *first*
+        // inserted key (FIFO), not the least recently used one.
+        let cache = SharedGroebnerCache::with_config(CacheConfig { capacity: 2 });
         assert_eq!(cache.capacity(), 2);
         let order = MonomialOrder::lex(&["x", "y"]);
         let opts = GroebnerOptions::default();
@@ -1825,10 +1626,7 @@ mod tests {
 
     #[test]
     fn cache_capacity_stays_bounded_under_churn() {
-        let cache = SharedGroebnerCache::with_config(CacheConfig {
-            shards: 2,
-            capacity: 4,
-        });
+        let cache = SharedGroebnerCache::with_config(CacheConfig { capacity: 4 });
         let order = MonomialOrder::lex(&["x"]);
         let opts = GroebnerOptions::default();
         for i in 1..40_i64 {
@@ -1883,8 +1681,9 @@ mod tests {
     #[test]
     fn ring_local_path_matches_unringed_oracle_on_late_interned_vars() {
         // Inflate the interner, then build the mapper ideal's shape over
-        // fresh (high-index) names: the ring path must agree with the
-        // global-coordinate oracle byte for byte — polys, counters, flags.
+        // fresh (high-index) names: the ring path must agree with the exact
+        // engine run on global coordinates byte for byte — polys, counters,
+        // flags.
         for i in 0..300 {
             Var::new(&format!("gb_oracle_filler_{i}"));
         }
@@ -1899,8 +1698,8 @@ mod tests {
         let order = MonomialOrder::Lex(names.iter().map(|n| Var::new(n)).collect());
         for opts in option_combinations() {
             let ringed = buchberger(&gens, &order, &opts);
-            let unringed = buchberger_unringed(&gens, &order, &opts);
-            assert_eq!(ringed.polys(), unringed.polys(), "options {opts:?}");
+            let unringed = buchberger_core(&gens, &order, &opts);
+            assert_eq!(ringed.polys(), unringed.polys, "options {opts:?}");
             assert_eq!(ringed.reductions, unringed.reductions);
             assert_eq!(ringed.skipped_coprime, unringed.skipped_coprime);
             assert_eq!(ringed.skipped_chain, unringed.skipped_chain);
@@ -1917,15 +1716,12 @@ mod tests {
     }
 
     #[test]
-    fn cache_shares_alpha_equivalent_ideals() {
+    fn renamed_requests_get_renamed_bases() {
         let cache = SharedGroebnerCache::new();
         let opts = GroebnerOptions::default();
         // Twisted cubic over two disjoint, test-local variable name sets,
-        // interned here in matching relative order: α-sharing keys on the
-        // ring-local canonical form, whose local index assignment follows
-        // interner-index order — fresh names make that order a property of
-        // this test, not of which concurrently running test happened to
-        // intern the workspace-wide `x`/`y`/`z` first.
+        // interned here in matching relative order, so both requests have
+        // the same ring-local form (local indices follow interner order).
         let names_a = ["acia_x", "acia_y", "acia_z"];
         let (ax, ay, az) = (
             Poly::var(Var::new(names_a[0])),
@@ -1934,7 +1730,7 @@ mod tests {
         );
         let a = [ax.mul(&ax).sub(&ay), ax.mul(&ax).mul(&ax).sub(&az)];
         let order_a = MonomialOrder::Lex(names_a.iter().map(|n| Var::new(n)).collect());
-        let names_b = ["alpha_u", "alpha_v", "alpha_w"];
+        let names_b = ["acib_u", "acib_v", "acib_w"];
         let (u, v, w) = (
             Poly::var(Var::new(names_b[0])),
             Poly::var(Var::new(names_b[1])),
@@ -1944,76 +1740,39 @@ mod tests {
         let order_b = MonomialOrder::Lex(names_b.iter().map(|n| Var::new(n)).collect());
 
         let gb_a = cache.basis(&a, &order_a, &opts);
-        assert_eq!(
-            (
-                cache.hits(),
-                cache.misses(),
-                cache.alpha_hits(),
-                cache.alpha_misses()
-            ),
-            (0, 1, 0, 1)
-        );
-        // α-equivalent request: new global key, shared core computation.
         let gb_b = cache.basis(&b, &order_b, &opts);
-        assert_eq!(
-            (
-                cache.hits(),
-                cache.misses(),
-                cache.alpha_hits(),
-                cache.alpha_misses()
-            ),
-            (0, 2, 1, 1)
-        );
-        assert_eq!(cache.alpha_len(), 1);
-        assert_eq!(cache.len(), 2, "both global keys stay resident");
-        // The shared core globalizes into each ring correctly: the renamed
-        // basis is the renamed image of the original (4 elements each), and
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (0, 2, 2));
+        // The renamed basis is the renamed image of the original, and
         // membership works in each coordinate system.
-        assert_eq!(gb_a.polys().len(), gb_b.polys().len());
+        let rename: std::collections::BTreeMap<Var, Poly> = names_a
+            .iter()
+            .zip([&u, &v, &w])
+            .map(|(n, p)| (Var::new(n), p.clone()))
+            .collect();
+        let renamed: Vec<Poly> = gb_a
+            .polys()
+            .iter()
+            .map(|g| crate::subst::substitute_all(g, &rename).expect("linear rename"))
+            .collect();
+        assert_eq!(renamed, gb_b.polys());
         assert!(gb_a.contains(&ay.mul(&ay).mul(&ay).sub(&az.mul(&az))));
         assert!(gb_b.contains(&v.mul(&v).mul(&v).sub(&w.mul(&w))));
-        // A repeat of either request is a plain global hit — no α traffic.
-        cache.basis(&b, &order_b, &opts);
-        assert_eq!(
-            (cache.hits(), cache.alpha_hits(), cache.alpha_misses()),
-            (1, 1, 1)
-        );
-        // An order listing an extra variable *outside* the ideal's ring is
-        // the same canonical form: α-hit, not a recomputation.
-        let order_a_padded = MonomialOrder::lex(&["acia_x", "acia_y", "acia_z", "alpha_pad"]);
+        // A repeat of either request is a plain hit.
+        assert!(Arc::ptr_eq(&gb_b, &cache.basis(&b, &order_b, &opts)));
+        assert_eq!((cache.hits(), cache.misses()), (1, 2));
+        // An order listing an extra variable *outside* the ideal's ring is a
+        // new request with the same basis.
+        let order_a_padded = MonomialOrder::lex(&["acia_x", "acia_y", "acia_z", "acia_pad"]);
         let gb_pad = cache.basis(&a, &order_a_padded, &opts);
-        assert_eq!(
-            (cache.misses(), cache.alpha_hits(), cache.alpha_misses()),
-            (3, 2, 1)
-        );
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 3, 3));
         assert_eq!(gb_pad.polys(), gb_a.polys());
-        assert_eq!(cache.alpha_stats().hits, cache.alpha_hits());
-        assert_eq!(cache.alpha_evictions(), 0);
-    }
-
-    #[test]
-    fn alpha_layer_stays_bounded_under_churn() {
-        let cache = SharedGroebnerCache::with_config(CacheConfig {
-            shards: 2,
-            capacity: 4,
-        });
-        let order = MonomialOrder::lex(&["x"]);
-        let opts = GroebnerOptions::default();
-        for i in 1..40_i64 {
-            // Distinct constants → distinct local keys (constants survive
-            // localization verbatim), so the α-layer churns like the global
-            // layer and must respect the same bound.
-            let gens = [p("x").add(&Poly::integer(i))];
-            cache.basis(&gens, &order, &opts);
-        }
-        assert!(cache.alpha_len() <= cache.capacity());
-        assert!(cache.alpha_evictions() > 0);
+        assert_eq!(cache.evictions(), 0);
     }
 
     #[test]
     fn cache_deltas_come_from_the_metrics_registry() {
-        // Layer activity windows are computed through the shared registry
-        // snapshot, from one total per layer (no per-shard keys).
+        // Activity windows are computed through the shared registry
+        // snapshot.
         let cache = SharedGroebnerCache::new();
         let order = MonomialOrder::lex(&["x", "y"]);
         let opts = GroebnerOptions::default();
@@ -2022,20 +1781,15 @@ mod tests {
         let before = cache.metrics_snapshot();
         cache.basis(&gens, &order, &opts); // pure hit
         let delta = cache.metrics_snapshot().delta_since(&before);
-        let window = CacheStats::from_snapshot(&delta, "cache");
+        let window = CacheStats::from_snapshot(&delta);
         assert_eq!((window.hits, window.misses, window.evictions), (1, 0, 0));
         // Gauges report the current level, not a flow: len survives the delta.
         assert_eq!(window.len, cache.len());
-        assert_eq!(CacheStats::from_snapshot(&delta, "alpha").len, 1);
-        assert!(delta.counters.keys().all(|n| !n.contains("shard")));
     }
 
     #[test]
     fn guidance_layer_memoizes_each_target_within_the_capacity() {
-        let cache = SharedGroebnerCache::with_config(CacheConfig {
-            shards: 2,
-            capacity: 4,
-        });
+        let cache = SharedGroebnerCache::with_config(CacheConfig { capacity: 4 });
         let target = p("x^2 - y^2");
         let first = cache.guidance(&target);
         assert_eq!(*first, TargetGuidance::of(&target));

@@ -34,8 +34,7 @@
 //!
 //! Determinism: the prime sequence, the vote and the reconstruction are
 //! pure functions of the (ring-local) generators and options, so the
-//! lifted basis is byte-identical across runs, threads and cache shards —
-//! the `multimodular_differential` suite pins it byte-identical to the
+//! lifted basis is byte-identical across runs and threads — the `multimodular_differential` suite pins it byte-identical to the
 //! exact path.
 
 use symmap_numeric::{crt_combine, rational_reconstruct, Fp64, PrimeIterator, Rational};

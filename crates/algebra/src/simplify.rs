@@ -15,9 +15,8 @@
 //! of the target works on the localized basis directly
 //! ([`crate::groebner::GroebnerBasis::reduce`]), so the cost scales with the
 //! ideal's 2–7 variables rather than the process-wide interner width. With
-//! [`simplify_modulo_cached`], side-relation sets that are α-equivalent —
-//! same shape under renamed variables, or reused across targets whose
-//! variable sets differ — additionally share one memoized Buchberger core.
+//! [`simplify_modulo_cached`], a repeated request is answered from the
+//! shared basis cache.
 
 use std::borrow::Borrow;
 use std::collections::BTreeMap;

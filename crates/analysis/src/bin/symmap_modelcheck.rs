@@ -62,7 +62,7 @@ fn main() -> ExitCode {
     let skip_mutants = std::env::args().any(|a| a == "--skip-mutants");
     let mut ok = true;
 
-    println!("== cache adoption protocol (groebner.rs shards) ==");
+    println!("== cache adoption protocol (groebner.rs) ==");
     ok &= expect_pass("adoption 2 threads", &AdoptionModel::new(2));
     ok &= expect_pass("adoption 3 threads", &AdoptionModel::new(3));
 

@@ -13,7 +13,7 @@
 //!   mandatory-reason `lint:allow` escape hatch and stale-allow detection.
 //! * [`model`] — `symmap-modelcheck`, a bounded interleaving model checker
 //!   (a miniature loom on stable Rust): the two concurrency kernels — the
-//!   shared Gröbner cache's compute-outside-lock/adopt-winner shard
+//!   shared Gröbner cache's compute-outside-lock/adopt-winner
 //!   protocol and the batch pool's own-front/steal-back deque — are
 //!   abstracted into small cloneable state machines and *every* interleaving
 //!   of 2–3 model threads is enumerated up to a step bound, asserting the

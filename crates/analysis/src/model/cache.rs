@@ -1,20 +1,20 @@
 //! Model of the shared Gröbner cache's compute-outside-lock / adopt-winner
-//! shard protocol. Its sites in `crates/algebra/src/groebner.rs`:
+//! protocol. Its sites in `crates/algebra/src/groebner.rs`:
 //!
-//! * the basis layers: `SharedGroebnerCache::basis` and `local_basis`;
+//! * the basis table: `SharedGroebnerCache::basis`;
 //! * the guidance layer: `SharedGroebnerCache::guidance`;
 //! * the per-basis normal-form memo: `GroebnerBasis::reduce`, through
 //!   `NfMemo::get` (step 1) and `FifoMemo::publish` (step 3).
 //!
-//! The two memo layers have one lock each instead of shards; with one
-//! racing key that is the case modelled here.
+//! Each of the three has one lock; with one racing key that is the case
+//! modelled here.
 //!
 //! The real protocol, per thread, for one cache key:
 //!
-//! 1. lock the shard; on hit, record the cached `Arc` and return (hit++);
+//! 1. lock the table; on hit, record the cached `Arc` and return (hit++);
 //!    on miss, miss++ and unlock;
 //! 2. compute the basis **outside** the lock (this is the expensive part —
-//!    holding the shard lock across a Gröbner run would serialize the
+//!    holding the table lock across a Gröbner run would serialize the
 //!    pool);
 //! 3. re-lock; if some other thread inserted the key while we computed,
 //!    **adopt** the winner's `Arc` and drop our own result; otherwise
@@ -22,11 +22,11 @@
 //!
 //! The model keeps exactly that step structure — each critical section is
 //! one atomic step (see the fidelity note in [`crate::model`]) — with all
-//! threads racing on one key of one shard, the worst case. What must hold:
+//! threads racing on one key of one table, the worst case. What must hold:
 //!
 //! * **linearizable adoption**: exactly one thread's result is ever
 //!   published, everyone ends up holding that same result;
-//! * **no torn entry**: the shard never holds two entries for the key
+//! * **no torn entry**: the table never holds two entries for the key
 //!   (`len ≤ 1` in every reachable state);
 //! * **counter consistency**: `hits + misses == threads`, `inserts == 1`,
 //!   and at least one miss (the key starts absent).
@@ -41,7 +41,7 @@ use super::Model;
 /// Per-thread program counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Pc {
-    /// About to take the shard lock and probe the key.
+    /// About to take the table lock and probe the key.
     Lookup,
     /// Missed; computing the basis outside the lock.
     Compute,
@@ -51,14 +51,14 @@ enum Pc {
     Done,
 }
 
-/// The shard protocol with `n` threads racing on one absent key.
+/// The table protocol with `n` threads racing on one absent key.
 #[derive(Debug, Clone)]
 pub struct AdoptionModel {
     pc: Vec<Pc>,
-    /// The shard's single slot for the contended key: `Some(tid)` records
+    /// The table's single slot for the contended key: `Some(tid)` records
     /// which thread's computed value is published.
     entry: Option<usize>,
-    /// The shard's entry count for the key — tracked separately from
+    /// The table's entry count for the key — tracked separately from
     /// `entry` precisely so a torn double-insert is *observable* as
     /// `len == 2` rather than silently collapsing.
     len: usize,
@@ -108,7 +108,7 @@ impl Model for AdoptionModel {
 
     fn step(&mut self, tid: usize) {
         match self.pc[tid] {
-            // Critical section 1: probe under the shard lock.
+            // Critical section 1: probe under the table lock.
             Pc::Lookup => match self.entry {
                 Some(winner) => {
                     self.hits += 1;
@@ -146,13 +146,13 @@ impl Model for AdoptionModel {
     fn check_state(&self) -> Option<String> {
         if self.len > 1 {
             return Some(format!(
-                "torn entry: shard holds {} entries for one key",
+                "torn entry: table holds {} entries for one key",
                 self.len
             ));
         }
         if (self.len == 1) != self.entry.is_some() {
             return Some(format!(
-                "shard accounting torn: len = {} but entry = {:?}",
+                "table accounting torn: len = {} but entry = {:?}",
                 self.len, self.entry
             ));
         }
@@ -168,7 +168,7 @@ impl Model for AdoptionModel {
             ));
         }
         if self.len != 1 {
-            return Some(format!("final shard len {} (want 1)", self.len));
+            return Some(format!("final table len {} (want 1)", self.len));
         }
         if self.hits + self.misses != n {
             return Some(format!(

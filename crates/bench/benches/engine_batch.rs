@@ -108,11 +108,10 @@ fn bench(c: &mut Criterion) {
         // hw_threads is a structured entry field now; the note keeps only
         // what the schema cannot carry (speedup, worker count, cache deltas).
         let cache_note = format!(
-            "speedup {speedup:.2}x @{n}w; cold cache {}h/{}m/{}e/{}a",
+            "speedup {speedup:.2}x @{n}w; cold cache {}h/{}m/{}e",
             stats.cache_hits(),
             stats.cache_misses(),
             stats.cache_evictions(),
-            stats.cache_alpha_hits(),
         );
         let full_note = if note.is_empty() {
             cache_note

@@ -17,6 +17,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod budgets;
+pub mod oracle;
 pub mod quickbench;
 
 use std::sync::Arc;

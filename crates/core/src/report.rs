@@ -148,12 +148,6 @@ pub fn render_engine_stats(stats: &EngineStats) -> String {
         stats.cache_evictions(),
         stats.cache_len(),
     ));
-    out.push_str(&format!(
-        "  ring-local sharing: {} α-hits / {} Buchberger cores run \
-         (α-equivalent side-relation ideals share one core)\n",
-        stats.cache_alpha_hits(),
-        stats.cache_alpha_misses(),
-    ));
     if stats.lift_success + stats.lift_retry + stats.lift_fallback + stats.lift_bypass > 0 {
         out.push_str(&format!(
             "  multi-modular lift: {} verified lifts ({} prime images CRT-combined) / \
@@ -177,8 +171,8 @@ pub fn render_engine_stats(stats: &EngineStats) -> String {
         ));
     }
     // Per-phase breakdown over the unified registry window: every counter
-    // rolls up under its name's leading family segment (cache, alpha, fp,
-    // lift, pool, …), histograms report count and mean.
+    // rolls up under its name's leading family segment (cache, nf,
+    // guidance, lift, pool, …), histograms report count and mean.
     let mut families: std::collections::BTreeMap<&str, u64> = std::collections::BTreeMap::new();
     for (name, v) in &stats.metrics.counters {
         let family = name.split('.').next().unwrap_or(name);

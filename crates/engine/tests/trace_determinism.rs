@@ -13,6 +13,8 @@
 //! 3. **Exporter validity.** A traced batch renders to chrome://tracing
 //!    trace-event JSON that parses and balances (the schema check Perfetto
 //!    relies on), and the batch metrics snapshot renders to parseable JSON.
+//! 4. **Collapse by key.** Requests equal up to a variable renaming record
+//!    one compute stream, keyed by their ring-local form.
 
 use std::sync::Arc;
 
@@ -21,12 +23,27 @@ use symmap_algebra::groebner::GroebnerOptions;
 use symmap_algebra::monomial::Monomial;
 use symmap_algebra::poly::Poly;
 use symmap_algebra::var::Var;
-use symmap_engine::{EngineConfig, MapJob, MapperConfig, MappingEngine};
+use symmap_engine::{BatchResult, EngineConfig, MapJob, MapperConfig, MappingEngine};
 use symmap_libchar::{Library, LibraryElement};
 use symmap_numeric::Rational;
 use symmap_trace::{parse_json, to_chrome_json, validate_chrome_trace};
 
-fn library() -> Arc<Library> {
+/// `text` with every identifier in it prefixed by `prefix`.
+fn prefixed(text: &str, prefix: &str) -> String {
+    let mut out = String::new();
+    let mut in_word = false;
+    for c in text.chars() {
+        if c.is_ascii_alphabetic() && !in_word {
+            out.push_str(prefix);
+        }
+        in_word = c.is_ascii_alphanumeric() || c == '_';
+        out.push(c);
+    }
+    out
+}
+
+/// The suite's library, every name in it prefixed by `prefix`.
+fn library(prefix: &str) -> Arc<Library> {
     let mut lib = Library::new("trace");
     for (name, symbol, poly, cycles) in [
         ("sum", "s", "x + y", 3_u64),
@@ -41,8 +58,8 @@ fn library() -> Arc<Library> {
         ("third_sq", "ts", "1/3*x^2", 4),
     ] {
         lib.push(
-            LibraryElement::builder(name, symbol)
-                .polynomial(Poly::parse(poly).unwrap())
+            LibraryElement::builder(&prefixed(name, prefix), &prefixed(symbol, prefix))
+                .polynomial(Poly::parse(&prefixed(poly, prefix)).unwrap())
                 .cycles(cycles)
                 .energy_nj(cycles as f64)
                 .accuracy(1e-9)
@@ -53,7 +70,7 @@ fn library() -> Arc<Library> {
     Arc::new(lib)
 }
 
-fn batch_jobs(library: &Arc<Library>, multimodular: bool) -> Vec<MapJob> {
+fn batch_jobs(library: &Arc<Library>, prefix: &str, multimodular: bool) -> Vec<MapJob> {
     // Job 4 ("u^3 + u") has no candidate elements and fails: the suite
     // covers the error path's trace too, not just successes.
     [
@@ -69,7 +86,7 @@ fn batch_jobs(library: &Arc<Library>, multimodular: bool) -> Vec<MapJob> {
     .map(|(i, t)| {
         MapJob::new(
             format!("trace-{i}"),
-            Poly::parse(t).unwrap(),
+            Poly::parse(&prefixed(t, prefix)).unwrap(),
             Arc::clone(library),
             MapperConfig {
                 groebner: GroebnerOptions {
@@ -96,9 +113,9 @@ fn engine(workers: usize, trace: bool) -> MappingEngine {
 /// untraced run everywhere.
 #[test]
 fn transcripts_are_byte_identical_across_workers_and_lift_modes() {
-    let library = library();
+    let library = library("");
     for multimodular in [false, true] {
-        let jobs = batch_jobs(&library, multimodular);
+        let jobs = batch_jobs(&library, "", multimodular);
         let untraced = engine(1, false).run(&jobs);
         assert!(untraced.trace.is_none(), "untraced run must carry no trace");
         let mut transcripts = Vec::new();
@@ -144,8 +161,8 @@ fn transcripts_are_byte_identical_across_workers_and_lift_modes() {
 /// and the sched channel saw the pool's job lifecycle.
 #[test]
 fn chrome_export_and_metrics_snapshot_are_valid_json() {
-    let library = library();
-    let jobs = batch_jobs(&library, true);
+    let library = library("");
+    let jobs = batch_jobs(&library, "", true);
     let result = engine(4, true).run(&jobs);
     let trace = result.trace.expect("tracing was enabled");
 
@@ -177,6 +194,39 @@ fn chrome_export_and_metrics_snapshot_are_valid_json() {
     );
 }
 
+/// Claim 4: one traced batch maps the same targets against a library and a
+/// renamed copy of it. Every renamed request is a cache miss of its own,
+/// yet the compute channel holds exactly the streams of the first library
+/// alone — one per ring-local form — and the transcript is byte-identical
+/// at every worker count.
+#[test]
+fn renamed_libraries_share_one_compute_stream_per_ring_local_form() {
+    // Local indices follow interner order: intern both name sets here, in
+    // the same relative order, before anything else touches them.
+    for prefix in ["tda_", "tdb_"] {
+        for name in ["x", "y", "z", "u", "s", "d", "q", "sx", "sz", "ts"] {
+            Var::new(&prefixed(name, prefix));
+        }
+    }
+    let transcript = |r: BatchResult| r.trace.expect("traced").deterministic_transcript();
+    // The compute channel: the transcript from its first compute stream on.
+    let computes = |t: &str| t[t.find("\ncompute ").expect("a basis was computed")..].to_string();
+    let jobs_a = batch_jobs(&library("tda_"), "tda_", true);
+    let alone = engine(1, true).run(&jobs_a);
+    let mut jobs = jobs_a.clone();
+    jobs.extend(batch_jobs(&library("tdb_"), "tdb_", true));
+    let mut transcripts = Vec::new();
+    for workers in [1, 2, 4, 8] {
+        let result = engine(workers, true).run(&jobs);
+        if workers == 1 {
+            assert_eq!(result.stats.cache_misses(), 2 * alone.stats.cache_misses());
+        }
+        transcripts.push(transcript(result));
+    }
+    assert!(transcripts.iter().all(|t| *t == transcripts[0]));
+    assert_eq!(computes(&transcripts[0]), computes(&transcript(alone)));
+}
+
 /// Builds a target polynomial from raw term tuples (exponents for x, y, z
 /// plus a small integer coefficient).
 fn target_from_terms(terms: &[(u32, u32, u32, i64)]) -> Poly {
@@ -206,7 +256,7 @@ proptest! {
         ),
         workers in 1usize..5,
     ) {
-        let library = library();
+        let library = library("");
         let jobs: Vec<MapJob> = raw_targets
             .iter()
             .enumerate()
