@@ -128,6 +128,31 @@ pub fn factor(poly: &Poly) -> Factorization {
     }
 }
 
+/// Whether [`factor`] of `poly` returns only `poly`'s primitive part (the
+/// input over its content, with a positive GrLex leading coefficient) as a
+/// single factor, decided without building it. `var_count` is the number of
+/// variables of `poly`.
+///
+/// Traced through [`factor`]: a common monomial of 1 splits nothing off,
+/// and `factor_primitive` then finds no structure in a polynomial with at
+/// least 4 terms (a difference of squares has 2, a perfect square 3) and at
+/// least 2 variables (only univariate polynomials are split by roots), so
+/// it pushes the primitive part whole.
+pub fn only_primitive_factor(poly: &Poly, var_count: usize) -> bool {
+    poly.num_terms() >= 4 && var_count >= 2 && common_monomial(poly).is_one()
+}
+
+/// Whether `poly` is normalized the way [`factor`] normalizes its factors:
+/// content 1 and a positive leading coefficient under GrLex. The content is
+/// the gcd of the numerators over the lcm of the denominators, so it can
+/// only be 1 when every coefficient is an integer; a fractional coefficient
+/// answers before any gcd runs.
+pub fn is_primitive(poly: &Poly) -> bool {
+    poly.iter().all(|(_, c)| c.is_integer())
+        && poly.content().is_one()
+        && !leading_is_negative(poly)
+}
+
 fn leading_is_negative(poly: &Poly) -> bool {
     let order = MonomialOrder::GrLex(poly.vars());
     poly.leading_term(&order)

@@ -34,7 +34,7 @@
 //! [`Monomial::var_mask`]: crate::monomial::Monomial::var_mask
 //! [`Rational`]: symmap_numeric::rational::Rational
 
-use crate::factor::factor;
+use crate::factor::{factor, only_primitive_factor};
 use crate::poly::Poly;
 use crate::var::{Var, VarSet};
 use symmap_numeric::fp64::{Fp64, PrimeIterator};
@@ -169,18 +169,25 @@ impl PolyFingerprint {
     /// multiset: equal polynomials have identical supports, degree
     /// signatures and (same prime, same points) evaluation hashes.
     pub fn may_equal(&self, other: &PolyFingerprint) -> bool {
+        self.eval_hash == other.eval_hash && self.same_shape(other)
+    }
+
+    /// Whether the two fingerprints agree on everything but the evaluation
+    /// hash: support, per-variable and total degrees, and term count. Two
+    /// scalar multiples of one polynomial always do.
+    fn same_shape(&self, other: &PolyFingerprint) -> bool {
         self.mask == other.mask
             && self.total_degree == other.total_degree
             && self.term_count == other.term_count
-            && self.eval_hash == other.eval_hash
             && self.support == other.support
             && self.max_degrees == other.max_degrees
     }
 }
 
 /// What the mapper's candidate scan and ordering need of a target: its
-/// fingerprint, its variables, and its factors with their fingerprints. A
-/// pure function of the target, memoized once per engine by
+/// fingerprint, its variables, and what it takes to tell whether an element
+/// is one of its factors. A pure function of the target, memoized once per
+/// engine by
 /// [`SharedGroebnerCache::guidance`](crate::groebner::SharedGroebnerCache::guidance).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TargetGuidance {
@@ -189,26 +196,80 @@ pub struct TargetGuidance {
     /// The target's variables.
     pub vars: VarSet,
     /// The non-constant factors of [`factor`] (multiplicities dropped),
-    /// each with its fingerprint.
-    pub factors: Vec<(Poly, PolyFingerprint)>,
+    /// each with its fingerprint; `None` when [`only_primitive_factor`]
+    /// says the one factor is the target's primitive part, which is then
+    /// never built.
+    factors: Option<Vec<(Poly, PolyFingerprint)>>,
 }
 
 impl TargetGuidance {
     /// Computes the guidance record of `target`.
     pub fn of(target: &Poly) -> Self {
-        TargetGuidance {
-            fingerprint: PolyFingerprint::of(target),
-            vars: target.vars(),
-            factors: factor(target)
+        let vars = target.vars();
+        let factors = (!only_primitive_factor(target, vars.len())).then(|| {
+            factor(target)
                 .factors
                 .into_iter()
                 .map(|(f, _)| {
                     let fp = PolyFingerprint::of(&f);
                     (f, fp)
                 })
-                .collect(),
+                .collect()
+        });
+        TargetGuidance {
+            fingerprint: PolyFingerprint::of(target),
+            vars,
+            factors,
         }
     }
+
+    /// Whether `element` (fingerprint `efp`) is one of the factors
+    /// [`factor`] returns for `target`, the polynomial this record was
+    /// computed from.
+    ///
+    /// When the factorization is the target's primitive part alone, the
+    /// element is a factor exactly when it is a scalar multiple of the
+    /// target and primitive. The shape fields of the fingerprints screen
+    /// first; an element equal to the target (the common multiple: library
+    /// elements are characterized from the kernels) is recognized by the
+    /// hash and one comparison, any other by cross-multiplied
+    /// coefficients. Only then is `element_is_primitive` asked: the
+    /// element's [`is_primitive`](crate::factor::is_primitive), which a
+    /// caller can memoize per element.
+    pub fn is_factor(
+        &self,
+        target: &Poly,
+        element: &Poly,
+        efp: &PolyFingerprint,
+        element_is_primitive: impl FnOnce() -> bool,
+    ) -> bool {
+        if let Some(factors) = &self.factors {
+            return factors
+                .iter()
+                .any(|(f, ffp)| ffp.may_equal(efp) && f == element);
+        }
+        if !self.fingerprint.same_shape(efp) {
+            return false;
+        }
+        let multiple = (self.fingerprint.eval_hash == efp.eval_hash && element == target)
+            || scalar_multiple(target, element);
+        multiple && element_is_primitive()
+    }
+}
+
+/// Whether `b` is a nonzero scalar multiple of `a`. Compares monomials
+/// term by term (both term lists are in the canonical order) and
+/// cross-multiplies coefficients against the first term's, so no division
+/// runs.
+fn scalar_multiple(a: &Poly, b: &Poly) -> bool {
+    if a.num_terms() != b.num_terms() {
+        return false;
+    }
+    let mut terms = a.iter().zip(b.iter());
+    let Some(((am0, a0), (bm0, b0))) = terms.next() else {
+        return false;
+    };
+    am0 == bm0 && terms.all(|((am, ac), (bm, bc))| am == bm && ac * b0 == bc * a0)
 }
 
 /// Whether two sorted index slices share an element (merge walk).

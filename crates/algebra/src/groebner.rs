@@ -53,6 +53,7 @@ use symmap_trace::{trace_event, trace_sched, Counter, Gauge, Histogram, MetricsR
 use crate::coeff::{buchberger_core_in, CPoly, RationalField};
 use crate::division::{normal_form, prepared_normal_form, PreparedDivisor};
 use crate::fingerprint::TargetGuidance;
+use crate::monomial::Monomial;
 use crate::ordering::MonomialOrder;
 use crate::poly::Poly;
 use crate::ring::Ring;
@@ -86,9 +87,12 @@ pub struct GroebnerOptions {
     /// path either way; only the wall clock (and the lift counters) change.
     /// On katsura-3 lex, the coefficient-growth case the lift exists for,
     /// it is 11–16× faster than exact (the `multimodular_lift` quick
-    /// bench). **On by default**; a profitability gate still routes small
-    /// all-integer ideals straight to the exact engine, where the lift's
-    /// fixed cost (1.8–3.1× the exact run) is pure overhead — see
+    /// bench). **On by default**; a gate still routes two kinds of request
+    /// straight to the exact engine, where the lift's fixed cost is pure
+    /// overhead: ideals whose leading monomials are pairwise coprime (every
+    /// single-generator ideal — no S-pair survives the first criterion, so
+    /// the exact engine only makes the generators monic), and small
+    /// all-integer ideals (the lift measured 1.8–3.1× the exact run) — see
     /// `lift_profitable`. Set `SYMMAP_TEST_MULTIMODULAR=0` to opt out.
     pub multimodular: bool,
 }
@@ -449,8 +453,9 @@ fn buchberger_core(
 struct LiftReport {
     /// The verified lift produced the basis (no exact run happened).
     success: bool,
-    /// The profitability gate routed the request straight to the exact
-    /// engine without attempting any prime image.
+    /// The gate ([`lift_profitable`]) routed the request straight to the
+    /// exact engine without attempting any prime image: no S-pair survives
+    /// the first criterion, or the ideal is small and all-integer.
     bypassed: bool,
     /// Votes/verifications that failed before the outcome was settled.
     retries: usize,
@@ -463,24 +468,59 @@ struct LiftReport {
 /// single-word fast path and grow further under elimination.
 const LIFT_NUMERATOR_BITS: usize = 32;
 
-/// Whether the multi-modular lift is worth attempting on these generators.
+/// Whether the multi-modular lift is worth attempting on these (ring-local)
+/// generators under `order`.
 ///
 /// Exact-path cost is driven by *rational coefficient growth* during
-/// elimination, and the input-visible trigger is a fractional or wide
-/// coefficient in some generator (the katsura-3 lex ideals the lift wins
-/// 11–16× on carry a `1/3`). Small all-integer ideals — the mapper's
-/// typical side-relation systems — reduce in microseconds over ℚ, where the
-/// lift's fixed cost (prime images + CRT + verification) measured 1.8–3.1×
-/// the exact run on the three `groebner_engine` ideals (2-thread x86-64,
-/// single-threaded runs). A pure function of the
-/// generators, so cached bases stay scheduling-independent; the basis is
-/// byte-identical on either path (the lift is ℚ-verified before it is
-/// trusted), so the gate can never change a result — only a wall clock.
-fn lift_profitable(generators: &[Poly]) -> bool {
-    generators.iter().any(|g| {
-        g.iter()
-            .any(|(_, c)| !c.is_integer() || c.numer().bits() >= LIFT_NUMERATOR_BITS)
-    })
+/// elimination, and elimination only happens on S-pairs that survive the
+/// criteria. Two tests, in this order:
+///
+/// 1. **No pair survives.** With the first criterion on and the generators'
+///    leading monomials pairwise coprime (every single-generator ideal,
+///    such as the side relation of a one-element mapper subset), every pair
+///    is discarded before any reduction: the exact engine only makes the
+///    generators monic and inter-reduces them, so there is nothing for the
+///    lift to speed up. These requests go exact, whatever their
+///    coefficients.
+/// 2. **The coefficients.** Otherwise the input-visible trigger of growth is
+///    a fractional or wide coefficient in some generator (the katsura-3 lex
+///    ideals the lift wins 11–16× on carry a `1/3`). Small all-integer
+///    ideals reduce in microseconds over ℚ, where the lift's fixed cost
+///    (prime images + CRT + verification) measured 1.8–3.1× the exact run
+///    on the three `groebner_engine` ideals (2-thread x86-64,
+///    single-threaded runs).
+///
+/// A pure function of the request, so cached bases stay
+/// scheduling-independent; the basis is byte-identical on either path (the
+/// lift is ℚ-verified before it is trusted), so the gate can never change a
+/// result — only a wall clock.
+fn lift_profitable(generators: &[Poly], order: &MonomialOrder, options: &GroebnerOptions) -> bool {
+    !no_pair_survives(generators, order, options)
+        && generators.iter().any(|g| {
+            g.iter()
+                .any(|(_, c)| !c.is_integer() || c.numer().bits() >= LIFT_NUMERATOR_BITS)
+        })
+}
+
+/// Whether Buchberger's first criterion discards every S-pair of
+/// `generators` under `order`: there is at most one generator, or the
+/// criterion is on and the leading monomials are pairwise coprime. Zero
+/// generators have no leading monomial and make no pair.
+fn no_pair_survives(generators: &[Poly], order: &MonomialOrder, options: &GroebnerOptions) -> bool {
+    if generators.len() < 2 {
+        return true;
+    }
+    if !options.use_coprime_criterion {
+        return false;
+    }
+    let leads: Vec<Monomial> = generators
+        .iter()
+        .filter_map(|g| g.leading_monomial(order))
+        .collect();
+    leads
+        .iter()
+        .enumerate()
+        .all(|(i, a)| leads[i + 1..].iter().all(|b| a.is_coprime_with(b)))
 }
 
 /// Routes one core computation: the multi-modular engine when
@@ -496,7 +536,7 @@ fn compute_core(
     if !options.multimodular {
         return (buchberger_core(generators, order, options), None);
     }
-    if !lift_profitable(generators) {
+    if !lift_profitable(generators, order, options) {
         let report = LiftReport {
             success: false,
             bypassed: true,
@@ -659,8 +699,10 @@ pub struct LiftStats {
     /// Basis computations the lift could not certify, answered by the exact
     /// fallback instead. The result is still correct — just not faster.
     pub lift_fallback: usize,
-    /// Requests the profitability gate routed straight to the exact engine
-    /// (small all-integer ideals) without attempting a prime image.
+    /// Requests the lift gate routed straight to the exact engine without
+    /// attempting a prime image: ideals whose leading monomials are pairwise
+    /// coprime (every single-generator ideal), so no S-pair survives the
+    /// first criterion, and small all-integer ideals.
     pub lift_bypass: usize,
     /// Mod-p prime images that fed the final CRT combine, summed over
     /// successful lifts (1 means single-prime coefficients all round).
@@ -1206,22 +1248,98 @@ mod tests {
         (gens, order)
     }
 
+    /// Computes `gens` once with the lift on, on a fresh cache inside a
+    /// traced job, and checks that the basis and reduction count equal the
+    /// exact engine's. Returns the lift counters and the compute transcript.
+    fn lift_route(gens: &[Poly], order: &MonomialOrder) -> (LiftStats, String) {
+        let exact = GroebnerOptions {
+            multimodular: false,
+            ..GroebnerOptions::default()
+        };
+        let lifted = GroebnerOptions {
+            multimodular: true,
+            ..exact.clone()
+        };
+        let cache = SharedGroebnerCache::new();
+        // lint:allow(D6): the test reads the compute channel of one request
+        let collector = symmap_trace::TraceCollector::new(1);
+        let gb = {
+            // lint:allow(D6): a job scope routes the request's events to the collector
+            let _job = symmap_trace::recorder::install_job_scope(&collector, 0, "route");
+            cache.basis(gens, order, &lifted)
+        };
+        let reference = buchberger(gens, order, &exact);
+        assert_eq!(gb.polys(), reference.polys());
+        assert_eq!(gb.reductions, reference.reductions);
+        assert_eq!(gb.complete, reference.complete);
+        let transcript = collector.finalize().deterministic_transcript();
+        (cache.lift_stats(), transcript)
+    }
+
     #[test]
-    fn lift_profitability_gate_reads_only_the_coefficients() {
-        // All-integer small ideals are bypassed…
-        let (gens, _) = mapper_side_relation_ideal();
-        assert!(!lift_profitable(&gens));
-        // …a single fractional coefficient flips the verdict…
-        assert!(lift_profitable(&[p("x^2 - 1/3")]));
-        // …and so does a numerator past the single-word fast path.
-        assert!(lift_profitable(&[p("4294967296*x - 1")]));
-        assert!(!lift_profitable(&[p("2147483647*x - 1")]));
+    fn lift_gate_routes_by_surviving_pairs_then_coefficients() {
+        let bypassed = |gens: &[Poly], order: &MonomialOrder| {
+            let (stats, transcript) = lift_route(gens, order);
+            assert_eq!((stats.lift_bypass, stats.lift_success), (1, 0), "{gens:?}");
+            assert_eq!((stats.lift_fallback, stats.crt_primes_used), (0, 0));
+            assert!(!transcript.contains("mm."), "{transcript}");
+        };
+        let lifted = |gens: &[Poly], order: &MonomialOrder| {
+            let (stats, transcript) = lift_route(gens, order);
+            assert_eq!((stats.lift_bypass, stats.lift_success), (0, 1), "{gens:?}");
+            assert!(stats.crt_primes_used >= 1);
+            assert!(transcript.contains("mm.image"), "{transcript}");
+            stats
+        };
+        // A single fractional generator has no pair: exact makes it monic.
+        bypassed(&[p("x^2 - 1/3")], &MonomialOrder::lex(&["x"]));
+        // Fractional generators with coprime leading monomials: the first
+        // criterion discards their only pair.
+        let order = MonomialOrder::lex(&["x", "y", "z"]);
+        bypassed(&[p("x^2 - 1/3*y"), p("y^3 - 2/5*z")], &order);
+        // The side relations share leading variables, so pairs survive and
+        // the fractional coefficient sends the ideal through the lift…
+        let (mut gens, order) = mapper_side_relation_ideal();
+        gens[3] = p("x^2 - 1/3*sx");
+        lifted(&gens, &order);
+        // …as it does katsura-3 lex, the coefficient-growth case.
+        let katsura = [
+            p("u0 + 2*u1 + 2*u2 + 2*u3 - 1/3"),
+            p("u0^2 + 2*u1^2 + 2*u2^2 + 2*u3^2 - u0"),
+            p("2*u0*u1 + 2*u1*u2 + 2*u2*u3 - u1"),
+            p("u1^2 + 2*u0*u2 + 2*u1*u3 - u2"),
+        ];
+        lifted(&katsura, &MonomialOrder::lex(&["u0", "u1", "u2", "u3"]));
+        // An all-integer ideal with surviving pairs is still bypassed.
+        let (gens, order) = mapper_side_relation_ideal();
+        bypassed(&gens, &order);
+        // A numerator past the single-word fast path opens the gate only
+        // where a pair survives.
+        let order = MonomialOrder::lex(&["x", "y"]);
+        let wide = |c: &str| [p(&format!("{c}*x - y")), p("x*y - 1")];
+        let options = GroebnerOptions::default();
+        assert!(lift_profitable(&wide("4294967296"), &order, &options));
+        assert!(!lift_profitable(&wide("2147483647"), &order, &options));
+        assert!(!lift_profitable(&[p("4294967296*x - 1")], &order, &options));
+        // Without the first criterion every pair is reduced, so only the
+        // coefficients decide.
+        let no_coprime = GroebnerOptions {
+            use_coprime_criterion: false,
+            ..options
+        };
+        let coprime = [p("x^2 - 1/3*y"), p("y^3 - 2/5")];
+        assert!(!lift_profitable(
+            &coprime,
+            &order,
+            &GroebnerOptions::default()
+        ));
+        assert!(lift_profitable(&coprime, &order, &no_coprime));
     }
 
     #[test]
     fn multimodular_requests_route_through_the_verified_lift() {
-        // The fractional coefficient marks the ideal lift-profitable, so the
-        // request genuinely reaches the multi-modular engine.
+        // Pairs survive the first criterion and a coefficient is fractional,
+        // so the request genuinely reaches the multi-modular engine.
         let gens = vec![
             p("x + y - s"),
             p("x - y - d"),
@@ -1266,7 +1384,7 @@ mod tests {
             (0, 1)
         );
         // An all-integer ideal is routed straight to the exact engine by the
-        // profitability gate: no image, no fallback — one bypass.
+        // lift gate: no image, no fallback — one bypass.
         let (igens, iorder) = mapper_side_relation_ideal();
         let before = cache.metrics_snapshot();
         let gb = cache.basis(&igens, &iorder, &lifted);
@@ -1793,7 +1911,12 @@ mod tests {
         let target = p("x^2 - y^2");
         let first = cache.guidance(&target);
         assert_eq!(*first, TargetGuidance::of(&target));
-        assert_eq!(first.factors.len(), 2, "x^2 - y^2 = (x - y)(x + y)");
+        let factor = p("x - y");
+        let ffp = crate::fingerprint::PolyFingerprint::of(&factor);
+        assert!(
+            first.is_factor(&target, &factor, &ffp, || false),
+            "x^2 - y^2 = (x - y)(x + y)"
+        );
         assert!(Arc::ptr_eq(&first, &cache.guidance(&target)));
         let counts = |c: &SharedGroebnerCache| {
             let s = c.metrics_snapshot();

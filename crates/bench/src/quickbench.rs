@@ -31,11 +31,6 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// The PR recorded into fresh entries when `SYMMAP_BENCH_PR` is unset.
-/// Bump alongside each perf-relevant PR so `perfgate` and readers can group
-/// the trajectory without parsing notes.
-pub const CURRENT_PR: u32 = 10;
-
 /// One benchmark measurement destined for `BENCH.json`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuickEntry {
@@ -45,8 +40,9 @@ pub struct QuickEntry {
     pub wall_ns: u128,
     /// Exact S-polynomial reduction count, when the workload has one.
     pub reductions: Option<u64>,
-    /// The PR this entry was recorded under (schema 2; absent only in
-    /// never-migrated legacy lines).
+    /// The PR this entry was recorded under (schema 2): `SYMMAP_BENCH_PR`
+    /// of the recording run, absent when it was unset and in never-migrated
+    /// legacy lines.
     pub pr: Option<u32>,
     /// Hardware threads of the recording machine (schema 2). `perfgate`
     /// only compares entries whose `hw_threads` match, so numbers from
@@ -80,27 +76,26 @@ impl QuickEntry {
     }
 }
 
-/// Builds an entry for the current run: `pr` from `SYMMAP_BENCH_PR` (falling
-/// back to [`CURRENT_PR`]), `hw_threads` from the running machine, `note`
+/// Builds an entry for the current run: `pr` from `SYMMAP_BENCH_PR` (no
+/// `pr` field when it is unset), `hw_threads` from the running machine, `note`
 /// from `SYMMAP_BENCH_NOTE`.
 pub fn entry(bench: impl Into<String>, wall_ns: u128, reductions: Option<u64>) -> QuickEntry {
     QuickEntry {
         bench: bench.into(),
         wall_ns,
         reductions,
-        pr: Some(pr_for_run()),
+        pr: pr_for_run(),
         hw_threads: Some(hw_threads()),
         note: run_note(),
     }
 }
 
-/// The PR number stamped on this run's entries (`SYMMAP_BENCH_PR` override,
-/// else [`CURRENT_PR`]).
-pub fn pr_for_run() -> u32 {
+/// The PR number stamped on this run's entries: `SYMMAP_BENCH_PR`, or none
+/// when it is unset or not a number.
+pub fn pr_for_run() -> Option<u32> {
     std::env::var("SYMMAP_BENCH_PR")
         .ok()
         .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(CURRENT_PR)
 }
 
 /// Hardware thread count of this machine (1 when undetectable).
@@ -307,7 +302,11 @@ mod tests {
         assert_eq!(e.wall_ns, 99);
         assert_eq!(e.reductions, Some(5));
         assert!(e.hw_threads.is_some());
-        assert!(e.pr.is_some());
+        // The PR comes from SYMMAP_BENCH_PR alone: no stale default.
+        match std::env::var("SYMMAP_BENCH_PR") {
+            Ok(v) => assert_eq!(e.pr, v.trim().parse().ok()),
+            Err(_) => assert_eq!(e.pr, None),
+        }
     }
 
     #[test]

@@ -182,8 +182,10 @@ pub struct EngineStats {
     /// Mod-p prime images feeding the successful lifts' CRT combines this
     /// batch.
     pub crt_primes_used: usize,
-    /// Basis requests the lift-profitability gate routed straight to the
-    /// exact engine this batch (small all-integer ideals).
+    /// Basis requests the lift gate routed straight to the exact engine
+    /// this batch: ideals whose leading monomials are pairwise coprime (no
+    /// S-pair survives the first criterion; every single-generator ideal)
+    /// and small all-integer ideals.
     pub lift_bypass: usize,
     /// Library shards dismissed whole by the fingerprint index's support
     /// test across this batch's candidate scans.

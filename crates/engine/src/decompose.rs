@@ -209,10 +209,10 @@ impl Mapper {
     /// `may_equal` miss proves inequality and a `shared_support_count` is the
     /// exact distinct-shared-variable count, so each candidate's score — and
     /// therefore the final order — is identical to the unscreened
-    /// computation, element for element. The target's factors and
-    /// fingerprints come from the shared cache's guidance memo, and each
-    /// score is computed once (`sort_by_cached_key`, stable like
-    /// `sort_by_key`).
+    /// computation, element for element. The target's fingerprint and
+    /// factor test come from the shared cache's guidance memo
+    /// ([`TargetGuidance::is_factor`]), and each score is computed once
+    /// (`sort_by_cached_key`, stable like `sort_by_key`).
     fn order_candidates<'a>(
         &self,
         target: &Poly,
@@ -227,11 +227,7 @@ impl Mapper {
         let score = |e: &LibraryElement| -> i64 {
             let efp = e.fingerprint();
             let mut s = 0_i64;
-            if guidance
-                .factors
-                .iter()
-                .any(|(f, ffp)| ffp.may_equal(efp) && f == e.polynomial())
-            {
+            if guidance.is_factor(target, e.polynomial(), efp, || e.is_primitive()) {
                 s -= 1_000_000;
             }
             if tfp.may_equal(efp) && e.polynomial() == target {

@@ -62,15 +62,17 @@ fn engine(workers: usize) -> MappingEngine {
 /// The multi-modular lift is invisible to mapping output: the same batch,
 /// run with `GroebnerOptions::multimodular` off and on and at worker counts
 /// 1 and 4, renders byte-identically — and with the flag on, the lift
-/// actually engages on the fractional-coefficient targets (its counters
-/// move) while the profitability gate bypasses it on the small all-integer
-/// ones, rather than either path being silently skipped.
+/// actually engages on the subsets whose side relations share a leading
+/// variable and carry a fractional coefficient (its counters move) while
+/// the gate bypasses it on the others, rather than either path being
+/// silently skipped.
 #[test]
 fn multimodular_mapping_is_byte_identical_at_any_worker_count() {
-    // The profitability gate reads the ideal generators — the library side
+    // The lift gate reads the ideal generators — the library side
     // relations, not the target — so engaging the lift needs a library
     // element with a fractional coefficient (`1/3` here, as in the scaled
-    // fixed-point kernels that motivate the lift).
+    // fixed-point kernels that motivate the lift), priced together with an
+    // element whose relation shares its leading variable.
     let library = {
         let mut lib = (*library()).clone();
         lib.push(
@@ -119,7 +121,7 @@ fn multimodular_mapping_is_byte_identical_at_any_worker_count() {
                 assert!(engaged >= 1, "the lift never engaged at {workers} workers");
                 assert!(
                     result.stats.lift_bypass >= 1,
-                    "the profitability gate never bypassed at {workers} workers"
+                    "the lift gate never bypassed at {workers} workers"
                 );
             }
             renders.push(format!("{:?}", result.outcomes));

@@ -51,10 +51,11 @@ fn library(prefix: &str) -> Arc<Library> {
         ("prod", "q", "x*y", 5),
         ("sq_x", "sx", "x^2", 4),
         ("sq_z", "sz", "z^2", 4),
-        // Fractional coefficient: keeps the multimodular profitability gate
-        // open (the gate reads the ideal generators — all-integer side
-        // relations would route every compute to plain exact Buchberger and
-        // the lift would record no spans).
+        // Fractional coefficient: keeps the multimodular lift gate open on
+        // subsets that pair it with another `x` element (the gate reads the
+        // ideal generators — all-integer side relations, or relations with
+        // pairwise coprime leading monomials, would route every compute to
+        // plain exact Buchberger and the lift would record no spans).
         ("third_sq", "ts", "1/3*x^2", 4),
     ] {
         lib.push(

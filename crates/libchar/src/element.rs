@@ -4,6 +4,7 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
+use symmap_algebra::factor::is_primitive;
 use symmap_algebra::fingerprint::PolyFingerprint;
 use symmap_algebra::poly::Poly;
 use symmap_algebra::simplify::SideRelation;
@@ -58,7 +59,7 @@ impl fmt::Display for LibrarySource {
 /// it uses the element as a side relation.
 ///
 /// Equality and `Debug` cover the element's data, not its lazily filled
-/// side-relation memo ([`LibraryElement::side_relation`]).
+/// memos ([`LibraryElement::side_relation`], [`LibraryElement::is_primitive`]).
 #[derive(Clone)]
 pub struct LibraryElement {
     name: String,
@@ -80,6 +81,10 @@ pub struct LibraryElement {
     /// for life (no method changes either), so the libraries built from one
     /// element (`Library::union` clones) derive its relation once.
     side_relation: Arc<OnceLock<SideRelation>>,
+    /// Whether `polynomial` is primitive ([`is_primitive`]), decided on
+    /// first use by the mapper's candidate ordering and shared with every
+    /// clone like `side_relation`.
+    primitive: Arc<OnceLock<bool>>,
 }
 
 impl PartialEq for LibraryElement {
@@ -159,6 +164,17 @@ impl LibraryElement {
     pub fn side_relation(&self) -> &SideRelation {
         self.side_relation
             .get_or_init(|| SideRelation::new(&self.output_symbol, &self.polynomial))
+    }
+
+    /// Whether the element's polynomial is primitive in [`factor`]'s sense:
+    /// content 1 and a positive GrLex leading coefficient. Decided on the
+    /// first call on the element or any of its clones.
+    ///
+    /// [`factor`]: symmap_algebra::factor::factor
+    pub fn is_primitive(&self) -> bool {
+        *self
+            .primitive
+            .get_or_init(|| is_primitive(&self.polynomial))
     }
 
     /// Execution cycles on the characterized platform (per invocation).
@@ -300,6 +316,7 @@ impl LibraryElementBuilder {
             format: self.format,
             source: self.source,
             side_relation: Arc::default(),
+            primitive: Arc::default(),
         })
     }
 }
