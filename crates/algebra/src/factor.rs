@@ -36,17 +36,6 @@ impl Factorization {
         }
         acc
     }
-
-    /// Total number of non-constant factors counted with multiplicity.
-    pub fn factor_count(&self) -> u32 {
-        self.factors.iter().map(|(_, m)| *m).sum()
-    }
-
-    /// Returns `true` when factorization found more than one nontrivial piece
-    /// (i.e. the result is more structured than the input).
-    pub fn is_nontrivial(&self) -> bool {
-        self.factor_count() > 1 || self.factors.iter().any(|(_, m)| *m > 1)
-    }
 }
 
 impl std::fmt::Display for Factorization {
@@ -425,6 +414,13 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    impl Factorization {
+        /// Non-constant factors counted with multiplicity.
+        fn factor_count(&self) -> u32 {
+            self.factors.iter().map(|(_, m)| *m).sum()
+        }
+    }
+
     fn p(s: &str) -> Poly {
         Poly::parse(s).unwrap()
     }
@@ -504,12 +500,6 @@ mod tests {
         let f = factor(&p("x^2 - y^2"));
         let s = f.to_string();
         assert!(s.contains('(') && s.contains(')'), "{s}");
-    }
-
-    #[test]
-    fn nontrivial_flag() {
-        assert!(factor(&p("x^2 - y^2")).is_nontrivial());
-        assert!(!factor(&p("x^2 + x + 1")).is_nontrivial());
     }
 
     #[test]

@@ -93,19 +93,9 @@ pub struct GroebnerOptions {
     /// single-generator ideal — no S-pair survives the first criterion, so
     /// the exact engine only makes the generators monic), and small
     /// all-integer ideals (the lift measured 1.8–3.1× the exact run) — see
-    /// `lift_profitable`. Set `SYMMAP_TEST_MULTIMODULAR=0` to opt out.
+    /// `lift_profitable`. Set it to `false` to force the exact engine, as
+    /// the differential tests do to compare the two paths.
     pub multimodular: bool,
-}
-
-/// Whether the multi-modular lift is the default compute path: on unless
-/// `SYMMAP_TEST_MULTIMODULAR=0`, read once per process so a mid-run
-/// environment change can never fork option defaults between threads.
-fn multimodular_from_env() -> bool {
-    static FLAG: OnceLock<bool> = OnceLock::new();
-    // lint:allow(D5): this IS the CI switch — the third tier-1 pass sets
-    // SYMMAP_TEST_MULTIMODULAR=0 to prove the exact engine remains an
-    // independent ground truth with the lift fully disabled.
-    *FLAG.get_or_init(|| std::env::var("SYMMAP_TEST_MULTIMODULAR").map_or(true, |v| v != "0"))
 }
 
 impl Default for GroebnerOptions {
@@ -115,7 +105,7 @@ impl Default for GroebnerOptions {
             use_coprime_criterion: true,
             use_chain_criterion: true,
             use_sugar_tiebreak: false,
-            multimodular: multimodular_from_env(),
+            multimodular: true,
         }
     }
 }
@@ -683,32 +673,6 @@ impl CacheStats {
     }
 }
 
-/// Point-in-time counters of the multi-modular lift
-/// ([`SharedGroebnerCache::lift_stats`]). All zero when no request carried
-/// [`GroebnerOptions::multimodular`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LiftStats {
-    /// Basis computations settled entirely by the verified lift: the mod-p
-    /// images CRT-combined, reconstructed and verified over ℚ, so the exact
-    /// engine never ran.
-    pub lift_success: usize,
-    /// Reconstruction/verification rounds that failed and forced another
-    /// prime before the outcome was settled (a run that eventually succeeds
-    /// still counts its earlier failed rounds here).
-    pub lift_retry: usize,
-    /// Basis computations the lift could not certify, answered by the exact
-    /// fallback instead. The result is still correct — just not faster.
-    pub lift_fallback: usize,
-    /// Requests the lift gate routed straight to the exact engine without
-    /// attempting a prime image: ideals whose leading monomials are pairwise
-    /// coprime (every single-generator ideal), so no S-pair survives the
-    /// first criterion, and small all-integer ideals.
-    pub lift_bypass: usize,
-    /// Mod-p prime images that fed the final CRT combine, summed over
-    /// successful lifts (1 means single-prime coefficients all round).
-    pub crt_primes_used: usize,
-}
-
 /// One memoized basis, with the request it answers.
 #[derive(Debug)]
 struct CacheEntry {
@@ -1076,20 +1040,6 @@ impl SharedGroebnerCache {
     pub fn stats(&self) -> CacheStats {
         CacheStats::from_snapshot(&self.metrics.snapshot())
     }
-
-    /// Point-in-time counters of the multi-modular lift. Counter totals
-    /// under concurrency are timing-dependent (like the cache stats), but
-    /// the lifted *bases* never are — every lift is verified over ℚ and the
-    /// exact engine answers whenever verification balks.
-    pub fn lift_stats(&self) -> LiftStats {
-        LiftStats {
-            lift_success: self.lift_success.get() as usize,
-            lift_retry: self.lift_retry.get() as usize,
-            lift_fallback: self.lift_fallback.get() as usize,
-            lift_bypass: self.lift_bypass.get() as usize,
-            crt_primes_used: self.crt_primes_used.get() as usize,
-        }
-    }
 }
 
 /// The fixed-seed hash of a basis request, field by field: `order`,
@@ -1118,6 +1068,7 @@ mod tests {
     use crate::monomial::Monomial;
     use crate::var::Var;
     use proptest::prelude::*;
+    use symmap_trace::MetricsSnapshot;
 
     fn p(s: &str) -> Poly {
         Poly::parse(s).unwrap()
@@ -1250,8 +1201,9 @@ mod tests {
 
     /// Computes `gens` once with the lift on, on a fresh cache inside a
     /// traced job, and checks that the basis and reduction count equal the
-    /// exact engine's. Returns the lift counters and the compute transcript.
-    fn lift_route(gens: &[Poly], order: &MonomialOrder) -> (LiftStats, String) {
+    /// exact engine's. Returns the cache's counters and the compute
+    /// transcript.
+    fn lift_route(gens: &[Poly], order: &MonomialOrder) -> (MetricsSnapshot, String) {
         let exact = GroebnerOptions {
             multimodular: false,
             ..GroebnerOptions::default()
@@ -1273,21 +1225,28 @@ mod tests {
         assert_eq!(gb.reductions, reference.reductions);
         assert_eq!(gb.complete, reference.complete);
         let transcript = collector.finalize().deterministic_transcript();
-        (cache.lift_stats(), transcript)
+        (cache.metrics_snapshot(), transcript)
     }
 
     #[test]
     fn lift_gate_routes_by_surviving_pairs_then_coefficients() {
         let bypassed = |gens: &[Poly], order: &MonomialOrder| {
             let (stats, transcript) = lift_route(gens, order);
-            assert_eq!((stats.lift_bypass, stats.lift_success), (1, 0), "{gens:?}");
-            assert_eq!((stats.lift_fallback, stats.crt_primes_used), (0, 0));
+            let counts = [
+                "lift.bypass",
+                "lift.success",
+                "lift.fallback",
+                "lift.crt_primes",
+            ]
+            .map(|name| stats.counter(name));
+            assert_eq!(counts, [1, 0, 0, 0], "{gens:?}");
             assert!(!transcript.contains("mm."), "{transcript}");
         };
         let lifted = |gens: &[Poly], order: &MonomialOrder| {
             let (stats, transcript) = lift_route(gens, order);
-            assert_eq!((stats.lift_bypass, stats.lift_success), (0, 1), "{gens:?}");
-            assert!(stats.crt_primes_used >= 1);
+            let counts = ["lift.bypass", "lift.success"].map(|name| stats.counter(name));
+            assert_eq!(counts, [0, 1], "{gens:?}");
+            assert!(stats.counter("lift.crt_primes") >= 1);
             assert!(transcript.contains("mm.image"), "{transcript}");
             stats
         };
@@ -1362,9 +1321,10 @@ mod tests {
         // included.
         assert_eq!(via_lift.polys(), via_exact.polys());
         assert_eq!(via_lift.reductions, via_exact.reductions);
-        let stats = cache.lift_stats();
-        assert_eq!((stats.lift_success, stats.lift_fallback), (1, 0));
-        assert!(stats.crt_primes_used >= 1);
+        let stats = cache.metrics_snapshot();
+        let counts = ["lift.success", "lift.fallback"].map(|name| stats.counter(name));
+        assert_eq!(counts, [1, 0]);
+        assert!(stats.counter("lift.crt_primes") >= 1);
         // An iteration-starved run cannot produce a certifiable lift: the
         // engine falls back to (equally starved) exact Buchberger rather
         // than hand out an unverified basis.
@@ -1398,7 +1358,7 @@ mod tests {
             ),
             (0, 0, 1)
         );
-        assert_eq!(cache.lift_stats().lift_bypass, 1);
+        assert_eq!(cache.metrics_snapshot().counter("lift.bypass"), 1);
     }
 
     #[test]

@@ -297,11 +297,6 @@ impl Monomial {
             .map(|(i, &e)| (Var::from_index(i as u32), e))
     }
 
-    /// Number of distinct variables.
-    pub fn num_vars(&self) -> usize {
-        self.exps().iter().filter(|&&e| e > 0).count()
-    }
-
     /// Product of two monomials (exponents add, checked).
     ///
     /// # Errors
@@ -413,13 +408,6 @@ impl Monomial {
     /// [`Monomial::try_pow`] to handle overflow as an error.
     pub fn pow(&self, k: u32) -> Monomial {
         self.try_pow(k).expect("monomial exponent overflow")
-    }
-
-    /// Number of multiplications needed to evaluate the bare power product
-    /// naively (used by the cost estimator).
-    pub fn naive_mul_count(&self) -> u32 {
-        let deg = self.total_degree();
-        deg.saturating_sub(1)
     }
 
     /// The ordering the pre-packing representation (`BTreeMap<Var, u32>`
@@ -538,7 +526,7 @@ mod tests {
         let m = Monomial::from_pairs(&[(x(), 0), (y(), 2)]);
         assert_eq!(m.degree_of(x()), 0);
         assert_eq!(m.degree_of(y()), 2);
-        assert_eq!(m.num_vars(), 1);
+        assert_eq!(m.iter().count(), 1);
         assert!(Monomial::var(x(), 0).is_one());
     }
 
@@ -650,7 +638,7 @@ mod tests {
             .map(|i| (Var::new(&format!("wide_spill_v{i}")), i + 1))
             .collect();
         let m = Monomial::from_pairs(&pairs);
-        assert_eq!(m.num_vars(), INLINE_VARS + 4);
+        assert_eq!(m.iter().count(), INLINE_VARS + 4);
         for &(v, e) in &pairs {
             assert_eq!(m.degree_of(v), e);
         }

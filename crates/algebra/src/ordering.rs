@@ -76,18 +76,6 @@ impl MonomialOrder {
         }
     }
 
-    /// Extends the precedence list with any variables of `extra` not yet
-    /// listed (appended after the existing ones, i.e. with lower precedence).
-    pub fn extended_with(&self, extra: &VarSet) -> MonomialOrder {
-        let merged = self.vars().union(extra);
-        match self {
-            MonomialOrder::Lex(_) => MonomialOrder::Lex(merged),
-            MonomialOrder::GrLex(_) => MonomialOrder::GrLex(merged),
-            MonomialOrder::GrevLex(_) => MonomialOrder::GrevLex(merged),
-            MonomialOrder::Elimination(_, k) => MonomialOrder::Elimination(merged, *k),
-        }
-    }
-
     /// Rewrites the order into the local coordinates of `ring`: listed
     /// variables inside the ring map to their local handles (precedence
     /// preserved), listed variables outside the ring are dropped — every
@@ -381,13 +369,6 @@ mod tests {
             grevlex.cmp(&Monomial::var(a, 2), &Monomial::var(b, 2)),
             Ordering::Greater
         );
-    }
-
-    #[test]
-    fn extended_with_appends_lower_precedence() {
-        let o = MonomialOrder::lex(&["x"]).extended_with(&VarSet::from_names(&["y"]));
-        assert_eq!(o.vars().len(), 2);
-        assert_eq!(o.cmp(&m(&[("x", 1)]), &m(&[("y", 3)])), Ordering::Greater);
     }
 
     #[test]

@@ -169,7 +169,7 @@ impl<'a> Parser<'a> {
             match tok {
                 Token::Star => {
                     self.bump();
-                    acc = acc.mul(&self.factor()?);
+                    acc = acc.try_mul(&self.factor()?)?;
                 }
                 Token::Slash => {
                     self.bump();
@@ -237,6 +237,18 @@ mod tests {
     use super::*;
 
     #[test]
+    fn overflowing_product_is_an_error_not_a_panic() {
+        // `e` is x^(2^30): three factors still fit u32, the fourth does not.
+        let e = "((((x^64)^64)^64)^64)^64";
+        let three = parse_polynomial(&format!("{e}*{e}*{e}")).unwrap();
+        assert_eq!(three.total_degree(), 3 << 30);
+        assert_eq!(
+            parse_polynomial(&format!("{e}*{e}*{e}*{e}")),
+            Err(AlgebraError::DegreeOverflow)
+        );
+    }
+
+    #[test]
     fn parses_simple_sums_and_products() {
         assert_eq!(parse_polynomial("x + 1").unwrap().num_terms(), 2);
         assert_eq!(parse_polynomial("x*y*z").unwrap().total_degree(), 3);
@@ -253,7 +265,10 @@ mod tests {
 
     #[test]
     fn parses_unary_minus_and_rationals() {
-        assert_eq!(parse_polynomial("-x").unwrap(), Poly::var_named("x").neg());
+        assert_eq!(
+            parse_polynomial("-x").unwrap(),
+            Poly::var(Var::new("x")).neg()
+        );
         assert_eq!(
             parse_polynomial("-(x - 1)").unwrap(),
             parse_polynomial("1 - x").unwrap()
@@ -262,7 +277,7 @@ mod tests {
             parse_polynomial("x/2 + 0.25").unwrap(),
             parse_polynomial("2*x/4 + 1/4").unwrap()
         );
-        assert_eq!(parse_polynomial("+x").unwrap(), Poly::var_named("x"));
+        assert_eq!(parse_polynomial("+x").unwrap(), Poly::var(Var::new("x")));
     }
 
     #[test]

@@ -136,11 +136,6 @@ impl Poly {
         Poly::from_term(Monomial::var(v, 1), Rational::one())
     }
 
-    /// The polynomial consisting of a single named variable.
-    pub fn var_named(name: &str) -> Self {
-        Poly::var(Var::new(name))
-    }
-
     /// A single-term polynomial `c * m`.
     pub fn from_term(m: Monomial, c: Rational) -> Self {
         if c.is_zero() {
@@ -447,6 +442,41 @@ impl Poly {
         Poly { terms: out }
     }
 
+    /// Polynomial multiplication that reports exponent overflow instead of
+    /// panicking.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AlgebraError::DegreeOverflow`] when some variable's largest
+    /// exponent in `self` plus its largest in `other` overflows `u32`; every
+    /// product monomial is then bounded, so [`Poly::mul`] cannot panic.
+    pub fn try_mul(&self, other: &Poly) -> Result<Poly, AlgebraError> {
+        let (a, b) = (self.max_exponents(), other.max_exponents());
+        let overflows = a
+            .iter()
+            .zip(&b)
+            .any(|(&ea, &eb)| ea.checked_add(eb).is_none());
+        if overflows {
+            return Err(AlgebraError::DegreeOverflow);
+        }
+        Ok(self.mul(other))
+    }
+
+    /// The largest exponent of each variable slot over all terms.
+    fn max_exponents(&self) -> Vec<u32> {
+        let mut max: Vec<u32> = Vec::new();
+        for (m, _) in &self.terms {
+            let exps = m.exps();
+            if exps.len() > max.len() {
+                max.resize(exps.len(), 0);
+            }
+            for (slot, &e) in max.iter_mut().zip(exps) {
+                *slot = (*slot).max(e);
+            }
+        }
+        max
+    }
+
     /// Raises the polynomial to a non-negative power.
     ///
     /// # Errors
@@ -561,24 +591,6 @@ impl Poly {
             out[k].add_term(&reduced, c);
         }
         out
-    }
-
-    /// Counts the multiplications and additions needed to evaluate the
-    /// polynomial naively in expanded form (used as a software cost proxy when
-    /// no library element covers a subexpression).
-    pub fn naive_op_count(&self) -> (u32, u32) {
-        let mut muls = 0;
-        let mut adds = 0;
-        for (m, c) in self.iter() {
-            muls += m.naive_mul_count();
-            if !m.is_one() && !c.is_one() && !(-c.clone()).is_one() {
-                muls += 1;
-            }
-        }
-        if self.num_terms() > 1 {
-            adds += self.num_terms() as u32 - 1;
-        }
-        (muls, adds)
     }
 
     /// Content: the gcd of all coefficient numerators divided by the lcm of
@@ -696,7 +708,7 @@ mod tests {
         assert_eq!(Poly::integer(5).as_constant(), Some(Rational::integer(5)));
         assert_eq!(Poly::constant(Rational::zero()), Poly::zero());
         assert_eq!(
-            Poly::var_named("x").as_single_variable(),
+            Poly::var(Var::new("x")).as_single_variable(),
             Some(Var::new("x"))
         );
         assert_eq!(p("2*x").as_single_variable(), None);
@@ -839,15 +851,6 @@ mod tests {
             assert_eq!(Poly::parse(&q.to_string()).unwrap(), q);
         }
         assert_eq!(p("y + x^2").to_string(), "x^2 + y");
-    }
-
-    #[test]
-    fn naive_op_count() {
-        // x^2 + 2*x*y + y^2: muls = 1 (x^2) + (1+1) (2*x*y) + 1 (y^2) = 4, adds = 2
-        let (muls, adds) = p("x^2 + 2*x*y + y^2").naive_op_count();
-        assert_eq!(adds, 2);
-        assert_eq!(muls, 4);
-        assert_eq!(p("7").naive_op_count(), (0, 0));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! formatting a polynomial resolves a name per variable *occurrence*, and the
 //! mapper's reports format thousands of terms.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicPtr, Ordering as AtomicOrdering};
 use std::sync::{Mutex, OnceLock};
@@ -243,20 +243,6 @@ impl VarSet {
         }
         out
     }
-
-    /// Returns the set of variables present in `self` but not in `other`
-    /// (order preserved).
-    pub fn difference(&self, other: &VarSet) -> VarSet {
-        let other_set: BTreeSet<Var> = other.iter().collect();
-        VarSet {
-            vars: self
-                .vars
-                .iter()
-                .copied()
-                .filter(|v| !other_set.contains(v))
-                .collect(),
-        }
-    }
 }
 
 impl FromIterator<Var> for VarSet {
@@ -372,15 +358,12 @@ mod tests {
     }
 
     #[test]
-    fn union_and_difference() {
+    fn union_preserves_first_seen_order() {
         let a = VarSet::from_names(&["x", "y"]);
         let b = VarSet::from_names(&["y", "z"]);
         let u = a.union(&b);
         assert_eq!(u.len(), 3);
         assert_eq!(u.position(Var::new("z")), Some(2));
-        let d = a.difference(&b);
-        assert_eq!(d.len(), 1);
-        assert!(d.contains(Var::new("x")));
     }
 
     #[test]

@@ -813,7 +813,7 @@ fn simplify_modulo_matches_reference_pipeline() {
             .iter()
             .map(|(sym, body)| {
                 let body = Poly::parse(body).unwrap();
-                let gen = body.sub(&Poly::var_named(sym));
+                let gen = body.sub(&Poly::var(Var::new(sym)));
                 to_ref(&gen)
             })
             .collect();

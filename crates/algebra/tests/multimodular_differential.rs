@@ -62,7 +62,7 @@ fn budget_ideals() -> Vec<(&'static str, Vec<Poly>, MonomialOrder)> {
 
 /// All 8 ablation combinations of the Buchberger criteria/tiebreak, with the
 /// multimodular flag pinned off so the oracle side is always the exact
-/// engine regardless of `SYMMAP_TEST_MULTIMODULAR`.
+/// engine.
 fn option_combinations() -> Vec<GroebnerOptions> {
     let mut combos = Vec::new();
     for coprime in [true, false] {

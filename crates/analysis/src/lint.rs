@@ -10,7 +10,7 @@
 //! | D2 | no `Instant::now`/`SystemTime`/`thread::current().id()` on algorithmic paths (timing is confined to `crates/bench/`) |
 //! | D3 | no `f32`/`f64` arithmetic inside the exact paths (`crates/algebra/src/`, `crates/numeric/src/`) |
 //! | D4 | every `unsafe` block carries a `// SAFETY:` comment |
-//! | D5 | no `std::env::var` outside config/CI-switch sites (`crates/bench/` is the designated bench-config reader) |
+//! | D5 | no `std::env::var` outside `crates/bench/` (the designated bench-config reader) |
 //! | D6 | no direct trace-recorder/collector construction outside `crates/trace/` and the engine's batch/pool entry points — instrumentation goes through the `trace_event!`/`trace_span!`/`trace_sched!` macros |
 //!
 //! Violations are suppressed with a **mandatory-reason** escape hatch:

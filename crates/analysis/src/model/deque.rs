@@ -1,5 +1,5 @@
 //! Model of the batch pool's own-front / steal-back deque
-//! (`crates/engine/src/pool.rs`, `run_batch` / `worker_loop`).
+//! (`crates/engine/src/pool.rs`, `run_batch_observed` / `worker_loop`).
 //!
 //! The real pool deals jobs round-robin into per-worker deques up front (no
 //! jobs are produced later). Each worker then loops: pop the **front** of
@@ -47,8 +47,8 @@ enum Pc {
     Done,
 }
 
-/// The pool's deque discipline with jobs dealt round-robin, as `run_batch`
-/// deals them.
+/// The pool's deque discipline with jobs dealt round-robin, as
+/// `run_batch_observed` deals them.
 #[derive(Debug, Clone)]
 pub struct DequeModel {
     pc: Vec<Pc>,

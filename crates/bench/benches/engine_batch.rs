@@ -20,10 +20,8 @@ use symmap_libchar::catalog;
 use symmap_platform::machine::Badge4;
 
 /// Worker count for the parallel measurement (the acceptance criterion's
-/// "N"): 4, or `SYMMAP_TEST_WORKERS` when set.
-fn parallel_workers() -> usize {
-    EngineConfig::default().workers.max(4)
-}
+/// "N").
+const PARALLEL_WORKERS: usize = 4;
 
 fn engine(workers: usize) -> MappingEngine {
     MappingEngine::new(EngineConfig {
@@ -44,7 +42,7 @@ fn bench(c: &mut Criterion) {
     let library = Arc::new(catalog::full_catalog(&badge));
     let jobs = mp3_kernel_jobs(&library, &MapperConfig::default());
     assert_eq!(jobs.len(), 11, "the MP3 kernel batch is 11 jobs");
-    let n = parallel_workers();
+    let n = PARALLEL_WORKERS;
 
     // Deterministic guards first: identical solutions at every worker count,
     // and the shared reduction-budget table (also asserted by the

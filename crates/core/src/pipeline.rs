@@ -131,12 +131,6 @@ impl OptimizationPipeline {
         &self.engine
     }
 
-    /// `(hits, misses)` of the shared Gröbner-basis memoization layer.
-    pub fn groebner_cache_stats(&self) -> (usize, usize) {
-        let cache = self.engine.cache();
-        (cache.hits(), cache.misses())
-    }
-
     /// Step 2: profile the original (reference) decoder on one frame and
     /// identify every mappable procedure (the paper maps everything that can
     /// be written as a polynomial, however small).
@@ -390,12 +384,13 @@ mod tests {
         let badge = Badge4::new();
         let pipeline = small_pipeline(catalog::full_catalog(&badge));
         pipeline.map_decoder();
-        let (hits_first, misses_first) = pipeline.groebner_cache_stats();
+        let cache = pipeline.engine().cache();
+        let (hits_first, misses_first) = (cache.hits(), cache.misses());
         assert!(misses_first > 0, "first run must populate the cache");
         // The second mapping pass prices the same side-relation sets and is
         // answered from the shared cache without a single new basis.
         pipeline.map_decoder();
-        let (hits_second, misses_second) = pipeline.groebner_cache_stats();
+        let (hits_second, misses_second) = (cache.hits(), cache.misses());
         assert!(hits_second > hits_first);
         assert_eq!(
             misses_second, misses_first,
@@ -417,10 +412,13 @@ mod tests {
             let pipeline = small_pipeline(catalog::full_catalog(&badge)).with_mapper_config(config);
             pipeline.map_decoder()
         };
-        for workers in [2, 4] {
+        // The 4-worker run also records a trace, which must not leak into
+        // the solutions.
+        for (workers, trace) in [(2, false), (4, true)] {
             let config = MapperConfig {
                 engine: symmap_engine::EngineConfig {
                     workers,
+                    trace,
                     ..Default::default()
                 },
                 ..MapperConfig::default()

@@ -1,7 +1,6 @@
 //! Renderers for the paper's tables and figures, plus the batch engine's
 //! run report.
 
-use symmap_engine::EngineStats;
 use symmap_libchar::catalog::{self, names};
 use symmap_mp3::imdct;
 use symmap_platform::machine::Badge4;
@@ -131,77 +130,6 @@ pub fn render_table6(versions: &[CodeVersion]) -> String {
     out
 }
 
-/// The batch engine's run report: job volume, worker scheduling and the
-/// shared Gröbner cache's activity for one mapping batch.
-pub fn render_engine_stats(stats: &EngineStats) -> String {
-    let mut out = format!(
-        "Batch engine: {} jobs on {} workers ({} steals) in {:.3} ms\n",
-        stats.jobs,
-        stats.workers,
-        stats.steals,
-        stats.wall.as_secs_f64() * 1e3,
-    );
-    out.push_str(&format!(
-        "  cache: {} hits / {} misses / {} evictions, {} bases resident\n",
-        stats.cache_hits(),
-        stats.cache_misses(),
-        stats.cache_evictions(),
-        stats.cache_len(),
-    ));
-    if stats.lift_success + stats.lift_retry + stats.lift_fallback + stats.lift_bypass > 0 {
-        out.push_str(&format!(
-            "  multi-modular lift: {} verified lifts ({} prime images CRT-combined) / \
-             {} retries / {} exact fallbacks / {} gate bypasses\n",
-            stats.lift_success,
-            stats.crt_primes_used,
-            stats.lift_retry,
-            stats.lift_fallback,
-            stats.lift_bypass,
-        ));
-    }
-    if stats.index_rejected + stats.index_kept > 0 {
-        out.push_str(&format!(
-            "  fingerprint index: {} elements pruned / {} kept \
-             ({} shards skipped whole, {:.1}% prune rate)\n",
-            stats.index_rejected,
-            stats.index_kept,
-            stats.index_shards_skipped,
-            100.0 * stats.index_rejected as f64
-                / (stats.index_rejected + stats.index_kept).max(1) as f64,
-        ));
-    }
-    // Per-phase breakdown over the unified registry window: every counter
-    // rolls up under its name's leading family segment (cache, nf,
-    // guidance, lift, pool, …), histograms report count and mean.
-    let mut families: std::collections::BTreeMap<&str, u64> = std::collections::BTreeMap::new();
-    for (name, v) in &stats.metrics.counters {
-        let family = name.split('.').next().unwrap_or(name);
-        *families.entry(family).or_default() += v;
-    }
-    families.retain(|_, total| *total > 0);
-    if !families.is_empty() {
-        out.push_str(&format!(
-            "  per-phase counters: {:<10} {:>10}\n",
-            "phase", "events"
-        ));
-        for (family, total) in &families {
-            out.push_str(&format!("    {:<24} {:>10}\n", family, total));
-        }
-    }
-    for (name, h) in &stats.metrics.histograms {
-        if h.count == 0 {
-            continue;
-        }
-        out.push_str(&format!(
-            "    {:<24} {:>10} samples, mean {:.1}\n",
-            name,
-            h.count,
-            h.sum as f64 / h.count as f64
-        ));
-    }
-    out
-}
-
 /// The DVFS headroom argument of §4/§5: how much faster than real time the
 /// decoder runs and how much additional energy scaling recovers.
 pub fn render_dvfs(version: &CodeVersion, frames: usize, badge: &Badge4) -> String {
@@ -263,26 +191,6 @@ mod tests {
         assert!(s.contains("horner"));
         // The simplify example's answer from the paper.
         assert!(s.contains("x*y^2*p") || s.contains("y^2*x*p"), "{s}");
-    }
-
-    #[test]
-    fn engine_stats_render() {
-        let badge = Badge4::new();
-        let pipeline =
-            OptimizationPipeline::new(badge.clone(), full_catalog(&badge)).with_stream_frames(1);
-        let (_, solutions, stats) = pipeline.map_decoder_with_stats();
-        assert!(stats.jobs > 0);
-        assert!(stats.jobs >= solutions.len());
-        let rendered = render_engine_stats(&stats);
-        assert!(rendered.contains("Batch engine:"), "{rendered}");
-        assert!(rendered.contains(&format!("{} jobs", stats.jobs)));
-        assert!(rendered.contains("misses"));
-        let totals = format!(
-            "cache: {} hits / {} misses",
-            stats.cache_hits(),
-            stats.cache_misses()
-        );
-        assert!(rendered.contains(&totals), "{rendered}");
     }
 
     #[test]

@@ -69,17 +69,15 @@ pub struct EngineConfig {
 }
 
 impl Default for EngineConfig {
-    /// One worker — the sequential path — unless the `SYMMAP_TEST_WORKERS`
-    /// environment variable overrides it (CI sets it to 4 so the whole test
-    /// suite exercises the parallel path; output is identical either way).
-    /// Tracing is off unless `SYMMAP_TEST_TRACE` enables it the same way (a
-    /// fourth CI pass).
+    /// One worker — the sequential path — with tracing off. Tests and
+    /// benches that need the parallel path or a trace set `workers` and
+    /// `trace` explicitly; output is identical either way.
     fn default() -> Self {
         EngineConfig {
-            workers: workers_from_env().unwrap_or(1),
+            workers: 1,
             cache_capacity: CacheConfig::default().capacity,
             modular_prefilter: false,
-            trace: trace_from_env().unwrap_or(false),
+            trace: false,
         }
     }
 }
@@ -90,27 +88,6 @@ impl EngineConfig {
         CacheConfig {
             capacity: self.cache_capacity,
         }
-    }
-}
-
-fn workers_from_env() -> Option<usize> {
-    // lint:allow(D5): this IS the CI switch — worker count never changes
-    // mapping output (see the determinism argument in the module docs).
-    std::env::var("SYMMAP_TEST_WORKERS")
-        .ok()?
-        .trim()
-        .parse()
-        .ok()
-        .filter(|&w| w >= 1)
-}
-
-fn trace_from_env() -> Option<bool> {
-    // lint:allow(D5): this IS the CI switch — tracing is provably
-    // non-perturbing (the trace-determinism suite pins outcomes byte-
-    // identical with it on or off).
-    match std::env::var("SYMMAP_TEST_TRACE").ok()?.trim() {
-        "" | "0" => Some(false),
-        _ => Some(true),
     }
 }
 
@@ -216,11 +193,6 @@ impl EngineStats {
     /// Cache entries evicted by the capacity bound during this batch.
     pub fn cache_evictions(&self) -> usize {
         self.cache.evictions
-    }
-
-    /// Bases resident in the shared cache after the batch.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len
     }
 
     /// Always 0: no lookup is answered by a second cache layer. Kept only
@@ -513,7 +485,7 @@ mod tests {
             batch.stats.cache_hits() > 0,
             "jobs over the same library must share side-relation bases"
         );
-        assert_eq!(batch.stats.cache_len(), engine.cache().len());
+        assert_eq!(batch.stats.cache.len, engine.cache().len());
         // A repeated batch is answered from the cache: no new bases.
         let again = engine.run(&jobs);
         assert_eq!(again.stats.cache_misses(), 0);
@@ -602,16 +574,9 @@ mod tests {
     }
 
     #[test]
-    fn default_config_reads_the_test_workers_env() {
-        // Not set in this test process unless CI exported it; both shapes are
-        // valid — just assert the parse contract.
-        // lint:allow(D5): test asserting the CI-switch parse contract itself.
-        match std::env::var("SYMMAP_TEST_WORKERS") {
-            Ok(v) => {
-                let parsed: usize = v.trim().parse().unwrap_or(1);
-                assert_eq!(EngineConfig::default().workers, parsed.max(1));
-            }
-            Err(_) => assert_eq!(EngineConfig::default().workers, 1),
-        }
+    fn defaults_are_sequential_untraced_and_lifted() {
+        let config = EngineConfig::default();
+        assert!(config.workers == 1 && !config.trace, "{config:?}");
+        assert!(symmap_algebra::groebner::GroebnerOptions::default().multimodular);
     }
 }

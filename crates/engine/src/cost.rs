@@ -62,12 +62,6 @@ impl CostEvaluator {
         }
     }
 
-    /// Uses a custom instruction cost model (ablation support).
-    pub fn with_cost_model(mut self, cost_model: CostModel) -> Self {
-        self.cost_model = cost_model;
-        self
-    }
-
     /// Cost of invoking a library element once.
     pub fn element_cost(&self, element: &LibraryElement) -> CostEstimate {
         CostEstimate {
@@ -108,20 +102,6 @@ impl CostEvaluator {
         CostEstimate {
             cycles,
             energy_nj: cycles as f64 * self.energy_per_cycle_nj,
-        }
-    }
-
-    /// An optimistic lower bound on the remaining cost of a partial mapping —
-    /// used to prune the branch-and-bound tree. Assumes every remaining
-    /// program-variable term could be covered by the cheapest library element.
-    pub fn lower_bound(&self, residual: &Poly, symbols: &VarSet, cheapest_element: u64) -> u64 {
-        let has_program_terms = residual
-            .iter()
-            .any(|(m, _)| m.iter().any(|(v, _)| !symbols.contains(v)) && !m.is_one());
-        if has_program_terms {
-            cheapest_element
-        } else {
-            0
         }
     }
 }
@@ -196,20 +176,6 @@ mod tests {
         let fixed = evaluator.residual_cost(&p, &symbols, false);
         assert!(float.cycles > 10 * fixed.cycles);
         assert!(float.energy_nj > fixed.energy_nj);
-    }
-
-    #[test]
-    fn lower_bound_zero_when_fully_mapped() {
-        let evaluator = CostEvaluator::new();
-        let symbols = VarSet::from_names(&["s"]);
-        assert_eq!(
-            evaluator.lower_bound(&Poly::parse("s^2 + 3").unwrap(), &symbols, 100),
-            0
-        );
-        assert_eq!(
-            evaluator.lower_bound(&Poly::parse("s + x*y").unwrap(), &symbols, 100),
-            100
-        );
     }
 
     #[test]

@@ -780,7 +780,7 @@ mod tests {
                 .iter()
                 .filter_map(|(n, times)| library.element(n).map(|e| e.cycles() * *times as u64))
                 .sum();
-            let acceptable = solution.is_accurate_within(config.accuracy_tolerance);
+            let acceptable = solution.accuracy <= config.accuracy_tolerance;
             let improves = self
                 .best
                 .as_ref()

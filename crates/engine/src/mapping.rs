@@ -64,30 +64,6 @@ impl MappingSolution {
         self.relations.expand_back(&self.rewritten) == self.target
     }
 
-    /// Returns `true` when the accuracy estimate meets `tolerance`.
-    pub fn is_accurate_within(&self, tolerance: f64) -> bool {
-        self.accuracy <= tolerance
-    }
-
-    /// Picks the better of two solutions under the paper's criterion: best
-    /// performance among those with sufficient accuracy.
-    pub fn better_of(self, other: MappingSolution, tolerance: f64) -> MappingSolution {
-        match (
-            self.is_accurate_within(tolerance),
-            other.is_accurate_within(tolerance),
-        ) {
-            (true, false) => self,
-            (false, true) => other,
-            _ => {
-                if self.cost.cycles <= other.cost.cycles {
-                    self
-                } else {
-                    other
-                }
-            }
-        }
-    }
-
     /// A human-readable one-line summary.
     pub fn summary(&self, library: &Library) -> String {
         let elements: Vec<String> = self
@@ -167,33 +143,6 @@ mod tests {
         s.rewritten = Poly::parse("s^2 + z").unwrap();
         assert!(!s.is_complete());
         assert!(!s.verify());
-    }
-
-    #[test]
-    fn better_of_prefers_accuracy_then_cost() {
-        let accurate_slow = MappingSolution {
-            cost: CostEstimate {
-                cycles: 100,
-                energy_nj: 1.0,
-            },
-            accuracy: 1e-9,
-            ..toy_solution()
-        };
-        let inaccurate_fast = MappingSolution {
-            cost: CostEstimate {
-                cycles: 1,
-                energy_nj: 0.1,
-            },
-            accuracy: 1.0,
-            ..toy_solution()
-        };
-        let winner = inaccurate_fast
-            .clone()
-            .better_of(accurate_slow.clone(), 1e-6);
-        assert_eq!(winner.cost.cycles, 100);
-        // With a loose tolerance the cheaper one wins.
-        let winner = inaccurate_fast.better_of(accurate_slow, 10.0);
-        assert_eq!(winner.cost.cycles, 1);
     }
 
     #[test]

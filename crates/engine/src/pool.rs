@@ -65,7 +65,9 @@ pub trait SchedObserver: Sync {
 }
 
 /// Runs `job_count` pure jobs on `workers` threads, returning the results in
-/// job-index order together with the run's [`PoolStats`].
+/// job-index order together with the run's [`PoolStats`]. An optional
+/// [`SchedObserver`] receives job lifecycle and steal events as they happen
+/// on the worker threads.
 ///
 /// `workers` is clamped to `1..=job_count` (an empty batch runs nothing). At
 /// `workers = 1` the jobs run in index order on the calling thread — the
@@ -75,16 +77,6 @@ pub trait SchedObserver: Sync {
 ///
 /// Propagates a panic from any job (the batch's workers are joined first, so
 /// no detached thread outlives the call).
-pub fn run_batch<T, F>(job_count: usize, workers: usize, job: F) -> (Vec<T>, PoolStats)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_batch_observed(job_count, workers, job, None)
-}
-
-/// [`run_batch`] with an optional [`SchedObserver`] receiving job lifecycle
-/// and steal events as they happen on the worker threads.
 pub fn run_batch_observed<T, F>(
     job_count: usize,
     workers: usize,
@@ -211,6 +203,14 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    fn run_batch<T: Send>(
+        job_count: usize,
+        workers: usize,
+        job: impl Fn(usize) -> T + Sync,
+    ) -> (Vec<T>, PoolStats) {
+        run_batch_observed(job_count, workers, job, None)
+    }
 
     #[test]
     fn results_are_in_job_index_order_at_any_worker_count() {

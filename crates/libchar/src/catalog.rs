@@ -497,17 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn alternatives_share_polynomials_across_libraries() {
-        let badge = Badge4::new();
-        let all = full_catalog(&badge);
-        let float_subband = all.element(names::FLOAT_SUBBAND).unwrap().clone();
-        let alts = all.alternatives(&float_subband);
-        let names: Vec<&str> = alts.iter().map(|e| e.name()).collect();
-        assert!(names.contains(&names::FIXED_SUBBAND));
-        assert!(names.contains(&names::IPP_SUBBAND));
-    }
-
-    #[test]
     fn log_library_has_four_implementations_with_tradeoffs() {
         let badge = Badge4::new();
         let lib = log_library(&badge);
@@ -530,9 +519,13 @@ mod tests {
         assert!(in_house_library(&badge).len() >= 9);
         let full = full_catalog(&badge);
         assert!(full.len() >= 19);
-        assert!(!full.from_source(LibrarySource::Ipp).is_empty());
-        assert!(!full.from_source(LibrarySource::LinuxMath).is_empty());
-        assert!(!full.from_source(LibrarySource::InHouse).is_empty());
+        for source in [
+            LibrarySource::Ipp,
+            LibrarySource::LinuxMath,
+            LibrarySource::InHouse,
+        ] {
+            assert!(full.iter().any(|e| e.source() == source), "{source:?}");
+        }
     }
 
     #[test]

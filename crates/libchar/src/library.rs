@@ -26,7 +26,7 @@ use std::sync::Arc;
 use symmap_algebra::fingerprint::PolyFingerprint;
 use symmap_algebra::ring::Ring;
 
-use crate::element::{LibraryElement, LibrarySource};
+use crate::element::LibraryElement;
 
 /// One support-homogeneous group of elements: every element's polynomial
 /// uses exactly the variables in [`LibraryShard::support`]. Shards sit
@@ -313,11 +313,6 @@ impl Library {
         }
     }
 
-    /// Elements from a specific source library.
-    pub fn from_source(&self, source: LibrarySource) -> Vec<&LibraryElement> {
-        self.iter().filter(|e| e.source() == source).collect()
-    }
-
     /// Merges another library into this one (its elements override same-named
     /// ones here).
     pub fn merge(&mut self, other: &Library) {
@@ -333,20 +328,6 @@ impl Library {
             out.merge(p);
         }
         out
-    }
-
-    /// Elements with the same functionality (identical polynomial modulo the
-    /// output symbol) as `element` — the alternatives the selection process
-    /// chooses among (§3.1). The fingerprint's conservative equality check
-    /// screens non-matches before any exact polynomial comparison runs.
-    pub fn alternatives(&self, element: &LibraryElement) -> Vec<&LibraryElement> {
-        self.iter()
-            .filter(|e| {
-                e.name() != element.name()
-                    && e.fingerprint().may_equal(element.fingerprint())
-                    && e.polynomial() == element.polynomial()
-            })
-            .collect()
     }
 }
 
@@ -379,6 +360,7 @@ impl Extend<LibraryElement> for Library {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::element::LibrarySource;
     use symmap_algebra::poly::Poly;
 
     fn element(name: &str, poly: &str, source: LibrarySource, cycles: u64) -> LibraryElement {
@@ -422,25 +404,6 @@ mod tests {
         ih.push(element("exp_fixed", "1 + x", LibrarySource::InHouse, 40));
         let all = Library::union("all", &[&lm, &ih]);
         assert_eq!(all.len(), 2);
-        assert_eq!(all.from_source(LibrarySource::LinuxMath).len(), 1);
-        assert_eq!(all.from_source(LibrarySource::Ipp).len(), 0);
-    }
-
-    #[test]
-    fn alternatives_share_functionality() {
-        let mut lib = Library::new("test");
-        lib.push(element(
-            "exp_double",
-            "1 + x",
-            LibrarySource::LinuxMath,
-            900,
-        ));
-        lib.push(element("exp_fixed", "1 + x", LibrarySource::InHouse, 40));
-        lib.push(element("log_fixed", "x - 1", LibrarySource::InHouse, 50));
-        let e = lib.element("exp_double").unwrap().clone();
-        let alts = lib.alternatives(&e);
-        assert_eq!(alts.len(), 1);
-        assert_eq!(alts[0].name(), "exp_fixed");
     }
 
     #[test]

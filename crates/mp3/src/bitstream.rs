@@ -36,20 +36,6 @@ impl BitWriter {
         }
     }
 
-    /// Number of bits written so far.
-    pub fn bit_len(&self) -> usize {
-        if self.bytes.is_empty() {
-            0
-        } else {
-            (self.bytes.len() - 1) * 8
-                + if self.bit_pos == 0 {
-                    8
-                } else {
-                    self.bit_pos as usize
-                }
-        }
-    }
-
     /// Finishes writing and returns the bytes (final partial byte zero-padded).
     pub fn into_bytes(self) -> Vec<u8> {
         self.bytes
@@ -95,11 +81,6 @@ impl<'a> BitReader<'a> {
     pub fn position(&self) -> usize {
         self.pos
     }
-
-    /// Remaining bits.
-    pub fn remaining(&self) -> usize {
-        self.bytes.len() * 8 - self.pos
-    }
 }
 
 #[cfg(test)]
@@ -114,7 +95,6 @@ mod tests {
         w.write_bits(0xFF, 8);
         w.write_bits(0, 1);
         w.write_bits(0b110011, 6);
-        assert_eq!(w.bit_len(), 18);
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read_bits(3), Some(0b101));
@@ -133,19 +113,16 @@ mod tests {
     }
 
     #[test]
-    fn position_and_remaining() {
+    fn position_counts_bits_read() {
         let bytes = [0u8; 4];
         let mut r = BitReader::new(&bytes);
-        assert_eq!(r.remaining(), 32);
         r.read_bits(10);
         assert_eq!(r.position(), 10);
-        assert_eq!(r.remaining(), 22);
     }
 
     #[test]
     fn empty_writer() {
         let w = BitWriter::new();
-        assert_eq!(w.bit_len(), 0);
         assert!(w.into_bytes().is_empty());
     }
 

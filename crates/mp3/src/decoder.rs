@@ -118,24 +118,6 @@ impl KernelSet {
         }
     }
 
-    /// Replaces the synthesis kernel.
-    pub fn with_synthesis(mut self, v: KernelVariant) -> Self {
-        self.synthesis = v;
-        self
-    }
-
-    /// Replaces the IMDCT kernel.
-    pub fn with_imdct(mut self, v: KernelVariant) -> Self {
-        self.imdct = v;
-        self
-    }
-
-    /// Replaces the dequantizer kernel.
-    pub fn with_dequantize(mut self, v: KernelVariant) -> Self {
-        self.dequantize = v;
-        self
-    }
-
     /// The profile name used for the synthesis stage.
     pub fn synthesis_function_name(&self) -> &'static str {
         match self.synthesis {
@@ -434,7 +416,10 @@ mod tests {
 
     #[test]
     fn kernel_set_builders() {
-        let ks = KernelSet::reference().with_synthesis(KernelVariant::Ipp);
+        let ks = KernelSet {
+            synthesis: KernelVariant::Ipp,
+            ..KernelSet::reference()
+        };
         assert_eq!(ks.synthesis, KernelVariant::Ipp);
         assert_eq!(ks.dequantize, KernelVariant::Reference);
         assert_eq!(ks.synthesis_function_name(), "ippsSynthPQMF_MP3_32s16s");

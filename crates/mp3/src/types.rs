@@ -12,8 +12,6 @@ pub const LINES_PER_SUBBAND: usize = 18;
 pub const GRANULES_PER_FRAME: usize = 2;
 /// Long-block IMDCT size (produces 36 time samples from 18 spectral lines).
 pub const IMDCT_SIZE: usize = 36;
-/// PCM samples produced per granule and channel.
-pub const PCM_PER_GRANULE: usize = SAMPLES_PER_GRANULE;
 /// Audio sample rate assumed for real-time deadlines (Hz).
 pub const SAMPLE_RATE_HZ: f64 = 44_100.0;
 
@@ -46,11 +44,6 @@ impl Granule {
             scalefactors: vec![0; SUBBANDS],
             mid_side: false,
         }
-    }
-
-    /// Number of non-zero spectral values.
-    pub fn nonzero_count(&self) -> usize {
-        self.quantized.iter().filter(|&&v| v != 0).count()
     }
 }
 
@@ -96,7 +89,7 @@ mod tests {
     fn silent_granule_has_no_content() {
         let g = Granule::silent();
         assert_eq!(g.quantized.len(), SAMPLES_PER_GRANULE);
-        assert_eq!(g.nonzero_count(), 0);
+        assert!(g.quantized.iter().all(|&v| v == 0));
         let f = Frame::silent(3);
         assert_eq!(f.granules.len(), GRANULES_PER_FRAME);
         assert_eq!(f.index, 3);

@@ -567,31 +567,6 @@ impl BigInt {
             .fold(0_u128, |acc, &l| ((acc << 32) | l as u128) % m) as u64
     }
 
-    /// Extended Euclidean algorithm: returns `(g, x, y)` with
-    /// `g = gcd(self, other) ≥ 0` and `x·self + y·other = g`.
-    ///
-    /// The Bézout coefficients are the ones produced by the classical
-    /// iteration on truncated division, so the result is deterministic for
-    /// every sign combination of the inputs.
-    pub fn extended_gcd(&self, other: &BigInt) -> (BigInt, BigInt, BigInt) {
-        let (mut old_r, mut r) = (self.clone(), other.clone());
-        let (mut old_s, mut s) = (BigInt::one(), BigInt::zero());
-        let (mut old_t, mut t) = (BigInt::zero(), BigInt::one());
-        while !r.is_zero() {
-            let (q, rem) = old_r.div_rem(&r);
-            old_r = std::mem::replace(&mut r, rem);
-            let next_s = &old_s - &(&q * &s);
-            old_s = std::mem::replace(&mut s, next_s);
-            let next_t = &old_t - &(&q * &t);
-            old_t = std::mem::replace(&mut t, next_t);
-        }
-        if old_r.is_negative() {
-            (-old_r, -old_s, -old_t)
-        } else {
-            (old_r, old_s, old_t)
-        }
-    }
-
     /// Least common multiple (always non-negative); zero if either input is zero.
     pub fn lcm(&self, other: &BigInt) -> BigInt {
         if self.is_zero() || other.is_zero() {
@@ -615,11 +590,6 @@ impl BigInt {
             e >>= 1;
         }
         result
-    }
-
-    /// Returns `true` when the value is even.
-    pub fn is_even(&self) -> bool {
-        self.limbs.first().is_none_or(|l| l % 2 == 0)
     }
 
     /// Least non-negative residue of `self` modulo `m`: the value in
@@ -1230,13 +1200,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn is_even() {
-        assert!(BigInt::zero().is_even());
-        assert!(BigInt::from(4_i64).is_even());
-        assert!(!BigInt::from(7_i64).is_even());
-    }
-
     proptest! {
         #[test]
         fn prop_add_commutes(a in any::<i64>(), b in any::<i64>()) {
@@ -1272,25 +1235,6 @@ mod tests {
             let big = &BigInt::from(a) * &BigInt::from(b);
             let back: BigInt = big.to_string().parse().unwrap();
             prop_assert_eq!(back, big);
-        }
-
-        /// Extended gcd agrees with an i128 oracle on the gcd and produces a
-        /// genuine Bézout identity, across every sign combination.
-        #[test]
-        fn prop_extended_gcd_matches_i128_oracle(a in any::<i64>(), b in any::<i64>()) {
-            fn oracle_gcd(mut a: i128, mut b: i128) -> i128 {
-                while b != 0 {
-                    let r = a % b;
-                    a = b;
-                    b = r;
-                }
-                a.abs()
-            }
-            let (ba, bb) = (BigInt::from(a), BigInt::from(b));
-            let (g, x, y) = ba.extended_gcd(&bb);
-            prop_assert_eq!(g.to_string(), oracle_gcd(a as i128, b as i128).to_string());
-            prop_assert_eq!(&(&x * &ba) + &(&y * &bb), g.clone());
-            prop_assert!(!g.is_negative());
         }
 
         #[test]

@@ -163,10 +163,29 @@ mod tests {
         pool
     }
 
+    /// Extended Euclid on truncated division: `(g, x)` with
+    /// `g = gcd(a, b) ≥ 0` and `x·a ≡ g (mod b)` — an inverse computed
+    /// independently of the code under test.
+    fn extended_gcd(a: &BigInt, b: &BigInt) -> (BigInt, BigInt) {
+        let (mut old_r, mut r) = (a.clone(), b.clone());
+        let (mut old_s, mut s) = (BigInt::one(), BigInt::zero());
+        while !r.is_zero() {
+            let (q, rem) = old_r.div_rem(&r);
+            old_r = std::mem::replace(&mut r, rem);
+            let next_s = &old_s - &(&q * &s);
+            old_s = std::mem::replace(&mut s, next_s);
+        }
+        if old_r.is_negative() {
+            (-old_r, -old_s)
+        } else {
+            (old_r, old_s)
+        }
+    }
+
     /// `num·den⁻¹ mod m` computed independently through the extended gcd —
     /// the oracle side of the reconstruction round trip.
     fn residue_of_fraction(num: i64, den: i64, m: &BigInt) -> BigInt {
-        let (g, inv, _) = BigInt::from(den).extended_gcd(m);
+        let (g, inv) = extended_gcd(&BigInt::from(den), m);
         assert!(
             g.is_one(),
             "test fraction must have denominator coprime to m"
@@ -298,7 +317,7 @@ mod tests {
             if !d.is_zero() && n.gcd(&d).is_one() && !twice_square_reaches(&n, &m)
                 && !twice_square_reaches(&d, &m)
             {
-                let (g, inv, _) = d.extended_gcd(&m);
+                let (g, inv) = extended_gcd(&d, &m);
                 if g.is_one() {
                     let (_, mut r) = (&n * &inv).div_rem(&m);
                     if r.is_negative() {

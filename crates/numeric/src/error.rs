@@ -11,8 +11,6 @@ pub enum NumericError {
     DivisionByZero,
     /// A value does not fit in the requested target representation.
     Overflow(String),
-    /// An invalid Q-format was requested (e.g. zero total bits).
-    InvalidFormat(String),
     /// A function was evaluated outside its domain (e.g. `ln` of a
     /// non-positive number).
     Domain(String),
@@ -24,7 +22,6 @@ impl fmt::Display for NumericError {
             NumericError::Parse(s) => write!(f, "invalid numeric literal: {s}"),
             NumericError::DivisionByZero => write!(f, "division by zero"),
             NumericError::Overflow(s) => write!(f, "value does not fit: {s}"),
-            NumericError::InvalidFormat(s) => write!(f, "invalid fixed-point format: {s}"),
             NumericError::Domain(s) => write!(f, "argument outside function domain: {s}"),
         }
     }
@@ -42,7 +39,6 @@ mod tests {
             NumericError::Parse("abc".into()).to_string(),
             NumericError::DivisionByZero.to_string(),
             NumericError::Overflow("x".into()).to_string(),
-            NumericError::InvalidFormat("q0.0".into()).to_string(),
             NumericError::Domain("ln(-1)".into()).to_string(),
         ];
         for m in msgs {

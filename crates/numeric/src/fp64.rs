@@ -142,18 +142,6 @@ impl Fp64 {
         self.redc(a as u128)
     }
 
-    /// Embeds a signed integer (e.g. a rational numerator) into the field,
-    /// in Montgomery form.
-    #[inline]
-    pub fn from_i64(&self, n: i64) -> u64 {
-        let mag = self.to_montgomery(n.unsigned_abs());
-        if n < 0 {
-            self.neg(mag)
-        } else {
-            mag
-        }
-    }
-
     /// Field addition. Safe in `u64` because `p < 2⁶²`.
     #[inline]
     pub fn add(&self, a: u64, b: u64) -> u64 {
@@ -454,8 +442,6 @@ mod tests {
         }
         assert_eq!(f.to_montgomery(1), f.one());
         assert_eq!(f.to_montgomery(0), f.zero());
-        assert_eq!(f.from_i64(-1), f.neg(f.one()));
-        assert_eq!(f.from_i64(i64::MIN), f.neg(f.to_montgomery(1 << 63)));
     }
 
     #[test]

@@ -3,10 +3,9 @@
 //! Arithmetic substrate for the symmap library-mapping suite.
 //!
 //! The DAC 2002 methodology manipulates *exact* multivariate polynomials
-//! (Gröbner bases are numerically meaningless over floating point), evaluates
-//! candidate mappings in *embedded fixed-point* formats, and approximates
-//! nonlinear functions with *truncated series*. This crate provides those three
-//! numeric worlds:
+//! (Gröbner bases are numerically meaningless over floating point) and
+//! approximates nonlinear functions with *truncated series*. This crate
+//! provides the arithmetic for both:
 //!
 //! * [`bigint::BigInt`] — arbitrary-precision signed integers,
 //! * [`rational::Rational`] — exact rationals with an inline `i64`/`u64`
@@ -17,12 +16,8 @@
 //!   modular Gröbner engine,
 //! * [`crt`] — Chinese remaindering and rational reconstruction, the lift
 //!   from per-prime coefficient images back to exact ℚ,
-//! * [`fixed::Fixed`] — parameterised Q-format fixed-point values as used by the
-//!   in-house ("IH") library of the paper,
-//! * [`series`] — Taylor and Chebyshev expansions used in target-code
-//!   identification (§3.2 of the paper),
-//! * [`interp`] — Newton interpolation used to recover polynomial
-//!   representations of bit-manipulation routines (§3.2, ref. \[22\]).
+//! * [`series`] — Taylor expansions used in target-code
+//!   identification (§3.2 of the paper).
 //!
 //! ## Example
 //!
@@ -39,15 +34,12 @@
 pub mod bigint;
 pub mod crt;
 pub mod error;
-pub mod fixed;
 pub mod fp64;
-pub mod interp;
 pub mod rational;
 pub mod series;
 
 pub use bigint::BigInt;
 pub use crt::{crt_combine, crt_pair, rational_reconstruct};
 pub use error::NumericError;
-pub use fixed::{Fixed, QFormat};
 pub use fp64::{Fp64, PrimeIterator};
 pub use rational::Rational;

@@ -22,7 +22,7 @@
 //! assert_eq!((half - third).to_string(), "1/6");
 //! ```
 
-// lint:allow-file(D3): to_f64/from_f64/approximate_f64 are the declared
+// lint:allow-file(D3): to_f64/approximate_f64 are the declared
 // float conversion boundary; Rational arithmetic itself is exact.
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -361,39 +361,6 @@ impl Rational {
         }
     }
 
-    /// Builds the exact rational equal to an `f64` (which is always a dyadic
-    /// rational), e.g. `0.5 -> 1/2`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericError::Domain`] for NaN or infinite inputs.
-    pub fn from_f64(v: f64) -> Result<Self, NumericError> {
-        if !v.is_finite() {
-            return Err(NumericError::Domain(format!("{v} is not finite")));
-        }
-        if v == 0.0 {
-            return Ok(Rational::zero());
-        }
-        let bits = v.to_bits();
-        let sign = if bits >> 63 == 1 { -1_i64 } else { 1 };
-        let exp = ((bits >> 52) & 0x7FF) as i64;
-        let frac = bits & ((1_u64 << 52) - 1);
-        let (mantissa, exp2) = if exp == 0 {
-            (frac, -1074_i64)
-        } else {
-            (frac | (1 << 52), exp - 1075)
-        };
-        let mut num = BigInt::from(mantissa) * BigInt::from(sign);
-        let mut den = BigInt::one();
-        let two = BigInt::from(2_i64);
-        if exp2 >= 0 {
-            num = &num * &two.pow(exp2 as u32);
-        } else {
-            den = two.pow((-exp2) as u32);
-        }
-        Ok(Rational::from_bigints(num, den))
-    }
-
     /// Approximates an `f64` by a rational with denominator at most
     /// `max_den`, using a continued-fraction (Stern–Brocot) expansion. This is
     /// how truncated-series coefficients are imported into the exact algebra
@@ -459,13 +426,6 @@ impl Rational {
                 }
             }
         }
-    }
-
-    /// Returns `true` when the value is stored in the inline `i64`/`u64`
-    /// form (exposed for the promotion/demotion boundary tests).
-    #[doc(hidden)]
-    pub fn is_small_repr(&self) -> bool {
-        matches!(self.repr, Repr::Small { .. })
     }
 }
 
@@ -768,6 +728,14 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    impl Rational {
+        /// Whether the value is stored in the inline `i64`/`u64` form: the
+        /// probe of the promotion/demotion boundary tests.
+        fn is_small_repr(&self) -> bool {
+            matches!(self.repr, Repr::Small { .. })
+        }
+    }
+
     #[test]
     fn construction_reduces() {
         assert_eq!(Rational::new(2, 4), Rational::new(1, 2));
@@ -850,15 +818,6 @@ mod tests {
         assert!(Rational::new(1, 3) < Rational::new(1, 2));
         assert!(Rational::new(-1, 2) < Rational::new(-1, 3));
         assert!(Rational::new(7, 7) == Rational::one());
-    }
-
-    #[test]
-    fn f64_round_trips() {
-        assert_eq!(Rational::from_f64(0.5).unwrap(), Rational::new(1, 2));
-        assert_eq!(Rational::from_f64(-0.75).unwrap(), Rational::new(-3, 4));
-        assert_eq!(Rational::from_f64(3.0).unwrap(), Rational::integer(3));
-        assert!(Rational::from_f64(f64::NAN).is_err());
-        assert!((Rational::new(1, 3).to_f64() - 1.0 / 3.0).abs() < 1e-15);
     }
 
     #[test]
@@ -1139,12 +1098,6 @@ mod tests {
             let r = Rational::new(n, d);
             let expected = n as f64 / d as f64;
             prop_assert!((r.to_f64() - expected).abs() <= 1e-12 * expected.abs().max(1.0));
-        }
-
-        #[test]
-        fn prop_from_f64_exact(v in -1.0e6_f64..1.0e6) {
-            let r = Rational::from_f64(v).unwrap();
-            prop_assert_eq!(r.to_f64(), v);
         }
 
         /// Differential test of the inline fast path against the pure

@@ -1,8 +1,8 @@
-//! Truncated Taylor and Chebyshev series.
+//! Truncated Taylor series.
 //!
 //! Target-code identification (§3.2 of the paper) turns *nonlinear* functions
 //! (`exp`, `log`, trigonometric calls, `pow(x, 4/3)` in the MP3 dequantizer)
-//! into polynomials by substituting a truncated Taylor or Chebyshev expansion.
+//! into polynomials by substituting a truncated Taylor expansion.
 //! The mapper then treats the approximation like any other polynomial while the
 //! accuracy bookkeeping carries the truncation error bound.
 //!
@@ -157,92 +157,6 @@ pub fn eval_poly(coeffs: &[f64], x: f64) -> f64 {
     coeffs.iter().rev().fold(0.0, |acc, &c| acc * x + c)
 }
 
-/// Computes the degree-`degree` Chebyshev approximation of `f` on `[a, b]`
-/// and returns the coefficients in the *monomial* basis (so the result can be
-/// used directly as a polynomial representation).
-///
-/// # Panics
-///
-/// Panics if `a >= b`.
-pub fn chebyshev_monomial(f: Function, a: f64, b: f64, degree: usize) -> Vec<f64> {
-    assert!(a < b, "invalid interval");
-    let n = degree + 1;
-    // Chebyshev coefficients via cosine-node quadrature.
-    let mut cheb = vec![0.0_f64; n];
-    let nodes: Vec<f64> = (0..n)
-        .map(|k| (std::f64::consts::PI * (k as f64 + 0.5) / n as f64).cos())
-        .collect();
-    let samples: Vec<f64> = nodes
-        .iter()
-        .map(|&t| f.eval(0.5 * (b - a) * t + 0.5 * (b + a)))
-        .collect();
-    for (j, cj) in cheb.iter_mut().enumerate() {
-        let mut s = 0.0;
-        for (k, &fk) in samples.iter().enumerate() {
-            s += fk * (std::f64::consts::PI * j as f64 * (k as f64 + 0.5) / n as f64).cos();
-        }
-        *cj = 2.0 * s / n as f64;
-    }
-    cheb[0] *= 0.5;
-    // Convert from the Chebyshev basis in t to the monomial basis in t, then
-    // substitute t = (2x - (a+b)) / (b-a).
-    let mono_t = chebyshev_to_monomial(&cheb);
-    substitute_affine(&mono_t, 2.0 / (b - a), -(a + b) / (b - a))
-}
-
-/// Converts coefficients in the Chebyshev basis to the monomial basis.
-fn chebyshev_to_monomial(cheb: &[f64]) -> Vec<f64> {
-    let n = cheb.len();
-    // t_polys[k] = monomial coefficients of T_k.
-    let mut t_prev = vec![1.0];
-    let mut t_cur = vec![0.0, 1.0];
-    let mut out = vec![0.0; n];
-    for (k, &ck) in cheb.iter().enumerate() {
-        let tk: &[f64] = match k {
-            0 => &t_prev,
-            1 => &t_cur,
-            _ => {
-                // T_k = 2x T_{k-1} - T_{k-2}
-                let mut next = vec![0.0; t_cur.len() + 1];
-                for (i, &c) in t_cur.iter().enumerate() {
-                    next[i + 1] += 2.0 * c;
-                }
-                for (i, &c) in t_prev.iter().enumerate() {
-                    next[i] -= c;
-                }
-                t_prev = std::mem::replace(&mut t_cur, next);
-                &t_cur
-            }
-        };
-        for (i, &c) in tk.iter().enumerate() {
-            out[i] += ck * c;
-        }
-    }
-    out
-}
-
-/// Given `p(t) = Σ c_k t^k`, returns the coefficients of `p(s*x + o)`.
-fn substitute_affine(coeffs: &[f64], s: f64, o: f64) -> Vec<f64> {
-    let n = coeffs.len();
-    let mut out = vec![0.0_f64; n];
-    // (s*x + o)^k expanded by repeated multiplication.
-    let mut power = vec![1.0_f64];
-    for (k, &ck) in coeffs.iter().enumerate() {
-        for (i, &p) in power.iter().enumerate() {
-            out[i] += ck * p;
-        }
-        if k + 1 < n {
-            let mut next = vec![0.0_f64; power.len() + 1];
-            for (i, &p) in power.iter().enumerate() {
-                next[i] += p * o;
-                next[i + 1] += p * s;
-            }
-            power = next;
-        }
-    }
-    out
-}
-
 /// Maximum absolute error of a polynomial approximation against the exact
 /// function, sampled at `samples` evenly spaced points of `[a, b]`.
 pub fn max_error(f: Function, coeffs: &[f64], a: f64, b: f64, samples: usize) -> f64 {
@@ -313,30 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn chebyshev_beats_taylor_on_wide_interval() {
-        let deg = 8;
-        let taylor_c = taylor(Function::Exp, deg + 1);
-        let cheb_c = chebyshev_monomial(Function::Exp, -1.0, 1.0, deg);
-        let te = max_error(Function::Exp, &taylor_c, -1.0, 1.0, 201);
-        let ce = max_error(Function::Exp, &cheb_c, -1.0, 1.0, 201);
-        assert!(ce < te, "chebyshev {ce} should beat taylor {te}");
-        assert!(ce < 1e-7);
-    }
-
-    #[test]
-    fn chebyshev_on_shifted_interval() {
-        let c = chebyshev_monomial(Function::Ln1p, 0.0, 2.0, 10);
-        let err = max_error(Function::Ln1p, &c, 0.0, 2.0, 301);
-        assert!(err < 1e-4, "error {err}");
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid interval")]
-    fn chebyshev_invalid_interval_panics() {
-        let _ = chebyshev_monomial(Function::Exp, 1.0, 1.0, 3);
-    }
-
-    #[test]
     fn rational_coefficients_are_close() {
         let exact = taylor(Function::Exp, 8);
         let rats = taylor_rational(Function::Exp, 8, 1_000_000);
@@ -374,12 +264,6 @@ mod tests {
             let es = (eval_poly(&short, x) - x.exp()).abs();
             let el = (eval_poly(&long, x) - x.exp()).abs();
             prop_assert!(el <= es + 1e-12);
-        }
-
-        #[test]
-        fn prop_chebyshev_error_bounded(deg in 4_usize..10) {
-            let c = chebyshev_monomial(Function::Sin, -1.0, 1.0, deg);
-            prop_assert!(max_error(Function::Sin, &c, -1.0, 1.0, 101) < 1e-2);
         }
     }
 }

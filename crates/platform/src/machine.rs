@@ -83,18 +83,6 @@ impl Badge4 {
         }
     }
 
-    /// Replaces the instruction cost model (used for the hardware-FPU ablation).
-    pub fn with_cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
-    /// Selects a different operating point.
-    pub fn at_operating_point(mut self, point: OperatingPoint) -> Self {
-        self.operating_point = point;
-        self
-    }
-
     /// The active operating point.
     pub fn operating_point(&self) -> OperatingPoint {
         self.operating_point
@@ -108,11 +96,6 @@ impl Badge4 {
     /// The instruction cost model.
     pub fn cost_model(&self) -> &CostModel {
         &self.cost
-    }
-
-    /// The memory model.
-    pub fn memory_model(&self) -> &MemoryModel {
-        &self.memory
     }
 
     /// Cycles, time and energy for executing `ops` at the active operating
@@ -185,20 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn seconds_track_operating_point() {
-        let mut ops = OpCounts::new();
-        ops.add(InstructionClass::IntAlu, 1_000_000);
-        let fast = Badge4::new();
-        let slow_point = fast.dvfs().min();
-        let slow = Badge4::new().at_operating_point(slow_point);
-        let cf = fast.cost_of(&ops);
-        let cs = slow.cost_of(&ops);
-        assert_eq!(cf.cycles, cs.cycles);
-        assert!(cs.seconds > 3.0 * cf.seconds);
-        assert!(cs.energy_j < cf.energy_j);
-    }
-
-    #[test]
     fn execution_cost_arithmetic() {
         let a = ExecutionCost {
             cycles: 10,
@@ -216,17 +185,6 @@ mod tests {
         let r = b.repeated(4);
         assert_eq!(r.cycles, 20);
         assert_eq!(ExecutionCost::zero().cycles, 0);
-    }
-
-    #[test]
-    fn hardware_fpu_ablation_speeds_up_float() {
-        let mut ops = OpCounts::new();
-        ops.add(InstructionClass::FloatMulSoft, 10_000);
-        let soft = Badge4::new().cost_of(&ops);
-        let hard = Badge4::new()
-            .with_cost_model(CostModel::with_hardware_fpu())
-            .cost_of(&ops);
-        assert!(soft.cycles > 10 * hard.cycles);
     }
 
     #[test]

@@ -96,7 +96,7 @@ fn mapping_solutions_are_verified_rewrites() {
             "mapping of {function} is not an equivalent rewrite"
         );
         assert!(
-            solution.is_accurate_within(1e-3),
+            solution.accuracy <= 1e-3,
             "mapping of {function} exceeds the accuracy budget"
         );
     }

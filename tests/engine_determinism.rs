@@ -6,22 +6,38 @@
 
 use std::sync::Arc;
 
+use symmap::algebra::groebner::GroebnerOptions;
 use symmap::engine::{EngineConfig, MapperConfig, MappingEngine};
 use symmap::libchar::catalog;
 use symmap::platform::machine::Badge4;
 use symmap_bench::mp3_kernel_jobs;
 
 fn run_batch_debug(workers: usize) -> String {
+    run_batch_debug_with(workers, false, true)
+}
+
+/// The batch at `workers`, with tracing and the multi-modular lift switched
+/// as given. Neither switch may move a byte of the outcomes.
+fn run_batch_debug_with(workers: usize, trace: bool, multimodular: bool) -> String {
     let badge = Badge4::new();
     let library = Arc::new(catalog::full_catalog(&badge));
-    let jobs = mp3_kernel_jobs(&library, &MapperConfig::default());
+    let config = MapperConfig {
+        groebner: GroebnerOptions {
+            multimodular,
+            ..GroebnerOptions::default()
+        },
+        ..MapperConfig::default()
+    };
+    let jobs = mp3_kernel_jobs(&library, &config);
     assert_eq!(jobs.len(), 11);
     let engine = MappingEngine::new(EngineConfig {
         workers,
+        trace,
         ..EngineConfig::default()
     });
     let batch = engine.run(&jobs);
     assert_eq!(batch.outcomes.len(), 11);
+    assert_eq!(batch.trace.is_some(), trace);
     // The Debug rendering covers every field of every outcome (targets,
     // rewrites, used elements, relations, costs, accuracy, node counts,
     // completeness), so equal strings mean byte-identical solutions.
@@ -31,11 +47,22 @@ fn run_batch_debug(workers: usize) -> String {
 #[test]
 fn mp3_kernel_batch_is_byte_identical_across_worker_counts() {
     let sequential = run_batch_debug(1);
-    for workers in [2, 4, 8] {
+    // (workers, trace, multimodular): the parallel path, the parallel path
+    // traced, and the exact engine with the lift off, sequential and
+    // parallel.
+    for (workers, trace, multimodular) in [
+        (2, false, true),
+        (4, false, true),
+        (8, false, true),
+        (4, true, true),
+        (1, false, false),
+        (4, true, false),
+    ] {
         assert_eq!(
-            run_batch_debug(workers),
+            run_batch_debug_with(workers, trace, multimodular),
             sequential,
-            "solutions diverged at {workers} workers"
+            "solutions diverged at {workers} workers \
+             (trace={trace}, multimodular={multimodular})"
         );
     }
 }

@@ -19,8 +19,8 @@ const NODES: usize = 227;
 const CACHE_HITS: usize = 144;
 const CACHE_MISSES: usize = 6;
 
-/// Spelled out, like `mapping_outputs.rs`, so the `SYMMAP_TEST_*` switches
-/// cannot change what is counted. Tracing is on for the job transcript.
+/// Spelled out, like `mapping_outputs.rs`, so a change of default cannot
+/// change what is counted. Tracing is on for the job transcript.
 fn engine_config() -> EngineConfig {
     EngineConfig {
         workers: 1,

@@ -18,7 +18,7 @@ use symmap_bench::table6_kernel_batch;
 const FIXTURE: &str = include_str!("fixtures/mapping_outputs.txt");
 
 /// The configuration is spelled out rather than taken from the defaults, so
-/// the `SYMMAP_TEST_*` switches cannot change what is pinned.
+/// a change of default cannot change what is pinned.
 fn engine_config() -> EngineConfig {
     EngineConfig {
         workers: 1,
