@@ -22,12 +22,21 @@
 //!   [`Monomial::mul`] does, with the same panic; the derived degree
 //!   columns check against `u32` like [`Monomial::total_degree`].
 //!
-//! Two clients share it. [`buchberger_fp`] is the crate's ℤ/p Buchberger
-//! run, behind every lift image: step for step the generic engine's
-//! algorithm (pair order, criteria, first-divisor division,
-//! auto-reduction), so the basis and every counter are identical, with merges into reused buffers and a bit matrix for the
-//! pending pairs. [`IntReducer`] is the lift's ℚ verification done
-//! fraction-free over ℤ (see [`IntReducer::reduces_to_zero`]).
+//! Three clients share it:
+//!
+//! * **The traced run.** [`buchberger_fp`] is the crate's ℤ/p Buchberger
+//!   run: step for step the generic engine's algorithm (pair order,
+//!   criteria, first-divisor division, auto-reduction), so the basis and
+//!   every counter are identical, with merges into reused buffers and a
+//!   bit matrix for the pending pairs. The lift's first image runs it as
+//!   [`traced_buchberger_fp`], which also records the run's pair trace
+//!   ([`FpTrace`]).
+//! * **The replay.** [`replay_fp`] computes the lift's later images from
+//!   that trace: the recorded pairs' S-polynomials through the same
+//!   division loop, with no pair queue or criteria, checked step by step
+//!   against the trace and abandoned at the first divergence.
+//! * **[`IntReducer`]** is the lift's ℚ verification done fraction-free
+//!   over ℤ (see [`IntReducer::reduces_to_zero`]).
 
 use std::cmp::Ordering;
 
@@ -496,6 +505,40 @@ impl FpRing<'_> {
         }
         remainder
     }
+
+    /// Writes the S-polynomial of `f` and `g`, whose leading rows have the
+    /// lcm `lcm`, to `scratch.cur` — the one S-polynomial of the full run and
+    /// the replay. The scaled leading terms cancel exactly, so only the
+    /// tails are merged.
+    fn s_polynomial(&self, scratch: &mut FpScratch, f: &FpElement, g: &FpElement, lcm: &[u32]) {
+        let (field, layout) = (self.field, self.layout);
+        let s = layout.stride();
+        for buf in [&mut scratch.mono, &mut scratch.quot, &mut scratch.shifted] {
+            buf.resize(s, 0);
+        }
+        layout.div_into(lcm, f.lm(layout), &mut scratch.mono);
+        layout.div_into(lcm, g.lm(layout), &mut scratch.quot);
+        // f·x^mf/lc(f), tail only.
+        let inv_f = field.inv(f.lc());
+        let ff = &mut scratch.shifted_f;
+        ff.clear();
+        for t in 1..f.poly.len() {
+            layout.mul_into(f.poly.row(layout, t), &scratch.mono, &mut scratch.shifted);
+            ff.push(&scratch.shifted, field.mul(f.poly.coeffs[t], inv_f));
+        }
+        let neg_inv_g = field.neg(field.inv(g.lc()));
+        merge_shifted(
+            layout,
+            &mut scratch.cur,
+            (&scratch.shifted_f, 0),
+            (&g.poly, 1),
+            &scratch.quot,
+            &mut scratch.shifted,
+            |&c| c,
+            |&c| field.mul(c, neg_inv_g),
+            |a, b| Some(field.add(a, b)).filter(|&c| c != 0),
+        );
+    }
 }
 
 /// One pending S-pair; its lcm row lives in the queue's arena.
@@ -657,98 +700,197 @@ impl FpEngine<'_> {
                 && !self.pending.contains(pair.j, k)
         })
     }
-
-    /// Writes the S-polynomial of a pair to `scratch.cur`. The scaled
-    /// leading terms cancel exactly, so only the tails are merged.
-    fn s_polynomial(&self, scratch: &mut FpScratch, pair: &FlatPair) {
-        let (field, layout) = (self.ring.field, self.ring.layout);
-        let (f, g) = (&self.basis[pair.i], &self.basis[pair.j]);
-        let s = layout.stride();
-        let lcm = self.queue.lcm(layout, pair);
-        for buf in [&mut scratch.mono, &mut scratch.quot, &mut scratch.shifted] {
-            buf.resize(s, 0);
-        }
-        layout.div_into(lcm, f.lm(layout), &mut scratch.mono);
-        layout.div_into(lcm, g.lm(layout), &mut scratch.quot);
-        // f·x^mf/lc(f), tail only.
-        let inv_f = field.inv(f.lc());
-        let ff = &mut scratch.shifted_f;
-        ff.clear();
-        for t in 1..f.poly.len() {
-            layout.mul_into(f.poly.row(layout, t), &scratch.mono, &mut scratch.shifted);
-            ff.push(&scratch.shifted, field.mul(f.poly.coeffs[t], inv_f));
-        }
-        let neg_inv_g = field.neg(field.inv(g.lc()));
-        merge_shifted(
-            layout,
-            &mut scratch.cur,
-            (&scratch.shifted_f, 0),
-            (&g.poly, 1),
-            &scratch.quot,
-            &mut scratch.shifted,
-            |&c| c,
-            |&c| field.mul(c, neg_inv_g),
-            |a, b| Some(field.add(a, b)).filter(|&c| c != 0),
-        );
-    }
 }
 
 /// Buchberger's algorithm over ℤ/p in the flat layout — the engine of the
 /// lift's images. It is `buchberger_core_in::<Fp64>` step for step (same
 /// pair queue, criteria, division and auto-reduction), so it returns the
 /// same reduced monic basis and the same counters; the differential tests
-/// pin that on every order and option combination. Generators are Montgomery form `CPoly`s in canonical
-/// storage order, like the output.
+/// pin that on every order and option combination. Generators are
+/// Montgomery form `CPoly`s in canonical storage order, like the output.
 pub(crate) fn buchberger_fp(
     field: &Fp64,
     generators: &[CPoly<Fp64>],
     order: &MonomialOrder,
     options: &GroebnerOptions,
 ) -> CoreOutput<Fp64> {
+    let (layout, gens) = flat_generators(generators, order);
+    run_fp(field, &layout, gens, options, None).into_output(&layout)
+}
+
+/// [`buchberger_fp`], also recording the run's [`FpTrace`] for
+/// [`replay_fp`] at later primes.
+pub(crate) fn traced_buchberger_fp(
+    field: &Fp64,
+    generators: &[CPoly<Fp64>],
+    order: &MonomialOrder,
+    options: &GroebnerOptions,
+) -> (CoreOutput<Fp64>, FpTrace) {
+    let (layout, gens) = flat_generators(generators, order);
+    let mut trace = FpTrace {
+        stride: layout.stride(),
+        generators: gens.iter().map(|g| g.exps.clone()).collect(),
+        steps: Vec::new(),
+        leads: Vec::new(),
+        counters: FpCounters::default(),
+    };
+    let run = run_fp(field, &layout, gens, options, Some(&mut trace));
+    trace.counters = run.counters;
+    (run.into_output(&layout), trace)
+}
+
+/// The pair trace of one ℤ/p run (Traverso's Gröbner trace): what the
+/// run's pair order and criteria decided, recorded so that a run at
+/// another prime can skip deciding it again.
+///
+/// Pair order, sugar and both criteria read only the generators' supports
+/// and the leading rows of the basis elements, never a coefficient. A run
+/// at another prime whose generators have the same supports, and whose
+/// every reduced pair has the same zero/nonzero outcome and leading row,
+/// therefore pops, skips and reduces exactly the recorded pairs against
+/// the same basis, and ends with the recorded counters.
+#[derive(Debug, Clone)]
+pub(crate) struct FpTrace {
+    /// Row width of the run's layout.
+    stride: usize,
+    /// Each nonzero generator's rows, in the working order: its support.
+    generators: Vec<Vec<u32>>,
+    /// The reduced pairs in run order.
+    steps: Vec<TraceStep>,
+    /// The leading row of each nonzero remainder, in step order.
+    leads: Vec<u32>,
+    /// The run's counters.
+    counters: FpCounters,
+}
+
+/// One reduced pair of an [`FpTrace`]: the basis indices `i < j` and
+/// whether the remainder was nonzero (and so joined the basis).
+#[derive(Debug, Clone, Copy)]
+struct TraceStep {
+    i: usize,
+    j: usize,
+    nonzero: bool,
+}
+
+/// Replays `trace` on generators at another prime: the recorded pairs'
+/// S-polynomials, each reduced by the full division loop, with no pair
+/// queue, pending set or criteria. `None` when the generator supports
+/// differ from the recorded ones or at the first pair whose remainder
+/// differs in being zero or in its leading row; otherwise the reduced
+/// basis and counters [`buchberger_fp`] returns at this prime (see
+/// [`FpTrace`] for why they agree). The zero remainders are still
+/// computed: they are what shows the run did not diverge.
+pub(crate) fn replay_fp(
+    field: &Fp64,
+    generators: &[CPoly<Fp64>],
+    order: &MonomialOrder,
+    trace: &FpTrace,
+) -> Option<CoreOutput<Fp64>> {
+    let (layout, gens) = flat_generators(generators, order);
+    if layout.stride() != trace.stride
+        || gens.len() != trace.generators.len()
+        || gens
+            .iter()
+            .zip(&trace.generators)
+            .any(|(g, rows)| g.exps != *rows)
+    {
+        return None;
+    }
+    let ring = FpRing {
+        field,
+        layout: &layout,
+    };
+    let mut basis: Vec<FpElement> = gens
+        .into_iter()
+        .map(|g| FpElement::new(&layout, ring.monic(g)))
+        .collect();
+    let mut scratch = FpScratch::default();
+    let mut lcm = vec![0; layout.stride()];
+    let mut leads = trace.leads.chunks_exact(layout.stride());
+    for step in &trace.steps {
+        let (f, g) = (&basis[step.i], &basis[step.j]);
+        layout.lcm_into(f.lm(&layout), g.lm(&layout), &mut lcm);
+        ring.s_polynomial(&mut scratch, f, g, &lcm);
+        let r = ring.normal_form(&mut scratch, &basis, None);
+        if r.is_zero() == step.nonzero {
+            return None;
+        }
+        if step.nonzero {
+            if leads.next() != Some(r.row(&layout, 0)) {
+                return None;
+            }
+            basis.push(FpElement::new(&layout, ring.monic(r)));
+        }
+    }
+    let run = FpRun {
+        polys: auto_reduce_fp(&ring, &mut scratch, basis),
+        counters: trace.counters,
+    };
+    Some(run.into_output(&layout))
+}
+
+/// The layout spanning `generators` and their nonzero members in it.
+fn flat_generators(
+    generators: &[CPoly<Fp64>],
+    order: &MonomialOrder,
+) -> (FlatLayout, Vec<FlatPoly<u64>>) {
     let layout = FlatLayout::spanning(
         order,
         generators
             .iter()
             .flat_map(|g| g.terms().iter().map(|(m, _)| m)),
     );
-    let gens: Vec<FlatPoly<u64>> = generators
+    let gens = generators
         .iter()
         .filter(|g| !g.is_zero())
         .map(|g| FlatPoly::from_terms(&layout, g.terms().iter().map(|(m, c)| (m, *c))))
         .collect();
-    let mut run = run_fp(field, &layout, gens, options);
-    // Canonical output order: by leading monomial, largest first.
-    run.polys
-        .sort_by(|a, b| layout.cmp(b.row(&layout, 0), a.row(&layout, 0)));
-    CoreOutput {
-        polys: run
-            .polys
-            .into_iter()
-            .map(|p| CPoly::from_sorted_terms(p.into_canonical_terms(&layout)))
-            .collect(),
-        complete: run.complete,
-        reductions: run.reductions,
-        skipped_coprime: run.skipped_coprime,
-        skipped_chain: run.skipped_chain,
-    }
+    (layout, gens)
 }
 
-/// What [`run_fp`] returns: the reduced monic basis in no particular order,
-/// plus the counters of [`CoreOutput`].
-struct FpRun {
-    polys: Vec<FlatPoly<u64>>,
+/// The counters of [`CoreOutput`].
+#[derive(Debug, Clone, Copy, Default)]
+struct FpCounters {
     complete: bool,
     reductions: usize,
     skipped_coprime: usize,
     skipped_chain: usize,
 }
 
-/// The Buchberger run on the nonzero generators.
+/// What [`run_fp`] and [`replay_fp`] build: the reduced monic basis in no
+/// particular order, plus its counters.
+struct FpRun {
+    polys: Vec<FlatPoly<u64>>,
+    counters: FpCounters,
+}
+
+impl FpRun {
+    /// The output in canonical order: by leading monomial, largest first.
+    fn into_output(mut self, layout: &FlatLayout) -> CoreOutput<Fp64> {
+        self.polys
+            .sort_by(|a, b| layout.cmp(b.row(layout, 0), a.row(layout, 0)));
+        CoreOutput {
+            polys: self
+                .polys
+                .into_iter()
+                .map(|p| CPoly::from_sorted_terms(p.into_canonical_terms(layout)))
+                .collect(),
+            complete: self.counters.complete,
+            reductions: self.counters.reductions,
+            skipped_coprime: self.counters.skipped_coprime,
+            skipped_chain: self.counters.skipped_chain,
+        }
+    }
+}
+
+/// The Buchberger run on the nonzero generators, recording its reduced
+/// pairs into `trace` when given one.
 fn run_fp(
     field: &Fp64,
     layout: &FlatLayout,
     generators: Vec<FlatPoly<u64>>,
     options: &GroebnerOptions,
+    mut trace: Option<&mut FpTrace>,
 ) -> FpRun {
     let ring = FpRing { field, layout };
     let basis: Vec<FpElement> = generators
@@ -788,7 +930,7 @@ fn run_fp(
     let mut scratch = FpScratch::default();
     let mut reductions = 0;
     let mut complete = true;
-    while let Some(pair) = engine.queue.pop(engine.ring.layout) {
+    while let Some(pair) = engine.queue.pop(layout) {
         engine.pending.set(pair.i, pair.j, false);
         if options.use_chain_criterion && engine.chain_skippable(&pair) {
             engine.skipped_chain += 1;
@@ -800,11 +942,23 @@ fn run_fp(
             complete = false;
             break;
         }
-        engine.s_polynomial(&mut scratch, &pair);
+        let (f, g) = (&engine.basis[pair.i], &engine.basis[pair.j]);
+        let lcm = engine.queue.lcm(layout, &pair);
+        engine.ring.s_polynomial(&mut scratch, f, g, lcm);
         let r = engine.ring.normal_form(&mut scratch, &engine.basis, None);
         reductions += 1;
+        if let Some(trace) = trace.as_deref_mut() {
+            trace.steps.push(TraceStep {
+                i: pair.i,
+                j: pair.j,
+                nonzero: !r.is_zero(),
+            });
+            if !r.is_zero() {
+                trace.leads.extend_from_slice(r.row(layout, 0));
+            }
+        }
         if !r.is_zero() {
-            let entry = FpElement::new(engine.ring.layout, engine.ring.monic(r));
+            let entry = FpElement::new(layout, engine.ring.monic(r));
             let new_index = engine.basis.len();
             engine.basis.push(entry);
             engine.sugars.push(pair.sugar);
@@ -816,10 +970,12 @@ fn run_fp(
 
     FpRun {
         polys: auto_reduce_fp(&engine.ring, &mut scratch, engine.basis),
-        complete,
-        reductions,
-        skipped_coprime: engine.skipped_coprime,
-        skipped_chain: engine.skipped_chain,
+        counters: FpCounters {
+            complete,
+            reductions,
+            skipped_coprime: engine.skipped_coprime,
+            skipped_chain: engine.skipped_chain,
+        },
     }
 }
 
@@ -1240,6 +1396,54 @@ mod tests {
         true
     }
 
+    /// Records a trace at the first prime of `primes` and replays it at the
+    /// others. Each replay that returns a result must equal the full run at
+    /// its prime in basis, completeness and every counter. Returns how many
+    /// replays did; `None` when the first prime is unlucky for the
+    /// generators (nothing is recorded).
+    fn assert_replays_match_full_runs(
+        gens: &[Poly],
+        primes: &[u64],
+        order: &MonomialOrder,
+        options: &GroebnerOptions,
+    ) -> Option<usize> {
+        let images = |prime: u64| {
+            let field = Fp64::new(prime);
+            let images = gens
+                .iter()
+                .filter(|g| !g.is_zero())
+                .map(|g| localize_generator(&field, g, order))
+                .collect::<Result<Vec<_>, _>>()
+                .ok()?;
+            Some((field, images))
+        };
+        let (field, first) = images(primes[0])?;
+        let (traced, trace) = traced_buchberger_fp(&field, &first, order, options);
+        let full = buchberger_fp(&field, &first, order, options);
+        assert_eq!(traced.polys, full.polys);
+        let mut replayed = 0;
+        for &prime in &primes[1..] {
+            let Some((field, images)) = images(prime) else {
+                continue;
+            };
+            let Some(replay) = replay_fp(&field, &images, order, &trace) else {
+                continue;
+            };
+            let full = buchberger_fp(&field, &images, order, options);
+            let ctx = format!(
+                "trace mod {}, replay mod {prime}, order {order:?}, options {options:?}",
+                primes[0]
+            );
+            assert_eq!(replay.polys, full.polys, "{ctx}");
+            assert_eq!(replay.complete, full.complete, "{ctx}");
+            assert_eq!(replay.reductions, full.reductions, "{ctx}");
+            assert_eq!(replay.skipped_coprime, full.skipped_coprime, "{ctx}");
+            assert_eq!(replay.skipped_chain, full.skipped_chain, "{ctx}");
+            replayed += 1;
+        }
+        Some(replayed)
+    }
+
     fn katsura3() -> Vec<Poly> {
         vec![
             p("u0 + 2*u1 + 2*u2 + 2*u3 - 1/3"),
@@ -1371,6 +1575,45 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn katsura_traces_replay_at_the_next_primes() {
+        let gens = katsura3();
+        let primes: Vec<u64> = PrimeIterator::new().take(3).collect();
+        for order in orders(&["u0", "u1", "u2", "u3"]) {
+            for options in option_combinations() {
+                let replayed = assert_replays_match_full_runs(&gens, &primes, &order, &options);
+                assert_eq!(replayed, Some(2), "{order:?}, {options:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn replay_refuses_a_trace_that_diverges() {
+        let gens = katsura3();
+        let order = MonomialOrder::lex(&["u0", "u1", "u2", "u3"]);
+        let options = GroebnerOptions::default();
+        let lucky: Vec<u64> = PrimeIterator::new().take(2).collect();
+        // Mod 7 the run takes 28 reductions instead of 46: neither trace
+        // replays at the other prime.
+        for primes in [[7, lucky[0]], [lucky[0], 7]] {
+            let replayed = assert_replays_match_full_runs(&gens, &primes, &order, &options);
+            assert_eq!(replayed, Some(0), "{primes:?}");
+        }
+        // A generator whose support differs (a tail term gone) is refused
+        // before any pair is reduced.
+        let field = Fp64::new(lucky[0]);
+        let local = |gens: &[Poly]| -> Vec<CPoly<Fp64>> {
+            gens.iter()
+                .map(|g| localize_generator(&field, g, &order).unwrap())
+                .collect()
+        };
+        let (_, trace) = traced_buchberger_fp(&field, &local(&gens), &order, &options);
+        let mut fewer = gens.clone();
+        fewer[1] = p("u0^2 + 2*u1^2 + 2*u2^2 + 2*u3^2");
+        assert!(replay_fp(&field, &local(&fewer), &order, &trace).is_none());
+        assert!(replay_fp(&field, &local(&gens), &order, &trace).is_some());
     }
 
     #[test]
@@ -1551,6 +1794,32 @@ mod tests {
                     let options = GroebnerOptions { max_iterations, ..base };
                     for prime in primes {
                         assert_same_run(&gens, prime, &order, &options);
+                    }
+                }
+            }
+        }
+
+        /// A trace replayed at later primes against the full run there, on
+        /// random ideals under every order and option combination, mostly
+        /// truncated. Traces are taken mod 7, where coefficients cancel
+        /// often and replays diverge, and mod a production prime.
+        #[test]
+        fn prop_replays_match_full_runs(
+            gens in proptest::collection::vec(
+                proptest::collection::vec(term_strategy(), 1..4),
+                1..5,
+            ),
+            budget in 0usize..8,
+        ) {
+            let max_iterations = if budget == 7 { 10_000 } else { budget };
+            let gens: Vec<Poly> = gens.iter().map(|t| small_poly(t)).collect();
+            let production: Vec<u64> = PrimeIterator::new().take(3).collect();
+            let from_seven = [7, production[0], production[1]];
+            for order in orders(&["flp_a", "flp_b", "flp_c"]) {
+                for base in option_combinations() {
+                    let options = GroebnerOptions { max_iterations, ..base };
+                    for primes in [&production[..], &from_seven[..]] {
+                        assert_replays_match_full_runs(&gens, primes, &order, &options);
                     }
                 }
             }

@@ -12,7 +12,14 @@
 //!    field-generic engine of [`crate::coeff`], step for step, in the
 //!    symbolica-style layout of the private `flat` module), with the strict
 //!    generator localization of [`crate::modular`] (primes dividing a
-//!    denominator or a leading coefficient are discarded on the spot).
+//!    denominator or a leading coefficient are discarded on the spot). The
+//!    first accepted image records its pair trace (Traverso's Gröbner
+//!    trace); each later image replays it — the recorded pairs only, no
+//!    pair queue or criteria — and checks every remainder's zero/nonzero
+//!    outcome and leading monomial against the trace. A replay that
+//!    matches throughout is exactly the full run at that prime, because
+//!    pair order and criteria read only leading monomials and generator
+//!    supports; one that diverges is abandoned for the full run.
 //! 2. **Vote.** Group images by *skeleton* — the full per-element monomial
 //!    support, which refines the leading-monomial set — and take the
 //!    majority group, earliest-image first on ties. An unlucky prime that
@@ -32,16 +39,17 @@
 //!    retries; budget exhaustion returns `None` and the caller falls back
 //!    to the exact engine, so a wrong basis can never escape.
 //!
-//! Determinism: the prime sequence, the vote and the reconstruction are
-//! pure functions of the (ring-local) generators and options, so the
-//! lifted basis is byte-identical across runs and threads — the `multimodular_differential` suite pins it byte-identical to the
+//! Determinism: the prime sequence, the replays, the vote and the
+//! reconstruction are pure functions of the (ring-local) generators and
+//! options, so the lifted basis is byte-identical across runs and threads —
+//! the `multimodular_differential` suite pins it byte-identical to the
 //! exact path.
 
 use symmap_numeric::{crt_combine, rational_reconstruct, Fp64, PrimeIterator, Rational};
 use symmap_trace::{trace_event, trace_span};
 
 use crate::coeff::{CPoly, CPrepared, RationalField};
-use crate::flat::{FlatLayout, IntReducer};
+use crate::flat::{self, FlatLayout, FpTrace, IntReducer};
 use crate::groebner::GroebnerOptions;
 use crate::modular::{localize_generator, MAX_PRIME_ROTATIONS};
 use crate::monomial::Monomial;
@@ -87,6 +95,9 @@ pub struct LiftOutcome {
     /// Primes discarded as unlucky: rejected at localization time, plus
     /// images outvoted by the majority skeleton when a lift succeeded.
     pub discarded_primes: usize,
+    /// Images computed by replaying the first image's pair trace instead
+    /// of a full Buchberger run (at most `primes_used − 1`).
+    pub replayed: usize,
 }
 
 /// One prime's reduced basis, with coefficients out of Montgomery form.
@@ -99,21 +110,38 @@ struct PrimeImage {
     reductions: usize,
     skipped_coprime: usize,
     skipped_chain: usize,
+    /// Computed by replaying the first image's trace.
+    replayed: bool,
 }
 
 impl PrimeImage {
+    /// The image at `prime`, `None` when localization rejects the prime.
+    /// The first accepted image runs Buchberger in full and records its
+    /// pair trace into `trace`; every later one replays that trace and
+    /// runs in full only where the replay diverges.
     fn compute(
         prime: u64,
         generators: &[&Poly],
         order: &MonomialOrder,
         options: &GroebnerOptions,
+        trace: &mut Option<FpTrace>,
     ) -> Option<PrimeImage> {
         let field = Fp64::new(prime);
         let mut lgens = Vec::with_capacity(generators.len());
         for g in generators {
             lgens.push(localize_generator(&field, g, order).ok()?);
         }
-        let core = crate::flat::buchberger_fp(&field, &lgens, order, options);
+        let (core, replayed) = match trace {
+            Some(t) => match flat::replay_fp(&field, &lgens, order, t) {
+                Some(core) => (core, true),
+                None => (flat::buchberger_fp(&field, &lgens, order, options), false),
+            },
+            None => {
+                let (core, t) = flat::traced_buchberger_fp(&field, &lgens, order, options);
+                *trace = Some(t);
+                (core, false)
+            }
+        };
         let polys = core
             .polys
             .into_iter()
@@ -131,6 +159,7 @@ impl PrimeImage {
             reductions: core.reductions,
             skipped_coprime: core.skipped_coprime,
             skipped_chain: core.skipped_chain,
+            replayed,
         })
     }
 
@@ -315,6 +344,7 @@ pub fn multimodular_basis_with_primes(
             retries: 0,
             primes_used: 0,
             discarded_primes: 0,
+            replayed: 0,
         };
     }
     let mut primes = primes.into_iter();
@@ -322,6 +352,8 @@ pub fn multimodular_basis_with_primes(
     let mut discarded = 0_usize;
     let mut retries = 0_usize;
     let mut draws = 0_usize;
+    let mut trace = None;
+    let mut replayed = 0_usize;
     while images.len() < max_images && draws < max_images + MAX_PRIME_ROTATIONS {
         let Some(prime) = primes.next() else { break };
         draws += 1;
@@ -329,7 +361,7 @@ pub fn multimodular_basis_with_primes(
         // functions of the (ring-local) generators and options, so every
         // event below is deterministic and may live in the compute stream.
         trace_span!(begin "mm.image", prime = prime);
-        let image = PrimeImage::compute(prime, &gens, order, options);
+        let image = PrimeImage::compute(prime, &gens, order, options, &mut trace);
         match &image {
             Some(img) => trace_span!(
                 end "mm.image",
@@ -337,6 +369,7 @@ pub fn multimodular_basis_with_primes(
                 accepted = 1u64,
                 reductions = img.reductions,
                 complete = img.complete as usize,
+                replayed = img.replayed as usize,
             ),
             None => trace_span!(end "mm.image", prime = prime, accepted = 0u64),
         }
@@ -345,6 +378,7 @@ pub fn multimodular_basis_with_primes(
             trace_event!("mm.prime.discard", prime = prime);
             continue;
         };
+        replayed += image.replayed as usize;
         if !image.complete {
             // An iteration-bounded run has no lift: a truncated basis is not
             // a Gröbner basis, so verification could never pass. The exact
@@ -355,6 +389,7 @@ pub fn multimodular_basis_with_primes(
                 retries,
                 primes_used: images.len() + 1,
                 discarded_primes: discarded,
+                replayed,
             };
         }
         images.push(image);
@@ -386,6 +421,7 @@ pub fn multimodular_basis_with_primes(
                     retries,
                     primes_used: images.len(),
                     discarded_primes: discarded + outvoted,
+                    replayed,
                 };
             }
         }
@@ -402,6 +438,7 @@ pub fn multimodular_basis_with_primes(
         retries,
         primes_used: images.len(),
         discarded_primes: discarded,
+        replayed,
     }
 }
 
@@ -500,6 +537,78 @@ mod tests {
         // S-polynomial does not reduce to zero), so verify must refuse even
         // though every generator trivially reduces.
         assert!(!verify(&[p("x^2 - y"), p("x*y - 1")], &gen_refs, &order));
+    }
+
+    fn katsura3_lex() -> (Vec<Poly>, MonomialOrder) {
+        let gens = vec![
+            p("u0 + 2*u1 + 2*u2 + 2*u3 - 1/3"),
+            p("u0^2 + 2*u1^2 + 2*u2^2 + 2*u3^2 - u0"),
+            p("2*u0*u1 + 2*u1*u2 + 2*u2*u3 - u1"),
+            p("u1^2 + 2*u0*u2 + 2*u1*u3 - u2"),
+        ];
+        (gens, MonomialOrder::lex(&["u0", "u1", "u2", "u3"]))
+    }
+
+    #[test]
+    fn later_images_replay_the_first_images_trace() {
+        let (gens, order) = katsura3_lex();
+        let options = exact_options();
+        let exact = crate::groebner::buchberger(&gens, &order, &options);
+        let lift = multimodular_basis(&gens, &order, &options);
+        let basis = lift.basis.expect("katsura-3 lifts");
+        assert_eq!(format!("{:?}", basis.polys), format!("{:?}", exact.polys()));
+        assert_eq!(basis.reductions, exact.reductions);
+        assert_eq!(lift.primes_used, 3);
+        assert_eq!(lift.replayed, lift.primes_used - 1);
+    }
+
+    /// A small prime planted at the front of the stream records the trace.
+    /// Each later image either replays it exactly or falls back to a full
+    /// run, so the outcome is the one the lift returned when every image
+    /// ran in full (the expected counters were taken from that code):
+    /// * mod 7 the run takes 28 reductions instead of 46, so every replay
+    ///   diverges;
+    /// * mod 19 and mod 73 the run takes 46 reductions. Mod 19 the pair
+    ///   outcomes and leading rows are the production primes', so they
+    ///   replay it, although a tail coefficient vanishes and the skeleton
+    ///   differs. Mod 73 the skeleton is the same but a pair outcome
+    ///   differs, so no replay survives and the image joins the majority.
+    #[test]
+    fn a_diverging_trace_falls_back_to_full_runs() {
+        let (gens, order) = katsura3_lex();
+        let options = exact_options();
+        let exact = crate::groebner::buchberger(&gens, &order, &options);
+        // (planted prime, primes_used, retries, discarded_primes, replayed)
+        for (planted, primes_used, retries, discarded, replayed) in
+            [(7, 4, 3, 1, 0), (19, 4, 3, 1, 3), (73, 4, 3, 0, 0)]
+        {
+            let mut primes = vec![planted];
+            primes.extend(PrimeIterator::new().take(8));
+            let lift = multimodular_basis_with_primes(
+                &gens,
+                &order,
+                &options,
+                primes,
+                DEFAULT_PRIME_BUDGET,
+            );
+            let basis = lift.basis.expect("the production primes outvote it");
+            assert_eq!(format!("{:?}", basis.polys), format!("{:?}", exact.polys()));
+            assert_eq!(
+                (basis.reductions, basis.skipped_coprime, basis.skipped_chain),
+                (46, 195, 320),
+                "planted {planted}"
+            );
+            assert_eq!(
+                (
+                    lift.primes_used,
+                    lift.retries,
+                    lift.discarded_primes,
+                    lift.replayed
+                ),
+                (primes_used, retries, discarded, replayed),
+                "planted {planted}"
+            );
+        }
     }
 
     #[test]

@@ -249,6 +249,30 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_total_degree_is_an_error_not_a_panic() {
+        // Each variable's exponent fits u32 (3·2^30 for x, 2^30 for y), but
+        // the fourth factor takes the total degree to 2^32.
+        let e = "((((x^64)^64)^64)^64)^64";
+        let f = "((((y^64)^64)^64)^64)^64";
+        assert_eq!(
+            parse_polynomial(&format!("{e}*{e}*{e}*{f}*{f}*{f}")),
+            Err(AlgebraError::DegreeOverflow)
+        );
+        let three = parse_polynomial(&format!("{e}*{e}*{e}")).unwrap();
+        let four = parse_polynomial(&format!("{e}*{e}*{e}*{f}"));
+        assert_eq!(four, Err(AlgebraError::DegreeOverflow));
+        assert_eq!(three.total_degree(), 3 << 30);
+        // A power whose per-variable exponents fit u32 (2^31 each) but
+        // whose total degree (2^32) does not.
+        let xy = "(((((x*y)^64)^64)^64)^64)^64";
+        assert_eq!(
+            parse_polynomial(&format!("({xy})^2")),
+            Err(AlgebraError::DegreeOverflow)
+        );
+        assert_eq!(parse_polynomial(xy).unwrap().total_degree(), 1 << 31);
+    }
+
+    #[test]
     fn parses_simple_sums_and_products() {
         assert_eq!(parse_polynomial("x + 1").unwrap().num_terms(), 2);
         assert_eq!(parse_polynomial("x*y*z").unwrap().total_degree(), 3);

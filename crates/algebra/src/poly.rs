@@ -448,18 +448,32 @@ impl Poly {
     /// # Errors
     ///
     /// Returns [`AlgebraError::DegreeOverflow`] when some variable's largest
-    /// exponent in `self` plus its largest in `other` overflows `u32`; every
-    /// product monomial is then bounded, so [`Poly::mul`] cannot panic.
+    /// exponent in `self` plus its largest in `other` overflows `u32`, or
+    /// when the product's total degree does. Every product monomial is
+    /// then bounded, so [`Poly::mul`] cannot panic and
+    /// [`Poly::total_degree`] of the result cannot either.
     pub fn try_mul(&self, other: &Poly) -> Result<Poly, AlgebraError> {
         let (a, b) = (self.max_exponents(), other.max_exponents());
         let overflows = a
             .iter()
             .zip(&b)
             .any(|(&ea, &eb)| ea.checked_add(eb).is_none());
-        if overflows {
+        // The product's total degree is the sum of the factors' when both
+        // are nonzero: their top-degree parts multiply to a nonzero part.
+        let total = self.max_total_degree() + other.max_total_degree();
+        if overflows || total > u32::MAX as u64 {
             return Err(AlgebraError::DegreeOverflow);
         }
         Ok(self.mul(other))
+    }
+
+    /// The largest total degree over all terms, as `u64` (never panics).
+    fn max_total_degree(&self) -> u64 {
+        self.terms
+            .iter()
+            .map(|(m, _)| m.total_degree_u64())
+            .max()
+            .unwrap_or(0)
     }
 
     /// The largest exponent of each variable slot over all terms.
@@ -483,8 +497,8 @@ impl Poly {
     ///
     /// Returns [`AlgebraError::ExponentTooLarge`] when `exp > 64` (to guard
     /// against accidental term-count explosions) and
-    /// [`AlgebraError::DegreeOverflow`] when the resulting exponents would
-    /// overflow `u32`.
+    /// [`AlgebraError::DegreeOverflow`] when the resulting exponents, or the
+    /// result's total degree, would overflow `u32`.
     pub fn pow(&self, exp: u32) -> Result<Poly, AlgebraError> {
         if exp > 64 {
             return Err(AlgebraError::ExponentTooLarge(exp as u64));
@@ -499,7 +513,10 @@ impl Poly {
             .flat_map(|(m, _)| m.iter().map(|(_, e)| e as u64))
             .max()
             .unwrap_or(0);
-        if max_exp * exp as u64 > u32::MAX as u64 {
+        // The result's total degree is the base's times `exp` (its
+        // top-degree part is the base's raised to `exp`, which is nonzero).
+        let total = self.max_total_degree().saturating_mul(exp as u64);
+        if max_exp * exp as u64 > u32::MAX as u64 || total > u32::MAX as u64 {
             return Err(AlgebraError::DegreeOverflow);
         }
         let mut result = Poly::one();
@@ -768,9 +785,9 @@ mod tests {
         assert_eq!(big.pow(2).map(|_| ()), Ok(()));
         let bigger = Poly::from_term(Monomial::var(Var::new("x"), u32::MAX), Rational::one());
         assert_eq!(bigger.pow(2), Err(AlgebraError::DegreeOverflow));
-        // The guard bounds *per-variable* exponents, not the total degree:
-        // three variables at 2^30 squared is a total degree of ~6.4e9, but
-        // every resulting exponent is 2^31, which fits u32.
+        // The guard bounds the total degree too: three variables at 2^30
+        // squared is a total degree of ~6.4e9, although every resulting
+        // exponent is 2^31, which fits u32.
         let wide = Poly::from_term(
             Monomial::from_pairs(&[
                 (Var::new("x"), 1 << 30),
@@ -779,8 +796,13 @@ mod tests {
             ]),
             Rational::one(),
         );
-        let sq = wide.pow(2).expect("per-variable exponents fit u32");
-        assert_eq!(sq.degree_in(Var::new("x")), 1 << 31);
+        assert_eq!(wide.pow(2), Err(AlgebraError::DegreeOverflow));
+        // Just under the bound still squares: total degree 2^32 − 2.
+        let pair = Poly::from_term(
+            Monomial::from_pairs(&[(Var::new("x"), 1 << 30), (Var::new("y"), (1 << 30) - 1)]),
+            Rational::one(),
+        );
+        assert_eq!(pair.pow(2).unwrap().total_degree(), u32::MAX - 1);
     }
 
     #[test]

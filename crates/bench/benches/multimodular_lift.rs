@@ -14,6 +14,8 @@
 //! perfgate also records the walls and the prime count to BENCH.json).
 //! Grevlex is recorded but not floored: its exact run needs 10 reductions
 //! and no coefficient growth, so the lift's fixed cost is not repaid there.
+//! Under lex every image after the first must replay the first image's pair
+//! trace (asserted in every mode), so replay cannot silently stop engaging.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use symmap_algebra::groebner::{buchberger, GroebnerOptions};
@@ -49,12 +51,14 @@ fn hard_ideal() -> Vec<Poly> {
 const LEX_FLOOR: f64 = 8.0;
 
 /// One order's comparison: exact and lifted bases (asserted byte-identical
-/// with equal reduction counts) and the lift's prime count.
+/// with equal reduction counts), the lift's prime count and how many of its
+/// images replayed the first one's trace.
 struct Case {
     label: &'static str,
     order: MonomialOrder,
     reductions: usize,
     primes_used: usize,
+    replayed: usize,
 }
 
 fn case(
@@ -78,11 +82,19 @@ fn case(
         "{label}: lifted basis differs from exact"
     );
     assert_eq!(lifted.reductions, exact.reductions);
+    if label == "lex" {
+        assert_eq!(
+            outcome.replayed,
+            outcome.primes_used - 1,
+            "{label}: an image after the first ran in full instead of replaying"
+        );
+    }
     Case {
         label,
         order,
         reductions: exact.reductions,
         primes_used: outcome.primes_used,
+        replayed: outcome.replayed,
     }
 }
 
@@ -117,10 +129,13 @@ fn bench(c: &mut Criterion) {
                 criterion::black_box(multimodular_basis(&gens, order, &options));
             });
             let ratio = exact_ns as f64 / lift_ns as f64;
-            let primes_used = case.primes_used;
+            let (primes_used, replayed) = (case.primes_used, case.replayed);
             println!("multimodular_lift/katsura3-{label}-exact-q  {exact_ns:>12} ns/iter");
             println!("multimodular_lift/katsura3-{label}-lifted   {lift_ns:>12} ns/iter");
-            println!("{label}: verified lift speedup {ratio:.1}x, {primes_used} prime image(s)");
+            println!(
+                "{label}: verified lift speedup {ratio:.1}x, {primes_used} prime image(s), \
+                 {replayed} replayed"
+            );
             if label == "lex" {
                 assert!(
                     ratio >= LEX_FLOOR,
