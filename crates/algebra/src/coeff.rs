@@ -9,20 +9,22 @@
 //! arithmetic goes through the context — and implements the S-pair engine,
 //! auto-reduction and the prepared-divisor normal form **once**, generically:
 //!
-//! * [`RationalField`] instantiates it over [`Rational`], and is what
-//!   [`crate::groebner::buchberger`] and
-//!   [`crate::division::prepared_normal_form`] run on. The entry/exit
-//!   conversions with [`crate::poly::Poly`] are zero-copy term-vector moves (both types
-//!   share the descending-canonical-sort storage invariant), so the exact
-//!   path is byte-identical to the historic concrete implementation — the
-//!   seed-oracle differential tests in `groebner.rs` pin this down.
-//! * [`symmap_numeric::Fp64`] instantiates it over ℤ/p (see
-//!   [`crate::modular`]), giving the multi-modular lift prime images whose
-//!   coefficients never leave one machine word.
-//!
+//! [`RationalField`] instantiates it over [`Rational`], and is what
+//! [`crate::groebner::buchberger`] and
+//! [`crate::division::prepared_normal_form`] run on. The entry/exit
+//! conversions with [`crate::poly::Poly`] are zero-copy term-vector moves
+//! (both types share the descending-canonical-sort storage invariant), so
+//! the exact path is byte-identical to the historic concrete implementation
+//! — the seed-oracle differential tests in `groebner.rs` pin this down.
 //! Every algorithm here mirrors its `Poly` counterpart operation for
 //! operation (same merge passes, same division-step selection, same
-//! tiebreaks), so the two instantiations differ only in scalar cost.
+//! tiebreaks).
+//!
+//! The multi-modular lift's ℤ/p images do not run here: they run on the
+//! flat strided engine of the private `flat` module, which is this
+//! engine's algorithm step for step in a layout built for word-sized
+//! coefficients. Its tests instantiate this engine over ℤ/p as the oracle
+//! it is compared against.
 
 use std::collections::HashSet;
 
@@ -137,15 +139,6 @@ impl<F: CoeffField> CPoly<F> {
     /// Number of terms.
     pub fn num_terms(&self) -> usize {
         self.terms.len()
-    }
-
-    /// Total degree (max over terms); zero polynomial has degree 0.
-    pub fn total_degree(&self) -> u32 {
-        self.terms
-            .iter()
-            .map(|(m, _)| m.total_degree())
-            .max()
-            .unwrap_or(0)
     }
 
     /// Leading term under `order`: the first term when `order` is the
@@ -360,47 +353,37 @@ pub fn normal_form_in<F: CoeffField, D: DivisorView<F>>(
     remainder
 }
 
-/// A pending S-pair: basis indices, the cached lcm of the two leading
-/// monomials, and the pair's sugar degree. Coefficient-free.
+/// A pending S-pair: basis indices and the cached lcm of the two leading
+/// monomials. Coefficient-free.
 #[derive(Debug)]
 struct SPair {
     i: usize,
     j: usize,
     lcm: Monomial,
-    sugar: u32,
 }
 
 /// Deterministic binary min-heap of S-pairs under the normal selection
-/// strategy: smallest lcm first; ties broken by sugar degree when enabled,
-/// then by pair age so the pop order is a total, reproducible function of
-/// the push sequence.
+/// strategy: smallest lcm first, ties broken by pair age so the pop order
+/// is a total, reproducible function of the push sequence.
 #[derive(Debug)]
 struct PairQueue {
     heap: Vec<SPair>,
     order: MonomialOrder,
-    sugar_tiebreak: bool,
 }
 
 impl PairQueue {
-    fn new(order: MonomialOrder, sugar_tiebreak: bool) -> Self {
+    fn new(order: MonomialOrder) -> Self {
         PairQueue {
             heap: Vec::new(),
             order,
-            sugar_tiebreak,
         }
     }
 
     fn less(&self, a: &SPair, b: &SPair) -> bool {
-        match self.order.cmp(&a.lcm, &b.lcm) {
-            std::cmp::Ordering::Less => true,
-            std::cmp::Ordering::Greater => false,
-            std::cmp::Ordering::Equal => {
-                if self.sugar_tiebreak && a.sugar != b.sugar {
-                    return a.sugar < b.sugar;
-                }
-                (a.j, a.i) < (b.j, b.i)
-            }
-        }
+        self.order
+            .cmp(&a.lcm, &b.lcm)
+            .then_with(|| (a.j, a.i).cmp(&(b.j, b.i)))
+            .is_lt()
     }
 
     fn push(&mut self, pair: SPair) {
@@ -448,10 +431,8 @@ impl PairQueue {
 struct Engine<'f, F: CoeffField> {
     field: &'f F,
     basis: Vec<CPrepared<F>>,
-    sugars: Vec<u32>,
     queue: PairQueue,
     pending: HashSet<(usize, usize)>,
-    options: GroebnerOptions,
     skipped_coprime: usize,
     skipped_chain: usize,
 }
@@ -461,16 +442,13 @@ impl<F: CoeffField> Engine<'_, F> {
     /// discards it outright.
     fn push_pair(&mut self, i: usize, j: usize) {
         let (lm_i, lm_j) = (&self.basis[i].lm, &self.basis[j].lm);
-        if self.options.use_coprime_criterion && lm_i.is_coprime_with(lm_j) {
+        if lm_i.is_coprime_with(lm_j) {
             self.skipped_coprime += 1;
             return;
         }
         let lcm = lm_i.lcm(lm_j);
-        let deg = lcm.total_degree();
-        let sugar = (self.sugars[i] + deg - lm_i.total_degree())
-            .max(self.sugars[j] + deg - lm_j.total_degree());
         self.pending.insert((i, j));
-        self.queue.push(SPair { i, j, lcm, sugar });
+        self.queue.push(SPair { i, j, lcm });
     }
 
     /// Buchberger's chain (second) criterion.
@@ -524,11 +502,11 @@ pub struct CoreOutput<F: CoeffField> {
 }
 
 /// Buchberger's algorithm over an arbitrary coefficient field — the engine
-/// proper, shared by the ℚ path ([`crate::groebner::buchberger`]) and the
-/// ℤ/p path ([`crate::modular`]). Heap pair queue (normal selection
-/// strategy), coprime criterion at push, chain criterion at pop, cached
-/// leading terms, clone-free auto-reduction; step for step the historic
-/// concrete engine.
+/// proper behind the ℚ path ([`crate::groebner::buchberger`]), and the
+/// oracle the flat ℤ/p engine is tested against. Heap pair queue (normal
+/// selection strategy), coprime criterion at push, chain criterion at pop,
+/// cached leading terms, clone-free auto-reduction; step for step the
+/// historic concrete engine.
 pub fn buchberger_core_in<F: CoeffField>(
     field: &F,
     generators: &[CPoly<F>],
@@ -550,14 +528,11 @@ pub fn buchberger_core_in<F: CoeffField>(
         };
     }
 
-    let sugars = basis.iter().map(|e| e.poly.total_degree()).collect();
     let mut engine = Engine {
         field,
         basis,
-        sugars,
-        queue: PairQueue::new(order.clone(), options.use_sugar_tiebreak),
+        queue: PairQueue::new(order.clone()),
         pending: HashSet::new(),
-        options: options.clone(),
         skipped_coprime: 0,
         skipped_chain: 0,
     };
@@ -571,14 +546,14 @@ pub fn buchberger_core_in<F: CoeffField>(
     let mut complete = true;
     while let Some(pair) = engine.queue.pop() {
         engine.pending.remove(&(pair.i, pair.j));
-        if engine.options.use_chain_criterion && engine.chain_skippable(&pair) {
+        if engine.chain_skippable(&pair) {
             engine.skipped_chain += 1;
             continue;
         }
         // The bound is checked only when a pair survives the criteria: skips
         // are free, so a run whose tail pairs are all discarded by criteria
         // still reports `complete`.
-        if reductions >= engine.options.max_iterations {
+        if reductions >= options.max_iterations {
             complete = false;
             break;
         }
@@ -589,7 +564,6 @@ pub fn buchberger_core_in<F: CoeffField>(
             let entry = CPrepared::new(r.monic(field, order), order).expect("nonzero remainder");
             let new_index = engine.basis.len();
             engine.basis.push(entry);
-            engine.sugars.push(pair.sugar);
             for k in 0..new_index {
                 engine.push_pair(k, new_index);
             }

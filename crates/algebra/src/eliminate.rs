@@ -20,7 +20,7 @@ pub struct Elimination {
     pub full_basis: Vec<Poly>,
     /// Whether the Gröbner computation ran to completion.
     pub complete: bool,
-    /// Number of S-polynomial reductions spent on the basis (ablation metric).
+    /// Number of S-polynomial reductions spent on the basis.
     pub reductions: usize,
 }
 
@@ -33,7 +33,7 @@ pub fn eliminate(generators: &[Poly], eliminate: &[&str]) -> Elimination {
     eliminate_with_options(generators, eliminate, &GroebnerOptions::default())
 }
 
-/// [`eliminate`] with explicit Gröbner options (used by ablation benches).
+/// [`eliminate`] with explicit Gröbner options.
 pub fn eliminate_with_options(
     generators: &[Poly],
     eliminate: &[&str],

@@ -131,8 +131,10 @@ impl Expr {
     /// # Errors
     ///
     /// Returns [`AlgebraError::NotPolynomial`] if the tree contains a function
-    /// call (use [`Expr::approximate_calls`] first) and
-    /// [`AlgebraError::ExponentTooLarge`] for oversized exponents.
+    /// call (use [`Expr::approximate_calls`] first),
+    /// [`AlgebraError::ExponentTooLarge`] for oversized exponents and
+    /// [`AlgebraError::DegreeOverflow`] when a product's exponents or total
+    /// degree overflow `u32`.
     pub fn to_poly(&self) -> Result<Poly, AlgebraError> {
         match self {
             Expr::Constant(c) => Ok(Poly::constant(c.clone())),
@@ -147,7 +149,7 @@ impl Expr {
             Expr::Mul(xs) => {
                 let mut acc = Poly::one();
                 for x in xs {
-                    acc = acc.mul(&x.to_poly()?);
+                    acc = acc.try_mul(&x.to_poly()?)?;
                 }
                 Ok(acc)
             }
@@ -376,6 +378,15 @@ mod tests {
         let e = Expr::var("x").mul(Expr::var("x")).add(Expr::constant(1));
         assert_eq!(e.to_poly().unwrap(), p("x^2 + 1"));
         assert!(e.is_polynomial());
+    }
+
+    #[test]
+    fn overflowing_product_is_an_error_not_a_panic() {
+        // `e` is x^(2^30): three factors still fit u32, the fourth does not.
+        let e = (0..5).fold(Expr::var("x"), |b, _| Expr::Pow(Box::new(b), 64));
+        let product = |n: usize| Expr::Mul(vec![e.clone(); n]).to_poly();
+        assert_eq!(product(3).unwrap().total_degree(), 3 << 30);
+        assert_eq!(product(4), Err(AlgebraError::DegreeOverflow));
     }
 
     #[test]

@@ -42,7 +42,6 @@ use std::cmp::Ordering;
 
 use symmap_numeric::{BigInt, Fp64, Rational};
 
-use crate::coeff::{CPoly, CoreOutput};
 use crate::groebner::GroebnerOptions;
 use crate::monomial::Monomial;
 use crate::ordering::MonomialOrder;
@@ -176,14 +175,6 @@ impl FlatLayout {
         row[self.extra - 1] = total;
         if self.extra == 2 {
             row[0] = block;
-        }
-    }
-
-    /// Total degree of a row.
-    pub(crate) fn degree(&self, row: &[u32]) -> u64 {
-        match self.extra {
-            0 => row.iter().map(|&e| e as u64).sum(),
-            x => row[x - 1] as u64,
         }
     }
 
@@ -333,7 +324,7 @@ impl<C> FlatPoly<C> {
     }
 
     /// The terms as `(Monomial, C)` pairs in the canonical storage order —
-    /// the exit conversion back to [`CPoly`]/`Poly` term vectors.
+    /// the exit conversion back to plain term vectors.
     pub(crate) fn into_canonical_terms(self, layout: &FlatLayout) -> Vec<(Monomial, C)> {
         let mut terms: Vec<(Monomial, C)> = self
             .coeffs
@@ -547,16 +538,15 @@ struct FlatPair {
     i: usize,
     j: usize,
     lcm: usize,
-    sugar: u32,
 }
 
 /// The generic engine's pair heap over flat lcm rows: smallest lcm first,
-/// then (optionally) smallest sugar, then `(j, i)`. That key is a total
-/// order on distinct pairs, so the pop sequence is the generic engine's.
+/// then `(j, i)`. That key is a total order on distinct pairs, so the pop
+/// sequence is the generic engine's.
+#[derive(Default)]
 struct FlatPairQueue {
     heap: Vec<FlatPair>,
     lcms: Vec<u32>,
-    sugar_tiebreak: bool,
 }
 
 impl FlatPairQueue {
@@ -565,16 +555,10 @@ impl FlatPairQueue {
     }
 
     fn less(&self, layout: &FlatLayout, a: &FlatPair, b: &FlatPair) -> bool {
-        match layout.cmp(self.lcm(layout, a), self.lcm(layout, b)) {
-            Ordering::Less => true,
-            Ordering::Greater => false,
-            Ordering::Equal => {
-                if self.sugar_tiebreak && a.sugar != b.sugar {
-                    return a.sugar < b.sugar;
-                }
-                (a.j, a.i) < (b.j, b.i)
-            }
-        }
+        layout
+            .cmp(self.lcm(layout, a), self.lcm(layout, b))
+            .then_with(|| (a.j, a.i).cmp(&(b.j, b.i)))
+            .is_lt()
     }
 
     fn push(&mut self, layout: &FlatLayout, pair: FlatPair) {
@@ -649,10 +633,8 @@ impl PairBits {
 struct FpEngine<'a> {
     ring: FpRing<'a>,
     basis: Vec<FpElement>,
-    sugars: Vec<u32>,
     queue: FlatPairQueue,
     pending: PairBits,
-    options: &'a GroebnerOptions,
     skipped_coprime: usize,
     skipped_chain: usize,
 }
@@ -663,27 +645,15 @@ impl FpEngine<'_> {
     fn push_pair(&mut self, i: usize, j: usize) {
         let layout = self.ring.layout;
         let (lm_i, lm_j) = (self.basis[i].lm(layout), self.basis[j].lm(layout));
-        if self.options.use_coprime_criterion && layout.coprime(lm_i, lm_j) {
+        if layout.coprime(lm_i, lm_j) {
             self.skipped_coprime += 1;
             return;
         }
         let at = self.queue.lcms.len();
         self.queue.lcms.resize(at + layout.stride(), 0);
         layout.lcm_into(lm_i, lm_j, &mut self.queue.lcms[at..]);
-        let deg = degree_u32(layout.degree(&self.queue.lcms[at..]));
-        let (deg_i, deg_j) = (
-            degree_u32(layout.degree(lm_i)),
-            degree_u32(layout.degree(lm_j)),
-        );
-        let sugar = (self.sugars[i] + deg - deg_i).max(self.sugars[j] + deg - deg_j);
         self.pending.set(i, j, true);
-        let pair = FlatPair {
-            i,
-            j,
-            lcm: at,
-            sugar,
-        };
-        self.queue.push(layout, pair);
+        self.queue.push(layout, FlatPair { i, j, lcm: at });
     }
 
     /// Buchberger's chain (second) criterion.
@@ -703,17 +673,18 @@ impl FpEngine<'_> {
 }
 
 /// Buchberger's algorithm over ℤ/p in the flat layout — the engine of the
-/// lift's images. It is `buchberger_core_in::<Fp64>` step for step (same
-/// pair queue, criteria, division and auto-reduction), so it returns the
-/// same reduced monic basis and the same counters; the differential tests
-/// pin that on every order and option combination. Generators are
-/// Montgomery form `CPoly`s in canonical storage order, like the output.
+/// lift's images. It is the generic engine of [`crate::coeff`] over ℤ/p
+/// step for step (same pair queue, criteria, division and auto-reduction),
+/// so it returns the same reduced monic basis and the same counters; the
+/// differential tests pin that on every order. Generators are term vectors
+/// of Montgomery-form residues in canonical storage order, like the
+/// output's elements.
 pub(crate) fn buchberger_fp(
     field: &Fp64,
-    generators: &[CPoly<Fp64>],
+    generators: &[Vec<(Monomial, u64)>],
     order: &MonomialOrder,
     options: &GroebnerOptions,
-) -> CoreOutput<Fp64> {
+) -> FpOutput {
     let (layout, gens) = flat_generators(generators, order);
     run_fp(field, &layout, gens, options, None).into_output(&layout)
 }
@@ -722,10 +693,10 @@ pub(crate) fn buchberger_fp(
 /// [`replay_fp`] at later primes.
 pub(crate) fn traced_buchberger_fp(
     field: &Fp64,
-    generators: &[CPoly<Fp64>],
+    generators: &[Vec<(Monomial, u64)>],
     order: &MonomialOrder,
     options: &GroebnerOptions,
-) -> (CoreOutput<Fp64>, FpTrace) {
+) -> (FpOutput, FpTrace) {
     let (layout, gens) = flat_generators(generators, order);
     let mut trace = FpTrace {
         stride: layout.stride(),
@@ -743,7 +714,7 @@ pub(crate) fn traced_buchberger_fp(
 /// run's pair order and criteria decided, recorded so that a run at
 /// another prime can skip deciding it again.
 ///
-/// Pair order, sugar and both criteria read only the generators' supports
+/// Pair order and both criteria read only the generators' supports
 /// and the leading rows of the basis elements, never a coefficient. A run
 /// at another prime whose generators have the same supports, and whose
 /// every reduced pair has the same zero/nonzero outcome and leading row,
@@ -782,10 +753,10 @@ struct TraceStep {
 /// computed: they are what shows the run did not diverge.
 pub(crate) fn replay_fp(
     field: &Fp64,
-    generators: &[CPoly<Fp64>],
+    generators: &[Vec<(Monomial, u64)>],
     order: &MonomialOrder,
     trace: &FpTrace,
-) -> Option<CoreOutput<Fp64>> {
+) -> Option<FpOutput> {
     let (layout, gens) = flat_generators(generators, order);
     if layout.stride() != trace.stride
         || gens.len() != trace.generators.len()
@@ -831,30 +802,39 @@ pub(crate) fn replay_fp(
 
 /// The layout spanning `generators` and their nonzero members in it.
 fn flat_generators(
-    generators: &[CPoly<Fp64>],
+    generators: &[Vec<(Monomial, u64)>],
     order: &MonomialOrder,
 ) -> (FlatLayout, Vec<FlatPoly<u64>>) {
-    let layout = FlatLayout::spanning(
-        order,
-        generators
-            .iter()
-            .flat_map(|g| g.terms().iter().map(|(m, _)| m)),
-    );
+    let layout = FlatLayout::spanning(order, generators.iter().flatten().map(|(m, _)| m));
     let gens = generators
         .iter()
-        .filter(|g| !g.is_zero())
-        .map(|g| FlatPoly::from_terms(&layout, g.terms().iter().map(|(m, c)| (m, *c))))
+        .filter(|g| !g.is_empty())
+        .map(|g| FlatPoly::from_terms(&layout, g.iter().map(|(m, c)| (m, *c))))
         .collect();
     (layout, gens)
 }
 
-/// The counters of [`CoreOutput`].
-#[derive(Debug, Clone, Copy, Default)]
-struct FpCounters {
-    complete: bool,
-    reductions: usize,
-    skipped_coprime: usize,
-    skipped_chain: usize,
+/// The counters of a ℤ/p run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct FpCounters {
+    /// Whether the run finished before the iteration bound.
+    pub(crate) complete: bool,
+    /// S-polynomial reductions performed.
+    pub(crate) reductions: usize,
+    /// Pairs discarded by the coprime (first) criterion.
+    pub(crate) skipped_coprime: usize,
+    /// Pairs discarded by the chain (second) criterion.
+    pub(crate) skipped_chain: usize,
+}
+
+/// What [`buchberger_fp`], [`traced_buchberger_fp`] and [`replay_fp`]
+/// return: the reduced monic basis, sorted descending by leading monomial,
+/// each element a term vector of Montgomery-form residues in canonical
+/// storage order; and the run's counters.
+#[derive(Debug)]
+pub(crate) struct FpOutput {
+    pub(crate) polys: Vec<Vec<(Monomial, u64)>>,
+    pub(crate) counters: FpCounters,
 }
 
 /// What [`run_fp`] and [`replay_fp`] build: the reduced monic basis in no
@@ -866,19 +846,16 @@ struct FpRun {
 
 impl FpRun {
     /// The output in canonical order: by leading monomial, largest first.
-    fn into_output(mut self, layout: &FlatLayout) -> CoreOutput<Fp64> {
+    fn into_output(mut self, layout: &FlatLayout) -> FpOutput {
         self.polys
             .sort_by(|a, b| layout.cmp(b.row(layout, 0), a.row(layout, 0)));
-        CoreOutput {
+        FpOutput {
             polys: self
                 .polys
                 .into_iter()
-                .map(|p| CPoly::from_sorted_terms(p.into_canonical_terms(layout)))
+                .map(|p| p.into_canonical_terms(layout))
                 .collect(),
-            complete: self.counters.complete,
-            reductions: self.counters.reductions,
-            skipped_coprime: self.counters.skipped_coprime,
-            skipped_chain: self.counters.skipped_chain,
+            counters: self.counters,
         }
     }
 }
@@ -897,27 +874,11 @@ fn run_fp(
         .into_iter()
         .map(|g| FpElement::new(ring.layout, ring.monic(g)))
         .collect();
-    let sugars = basis
-        .iter()
-        .map(|e| {
-            let layout = ring.layout;
-            let max = (0..e.poly.len())
-                .map(|t| layout.degree(e.poly.row(layout, t)))
-                .max();
-            degree_u32(max.unwrap_or(0))
-        })
-        .collect();
     let mut engine = FpEngine {
         ring,
         basis,
-        sugars,
-        queue: FlatPairQueue {
-            heap: Vec::new(),
-            lcms: Vec::new(),
-            sugar_tiebreak: options.use_sugar_tiebreak,
-        },
+        queue: FlatPairQueue::default(),
         pending: PairBits::default(),
-        options,
         skipped_coprime: 0,
         skipped_chain: 0,
     };
@@ -932,7 +893,7 @@ fn run_fp(
     let mut complete = true;
     while let Some(pair) = engine.queue.pop(layout) {
         engine.pending.set(pair.i, pair.j, false);
-        if options.use_chain_criterion && engine.chain_skippable(&pair) {
+        if engine.chain_skippable(&pair) {
             engine.skipped_chain += 1;
             continue;
         }
@@ -961,7 +922,6 @@ fn run_fp(
             let entry = FpElement::new(layout, engine.ring.monic(r));
             let new_index = engine.basis.len();
             engine.basis.push(entry);
-            engine.sugars.push(pair.sugar);
             for k in 0..new_index {
                 engine.push_pair(k, new_index);
             }
@@ -1323,31 +1283,53 @@ mod tests {
     use symmap_numeric::PrimeIterator;
 
     use super::*;
-    use crate::coeff::{buchberger_core_in, normal_form_in, CPrepared, CoeffField, RationalField};
+    use crate::coeff::{
+        buchberger_core_in, normal_form_in, CPoly, CPrepared, CoeffField, RationalField,
+    };
     use crate::modular::localize_generator;
     use crate::poly::Poly;
     use crate::var::{Var, VarSet};
+
+    /// ℤ/p as a coefficient field, so that the generic engine of
+    /// [`crate::coeff`] runs over ℤ/p as the oracle of the flat engine.
+    /// Elements are `u64` residues in Montgomery form.
+    impl CoeffField for Fp64 {
+        type Elem = u64;
+
+        fn one(&self) -> u64 {
+            Fp64::one(self)
+        }
+        fn is_zero(&self, a: &u64) -> bool {
+            *a == 0
+        }
+        fn neg(&self, a: &u64) -> u64 {
+            Fp64::neg(self, *a)
+        }
+        fn add(&self, a: &u64, b: &u64) -> u64 {
+            Fp64::add(self, *a, *b)
+        }
+        fn mul(&self, a: &u64, b: &u64) -> u64 {
+            Fp64::mul(self, *a, *b)
+        }
+        fn inv(&self, a: &u64) -> u64 {
+            Fp64::inv(self, *a)
+        }
+        fn div(&self, a: &u64, b: &u64) -> u64 {
+            Fp64::div(self, *a, *b)
+        }
+    }
 
     fn p(s: &str) -> Poly {
         Poly::parse(s).unwrap()
     }
 
-    fn option_combinations() -> Vec<GroebnerOptions> {
-        let mut combos = Vec::new();
-        for coprime in [true, false] {
-            for chain in [true, false] {
-                for sugar in [true, false] {
-                    combos.push(GroebnerOptions {
-                        use_coprime_criterion: coprime,
-                        use_chain_criterion: chain,
-                        use_sugar_tiebreak: sugar,
-                        multimodular: false,
-                        ..GroebnerOptions::default()
-                    });
-                }
-            }
+    /// Options with an iteration bound: the only field the flat engine
+    /// reads.
+    fn options(max_iterations: usize) -> GroebnerOptions {
+        GroebnerOptions {
+            max_iterations,
+            ..GroebnerOptions::default()
         }
-        combos
     }
 
     /// The orders both engines are compared under: the three named orders
@@ -1386,13 +1368,18 @@ mod tests {
             return false;
         };
         let flat = buchberger_fp(&field, &images, order, options);
-        let generic = buchberger_core_in(&field, &images, order, options);
+        let cimages: Vec<CPoly<Fp64>> = images.into_iter().map(CPoly::from_sorted_terms).collect();
+        let generic = buchberger_core_in(&field, &cimages, order, options);
         let ctx = format!("prime {prime}, order {order:?}, options {options:?}");
-        assert_eq!(flat.polys, generic.polys, "{ctx}");
-        assert_eq!(flat.complete, generic.complete, "{ctx}");
-        assert_eq!(flat.reductions, generic.reductions, "{ctx}");
-        assert_eq!(flat.skipped_coprime, generic.skipped_coprime, "{ctx}");
-        assert_eq!(flat.skipped_chain, generic.skipped_chain, "{ctx}");
+        let generic_polys: Vec<_> = generic.polys.into_iter().map(CPoly::into_terms).collect();
+        assert_eq!(flat.polys, generic_polys, "{ctx}");
+        let generic_counters = FpCounters {
+            complete: generic.complete,
+            reductions: generic.reductions,
+            skipped_coprime: generic.skipped_coprime,
+            skipped_chain: generic.skipped_chain,
+        };
+        assert_eq!(flat.counters, generic_counters, "{ctx}");
         true
     }
 
@@ -1435,10 +1422,7 @@ mod tests {
                 primes[0]
             );
             assert_eq!(replay.polys, full.polys, "{ctx}");
-            assert_eq!(replay.complete, full.complete, "{ctx}");
-            assert_eq!(replay.reductions, full.reductions, "{ctx}");
-            assert_eq!(replay.skipped_coprime, full.skipped_coprime, "{ctx}");
-            assert_eq!(replay.skipped_chain, full.skipped_chain, "{ctx}");
+            assert_eq!(replay.counters, full.counters, "{ctx}");
             replayed += 1;
         }
         Some(replayed)
@@ -1485,8 +1469,9 @@ mod tests {
                     layout.mul_into(ra, rb, &mut out);
                     assert_eq!(layout.monomial(&out), a.mul(b));
                     layout.lcm_into(ra, rb, &mut out);
-                    assert_eq!(layout.monomial(&out), a.lcm(b));
-                    assert_eq!(layout.degree(&out), a.lcm(b).total_degree_u64());
+                    let mut lcm = Vec::new();
+                    layout.push_monomial(&a.lcm(b), &mut lcm);
+                    assert_eq!(out, lcm, "{order:?}: lcm({a}, {b})");
                 }
             }
         }
@@ -1512,67 +1497,44 @@ mod tests {
     }
 
     #[test]
-    fn pair_queue_pops_by_lcm_then_sugar_then_age() {
+    fn pair_queue_pops_by_lcm_then_age() {
         let order = MonomialOrder::grevlex(&["fl_a", "fl_b"]);
         let mono = |m: &str| p(m).leading_term(&order).unwrap().0;
         let layout = FlatLayout::spanning(&order, &[mono("fl_a*fl_b")]);
-        let lcm = |m: &str| {
-            let mut row = Vec::new();
-            layout.push_monomial(&mono(m), &mut row);
-            row
-        };
-        for sugar_tiebreak in [false, true] {
-            let mut queue = FlatPairQueue {
-                heap: Vec::new(),
-                lcms: Vec::new(),
-                sugar_tiebreak,
-            };
-            // (i, j, lcm, sugar), pushed in an order that is none of the
-            // expected pop orders.
-            let pairs = [
-                (0, 3, "fl_a*fl_b", 5),
-                (1, 2, "fl_a*fl_b", 3),
-                (2, 3, "fl_b^2", 9),
-                (0, 1, "fl_a^3", 1),
-                (1, 3, "fl_a*fl_b", 4),
-            ];
-            for (i, j, m, sugar) in pairs {
-                let at = queue.lcms.len();
-                queue.lcms.extend(lcm(m));
-                queue.push(
-                    &layout,
-                    FlatPair {
-                        i,
-                        j,
-                        lcm: at,
-                        sugar,
-                    },
-                );
-            }
-            let mut popped = Vec::new();
-            while let Some(pair) = queue.pop(&layout) {
-                popped.push((pair.i, pair.j));
-            }
-            // fl_b^2 < fl_a*fl_b < fl_a^3 under grevlex; equal lcms by sugar
-            // when enabled, else by (j, i).
-            let expected = if sugar_tiebreak {
-                [(2, 3), (1, 2), (1, 3), (0, 3), (0, 1)]
-            } else {
-                [(2, 3), (1, 2), (0, 3), (1, 3), (0, 1)]
-            };
-            assert_eq!(popped, expected, "sugar tiebreak {sugar_tiebreak}");
+        let mut queue = FlatPairQueue::default();
+        // Pushed in an order that is not the pop order.
+        let pairs = [
+            (0, 3, "fl_a*fl_b"),
+            (1, 2, "fl_a*fl_b"),
+            (2, 3, "fl_b^2"),
+            (0, 1, "fl_a^3"),
+            (1, 3, "fl_a*fl_b"),
+        ];
+        for (i, j, m) in pairs {
+            let lcm = queue.lcms.len();
+            layout.push_monomial(&mono(m), &mut queue.lcms);
+            queue.push(&layout, FlatPair { i, j, lcm });
         }
+        let mut popped = Vec::new();
+        while let Some(pair) = queue.pop(&layout) {
+            popped.push((pair.i, pair.j));
+        }
+        // fl_b^2 < fl_a*fl_b < fl_a^3 under grevlex; equal lcms by (j, i).
+        assert_eq!(popped, [(2, 3), (1, 2), (0, 3), (1, 3), (0, 1)]);
     }
 
     #[test]
-    fn katsura_images_match_the_generic_engine_on_every_order_and_option() {
+    fn katsura_images_match_the_generic_engine_on_every_order() {
         let gens = katsura3();
         let primes: Vec<u64> = PrimeIterator::new().take(2).chain([32003]).collect();
         for order in orders(&["u0", "u1", "u2", "u3"]) {
-            for options in option_combinations() {
-                for &prime in &primes {
-                    assert!(assert_same_run(&gens, prime, &order, &options));
-                }
+            for &prime in &primes {
+                assert!(assert_same_run(
+                    &gens,
+                    prime,
+                    &order,
+                    &GroebnerOptions::default()
+                ));
             }
         }
     }
@@ -1582,10 +1544,9 @@ mod tests {
         let gens = katsura3();
         let primes: Vec<u64> = PrimeIterator::new().take(3).collect();
         for order in orders(&["u0", "u1", "u2", "u3"]) {
-            for options in option_combinations() {
-                let replayed = assert_replays_match_full_runs(&gens, &primes, &order, &options);
-                assert_eq!(replayed, Some(2), "{order:?}, {options:?}");
-            }
+            let replayed =
+                assert_replays_match_full_runs(&gens, &primes, &order, &GroebnerOptions::default());
+            assert_eq!(replayed, Some(2), "{order:?}");
         }
     }
 
@@ -1604,7 +1565,7 @@ mod tests {
         // A generator whose support differs (a tail term gone) is refused
         // before any pair is reduced.
         let field = Fp64::new(lucky[0]);
-        let local = |gens: &[Poly]| -> Vec<CPoly<Fp64>> {
+        let local = |gens: &[Poly]| -> Vec<Vec<(Monomial, u64)>> {
             gens.iter()
                 .map(|g| localize_generator(&field, g, &order).unwrap())
                 .collect()
@@ -1622,13 +1583,12 @@ mod tests {
         let order = MonomialOrder::lex(&["u0", "u1", "u2", "u3"]);
         let prime = PrimeIterator::new().next().unwrap();
         for max_iterations in [0, 1, 2, 5, 17, 45, 46] {
-            for base in option_combinations() {
-                let options = GroebnerOptions {
-                    max_iterations,
-                    ..base
-                };
-                assert!(assert_same_run(&gens, prime, &order, &options));
-            }
+            assert!(assert_same_run(
+                &gens,
+                prime,
+                &order,
+                &options(max_iterations)
+            ));
         }
     }
 
@@ -1771,12 +1731,12 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
+        #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// The flat image engine against `buchberger_core_in::<Fp64>` on
         /// random ideals: same basis, completeness and counters under every
-        /// order and option combination, mod a production prime and mod a
-        /// small prime where coefficients cancel often.
+        /// order, mod a production prime and mod a small prime where
+        /// coefficients cancel often.
         #[test]
         fn prop_flat_images_match_the_generic_engine(
             gens in proptest::collection::vec(
@@ -1790,18 +1750,14 @@ mod tests {
             let gens: Vec<Poly> = gens.iter().map(|t| small_poly(t)).collect();
             let primes = [PrimeIterator::new().next().unwrap(), 7];
             for order in orders(&["flp_a", "flp_b", "flp_c"]) {
-                for base in option_combinations() {
-                    let options = GroebnerOptions { max_iterations, ..base };
-                    for prime in primes {
-                        assert_same_run(&gens, prime, &order, &options);
-                    }
+                for prime in primes {
+                    assert_same_run(&gens, prime, &order, &options(max_iterations));
                 }
             }
         }
 
         /// A trace replayed at later primes against the full run there, on
-        /// random ideals under every order and option combination, mostly
-        /// truncated. Traces are taken mod 7, where coefficients cancel
+        /// random ideals under every order, mostly truncated. Traces are taken mod 7, where coefficients cancel
         /// often and replays diverge, and mod a production prime.
         #[test]
         fn prop_replays_match_full_runs(
@@ -1816,14 +1772,15 @@ mod tests {
             let production: Vec<u64> = PrimeIterator::new().take(3).collect();
             let from_seven = [7, production[0], production[1]];
             for order in orders(&["flp_a", "flp_b", "flp_c"]) {
-                for base in option_combinations() {
-                    let options = GroebnerOptions { max_iterations, ..base };
-                    for primes in [&production[..], &from_seven[..]] {
-                        assert_replays_match_full_runs(&gens, primes, &order, &options);
-                    }
+                for primes in [&production[..], &from_seven[..]] {
+                    assert_replays_match_full_runs(&gens, primes, &order, &options(max_iterations));
                 }
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// The flat division loop against `normal_form_in` over ℤ/p on
         /// arbitrary divisor sets (not Gröbner bases, so the result depends
@@ -1855,26 +1812,27 @@ mod tests {
                 };
                 let layout = FlatLayout::spanning(
                     &order,
-                    images.iter().chain([&t]).flat_map(|q| q.terms().iter().map(|(m, _)| m)),
+                    images.iter().chain([&t]).flatten().map(|(m, _)| m),
                 );
                 let ring = FpRing { field: &field, layout: &layout };
                 let flat: Vec<FpElement> = images
                     .iter()
                     .map(|q| {
-                        let terms = q.terms().iter().map(|(m, c)| (m, *c));
+                        let terms = q.iter().map(|(m, c)| (m, *c));
                         FpElement::new(ring.layout, FlatPoly::from_terms(ring.layout, terms))
                     })
                     .collect();
                 let prepared: Vec<CPrepared<Fp64>> = images
                     .iter()
-                    .map(|q| CPrepared::new(q.clone(), &order).unwrap())
+                    .map(|q| CPrepared::new(CPoly::from_sorted_terms(q.clone()), &order).unwrap())
                     .collect();
                 for skip in [None, Some(0)] {
                     let mut scratch = FpScratch::default();
-                    let terms = t.terms().iter().map(|(m, c)| (m, *c));
+                    let terms = t.iter().map(|(m, c)| (m, *c));
                     scratch.cur = FlatPoly::from_terms(ring.layout, terms);
                     let nf = ring.normal_form(&mut scratch, &flat, skip);
-                    let generic = normal_form_in(&field, t.clone(), &prepared, &order, skip);
+                    let target = CPoly::from_sorted_terms(t.clone());
+                    let generic = normal_form_in(&field, target, &prepared, &order, skip);
                     prop_assert_eq!(nf.into_canonical_terms(ring.layout), generic.into_terms());
                 }
             }

@@ -12,12 +12,13 @@
 //!
 //! * **Heap pair queue.** Pending S-pairs live in a deterministic binary
 //!   min-heap keyed by the lcm of the pair's leading monomials (the *normal
-//!   selection strategy*), with an optional sugar-degree tiebreak. Selection
-//!   is `O(log n)` per pair instead of the former `O(n)` linear scan.
+//!   selection strategy*), ties broken by pair age. Selection is `O(log n)`
+//!   per pair instead of the former `O(n)` linear scan.
 //! * **Criteria.** Buchberger's first (coprime leading monomials, applied at
 //!   pair creation) and second (chain, applied at pair selection) criteria
-//!   discard pairs whose S-polynomials provably reduce to zero. Both are
-//!   independently ablatable via [`GroebnerOptions`].
+//!   discard pairs whose S-polynomials provably reduce to zero. Both always
+//!   run; the seed-engine oracle in this module's tests (first criterion
+//!   only) pins the bases and bounds the reduction counts they give.
 //! * **Cached leading terms.** The basis is stored as
 //!   [`PreparedDivisor`] entries, so leading monomials are computed once per
 //!   basis element — pair creation, criteria checks and every division step
@@ -59,26 +60,19 @@ use crate::poly::Poly;
 use crate::ring::Ring;
 
 /// Options controlling the Buchberger computation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// The engine itself has one configuration: both of Buchberger's criteria
+/// (coprime leading monomials at pair creation; the chain criterion at pair
+/// selection, which skips `(i, j)` when another element's leading monomial
+/// divides `lcm(lm_i, lm_j)` and both pairs with it are already treated)
+/// and lcm-then-age pair selection.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroebnerOptions {
     /// Upper bound on the number of S-polynomial reductions before giving up.
     /// The mapping algorithm prefers an incomplete basis over an unbounded
     /// computation (its worst case is exponential, as the paper notes).
     /// Criterion skips are free and never count toward this bound.
     pub max_iterations: usize,
-    /// Whether to apply Buchberger's first criterion (skip pairs with coprime
-    /// leading monomials). Disabling this is only useful in ablation benches.
-    pub use_coprime_criterion: bool,
-    /// Whether to apply Buchberger's second (chain) criterion: a pair `(i, j)`
-    /// is skipped when some other basis element's leading monomial divides
-    /// `lcm(lm_i, lm_j)` and both pairs with that element have already been
-    /// treated. Disabling this is only useful in ablation benches.
-    pub use_chain_criterion: bool,
-    /// Break lcm ties in the pair queue by the *sugar degree* (the degree the
-    /// S-polynomial would have if the inputs were homogeneous) instead of pair
-    /// age alone. Either way the pop order is deterministic; the final
-    /// reduced basis is canonical and identical under both tiebreaks.
-    pub use_sugar_tiebreak: bool,
     /// Route basis computation through the multi-modular engine
     /// ([`crate::multimodular`]): reduced bases are computed mod a
     /// deterministic prime sequence, CRT-combined, rationally reconstructed
@@ -102,11 +96,23 @@ impl Default for GroebnerOptions {
     fn default() -> Self {
         GroebnerOptions {
             max_iterations: 10_000,
-            use_coprime_criterion: true,
-            use_chain_criterion: true,
-            use_sugar_tiebreak: false,
             multimodular: true,
         }
+    }
+}
+
+/// Feeds the hasher exactly what `#[derive(Hash)]` fed it when the struct
+/// also carried the coprime-criterion, chain-criterion and sugar-tiebreak
+/// switches (always `true`, `true`, `false`). The options are hashed into
+/// every basis-cache key id, and those ids are the `cache.request key=…`
+/// trace markers the mapping-output fixture pins, so they must not move.
+impl Hash for GroebnerOptions {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.max_iterations.hash(state);
+        true.hash(state);
+        true.hash(state);
+        false.hash(state);
+        self.multimodular.hash(state);
     }
 }
 
@@ -296,11 +302,11 @@ pub struct GroebnerBasis {
     pub order: MonomialOrder,
     /// Whether the computation finished before hitting the iteration bound.
     pub complete: bool,
-    /// Number of S-polynomial reductions performed (ablation metric).
+    /// Number of S-polynomial reductions performed.
     pub reductions: usize,
-    /// Pairs discarded by the coprime (first) criterion (ablation metric).
+    /// Pairs discarded by the coprime (first) criterion.
     pub skipped_coprime: usize,
-    /// Pairs discarded by the chain (second) criterion (ablation metric).
+    /// Pairs discarded by the chain (second) criterion.
     pub skipped_chain: usize,
 }
 
@@ -465,13 +471,12 @@ const LIFT_NUMERATOR_BITS: usize = 32;
 /// elimination, and elimination only happens on S-pairs that survive the
 /// criteria. Two tests, in this order:
 ///
-/// 1. **No pair survives.** With the first criterion on and the generators'
-///    leading monomials pairwise coprime (every single-generator ideal,
-///    such as the side relation of a one-element mapper subset), every pair
-///    is discarded before any reduction: the exact engine only makes the
-///    generators monic and inter-reduces them, so there is nothing for the
-///    lift to speed up. These requests go exact, whatever their
-///    coefficients.
+/// 1. **No pair survives.** With the generators' leading monomials pairwise
+///    coprime (every single-generator ideal, such as the side relation of a
+///    one-element mapper subset), the first criterion discards every pair
+///    before any reduction: the exact engine only makes the generators
+///    monic and inter-reduces them, so there is nothing for the lift to
+///    speed up. These requests go exact, whatever their coefficients.
 /// 2. **The coefficients.** Otherwise the input-visible trigger of growth is
 ///    a fractional or wide coefficient in some generator (the katsura-3 lex
 ///    ideals the lift wins 11–16× on carry a `1/3`). Small all-integer
@@ -484,8 +489,8 @@ const LIFT_NUMERATOR_BITS: usize = 32;
 /// scheduling-independent; the basis is byte-identical on either path (the
 /// lift is ℚ-verified before it is trusted), so the gate can never change a
 /// result — only a wall clock.
-fn lift_profitable(generators: &[Poly], order: &MonomialOrder, options: &GroebnerOptions) -> bool {
-    !no_pair_survives(generators, order, options)
+fn lift_profitable(generators: &[Poly], order: &MonomialOrder) -> bool {
+    !no_pair_survives(generators, order)
         && generators.iter().any(|g| {
             g.iter()
                 .any(|(_, c)| !c.is_integer() || c.numer().bits() >= LIFT_NUMERATOR_BITS)
@@ -494,14 +499,11 @@ fn lift_profitable(generators: &[Poly], order: &MonomialOrder, options: &Groebne
 
 /// Whether Buchberger's first criterion discards every S-pair of
 /// `generators` under `order`: there is at most one generator, or the
-/// criterion is on and the leading monomials are pairwise coprime. Zero
-/// generators have no leading monomial and make no pair.
-fn no_pair_survives(generators: &[Poly], order: &MonomialOrder, options: &GroebnerOptions) -> bool {
+/// leading monomials are pairwise coprime. Zero generators have no leading
+/// monomial and make no pair.
+fn no_pair_survives(generators: &[Poly], order: &MonomialOrder) -> bool {
     if generators.len() < 2 {
         return true;
-    }
-    if !options.use_coprime_criterion {
-        return false;
     }
     let leads: Vec<Monomial> = generators
         .iter()
@@ -526,7 +528,7 @@ fn compute_core(
     if !options.multimodular {
         return (buchberger_core(generators, order, options), None);
     }
-    if !lift_profitable(generators, order, options) {
+    if !lift_profitable(generators, order) {
         let report = LiftReport {
             success: false,
             bypassed: true,
@@ -603,8 +605,8 @@ fn basis_from_core(
 }
 
 /// Computes a Gröbner basis of the ideal generated by `generators` under
-/// `order` using Buchberger's algorithm with the heap pair queue and the
-/// configured criteria, followed by auto-reduction to the unique reduced
+/// `order` using Buchberger's algorithm with the heap pair queue and both
+/// criteria, followed by auto-reduction to the unique reduced
 /// basis (up to scaling; all elements are returned monic).
 ///
 /// The computation runs in **ring-local coordinates**: a [`Ring`] spanning
@@ -1172,24 +1174,6 @@ mod tests {
         (reduced, reductions)
     }
 
-    /// All eight criterion/tiebreak combinations.
-    fn option_combinations() -> Vec<GroebnerOptions> {
-        let mut combos = Vec::new();
-        for coprime in [true, false] {
-            for chain in [true, false] {
-                for sugar in [true, false] {
-                    combos.push(GroebnerOptions {
-                        use_coprime_criterion: coprime,
-                        use_chain_criterion: chain,
-                        use_sugar_tiebreak: sugar,
-                        ..Default::default()
-                    });
-                }
-            }
-        }
-        combos
-    }
-
     /// The mapper's 4-relation side-relation ideal from the decompose search
     /// (sum/diff/prod/square elements) — the workload that made the seed
     /// engine's naive pair ordering hang in PR 1.
@@ -1276,23 +1260,9 @@ mod tests {
         // where a pair survives.
         let order = MonomialOrder::lex(&["x", "y"]);
         let wide = |c: &str| [p(&format!("{c}*x - y")), p("x*y - 1")];
-        let options = GroebnerOptions::default();
-        assert!(lift_profitable(&wide("4294967296"), &order, &options));
-        assert!(!lift_profitable(&wide("2147483647"), &order, &options));
-        assert!(!lift_profitable(&[p("4294967296*x - 1")], &order, &options));
-        // Without the first criterion every pair is reduced, so only the
-        // coefficients decide.
-        let no_coprime = GroebnerOptions {
-            use_coprime_criterion: false,
-            ..options
-        };
-        let coprime = [p("x^2 - 1/3*y"), p("y^3 - 2/5")];
-        assert!(!lift_profitable(
-            &coprime,
-            &order,
-            &GroebnerOptions::default()
-        ));
-        assert!(lift_profitable(&coprime, &order, &no_coprime));
+        assert!(lift_profitable(&wide("4294967296"), &order));
+        assert!(!lift_profitable(&wide("2147483647"), &order));
+        assert!(!lift_profitable(&[p("4294967296*x - 1")], &order));
     }
 
     #[test]
@@ -1538,47 +1508,29 @@ mod tests {
 
     #[test]
     fn criteria_do_not_change_result() {
+        // The seed engine applies the first criterion only, at pop time.
         let order = MonomialOrder::grlex(&["x", "y"]);
         let gens = [p("x^3 - 2*x*y"), p("x^2*y - 2*y^2 + x")];
-        let reference = buchberger(&gens, &order, &GroebnerOptions::default());
-        for opts in option_combinations() {
-            let gb = buchberger(&gens, &order, &opts);
-            assert_eq!(gb.polys(), reference.polys(), "options {opts:?}");
-            assert!(gb.complete);
-        }
-        // Disabling both criteria performs at least as many reductions.
-        let without = buchberger(
-            &gens,
-            &order,
-            &GroebnerOptions {
-                use_coprime_criterion: false,
-                use_chain_criterion: false,
-                ..Default::default()
-            },
-        );
-        assert!(without.reductions >= reference.reductions);
+        let gb = groebner_basis(&gens, &order);
+        let (seed_basis, seed_reductions) = seed_buchberger(&gens, &order);
+        assert!(gb.complete);
+        assert_eq!(gb.polys(), seed_basis);
+        assert!(gb.reductions <= seed_reductions);
     }
 
     #[test]
     fn chain_criterion_skips_pairs_on_the_twisted_cubic() {
         let order = MonomialOrder::lex(&["x", "y", "z"]);
         let gens = [p("x^2 - y"), p("x^3 - z")];
-        let with = buchberger(&gens, &order, &GroebnerOptions::default());
-        let without = buchberger(
-            &gens,
-            &order,
-            &GroebnerOptions {
-                use_chain_criterion: false,
-                ..Default::default()
-            },
-        );
-        assert_eq!(with.polys(), without.polys());
+        let with = groebner_basis(&gens, &order);
+        let (seed_basis, seed_reductions) = seed_buchberger(&gens, &order);
+        assert_eq!(with.polys(), seed_basis);
         assert!(with.skipped_chain > 0, "chain criterion never fired");
         assert!(
-            with.reductions <= without.reductions,
+            with.reductions <= seed_reductions,
             "chain criterion must not increase reductions ({} > {})",
             with.reductions,
-            without.reductions
+            seed_reductions
         );
     }
 
@@ -1612,22 +1564,6 @@ mod tests {
     }
 
     #[test]
-    fn sugar_tiebreak_preserves_the_reduced_basis() {
-        let (gens, order) = mapper_side_relation_ideal();
-        let plain = buchberger(&gens, &order, &GroebnerOptions::default());
-        let sugared = buchberger(
-            &gens,
-            &order,
-            &GroebnerOptions {
-                use_sugar_tiebreak: true,
-                ..Default::default()
-            },
-        );
-        assert_eq!(plain.polys(), sugared.polys());
-        assert!(sugared.complete);
-    }
-
-    #[test]
     fn cache_memoizes_identical_requests() {
         let cache = SharedGroebnerCache::new();
         assert!(cache.is_empty());
@@ -1647,7 +1583,7 @@ mod tests {
             &gens,
             &order,
             &GroebnerOptions {
-                use_chain_criterion: false,
+                max_iterations: 100,
                 ..Default::default()
             },
         );
@@ -1774,15 +1710,14 @@ mod tests {
             v[0].mul(&v[0]).sub(&v[5]),
         ];
         let order = MonomialOrder::Lex(names.iter().map(|n| Var::new(n)).collect());
-        for opts in option_combinations() {
-            let ringed = buchberger(&gens, &order, &opts);
-            let unringed = buchberger_core(&gens, &order, &opts);
-            assert_eq!(ringed.polys(), unringed.polys, "options {opts:?}");
-            assert_eq!(ringed.reductions, unringed.reductions);
-            assert_eq!(ringed.skipped_coprime, unringed.skipped_coprime);
-            assert_eq!(ringed.skipped_chain, unringed.skipped_chain);
-            assert_eq!(ringed.complete, unringed.complete);
-        }
+        let opts = GroebnerOptions::default();
+        let ringed = buchberger(&gens, &order, &opts);
+        let unringed = buchberger_core(&gens, &order, &opts);
+        assert_eq!(ringed.polys(), unringed.polys);
+        assert_eq!(ringed.reductions, unringed.reductions);
+        assert_eq!(ringed.skipped_coprime, unringed.skipped_coprime);
+        assert_eq!(ringed.skipped_chain, unringed.skipped_chain);
+        assert_eq!(ringed.complete, unringed.complete);
         // The reduce path agrees too (ring built over basis + target).
         let gb = groebner_basis(&gens, &order);
         let probe = v[0].mul(&v[0]).sub(&v[1].mul(&v[1]));
@@ -1941,10 +1876,10 @@ mod tests {
         }
 
         /// Differential test against the seed engine: on random small ideals
-        /// (2–4 generators, ≤ 3 variables) the rebuilt engine must produce a
-        /// byte-identical reduced basis under every order and every
-        /// criterion/tiebreak combination — the reduced Gröbner basis is a
-        /// canonical object, so any divergence is an engine bug.
+        /// (2–4 generators, ≤ 3 variables) the rebuilt engine, with both
+        /// criteria, must produce a byte-identical reduced basis under every
+        /// order — the reduced Gröbner basis is a canonical object, so any
+        /// divergence is an engine bug.
         #[test]
         fn prop_reduced_basis_matches_seed_engine(
             gens in proptest::collection::vec(
@@ -1976,17 +1911,9 @@ mod tests {
                 MonomialOrder::grevlex(&["x", "y", "z"]),
             ] {
                 let (seed_basis, _) = seed_buchberger(&polys, &order);
-                for opts in option_combinations() {
-                    let gb = buchberger(&polys, &order, &opts);
-                    prop_assume!(gb.complete);
-                    prop_assert_eq!(
-                        &gb.polys(),
-                        &seed_basis,
-                        "order {:?}, options {:?}",
-                        order,
-                        opts
-                    );
-                }
+                let gb = groebner_basis(&polys, &order);
+                prop_assume!(gb.complete);
+                prop_assert_eq!(&gb.polys(), &seed_basis, "order {:?}", order);
             }
         }
     }

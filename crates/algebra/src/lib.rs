@@ -15,20 +15,20 @@
 //!   process-wide interner holds,
 //! * multi-divisor polynomial division / normal forms ([`division`]),
 //! * a generic coefficient layer ([`coeff`]) — one Buchberger engine and one
-//!   division loop parameterized over the coefficient field, instantiated by
-//!   ℚ and by ℤ/p,
+//!   division loop parameterized over the coefficient field, instantiated
+//!   by ℚ (over ℤ/p it is only the test oracle of the flat engine below),
 //! * Buchberger's algorithm for Gröbner bases ([`groebner`]),
-//! * ℤ/p localization ([`modular`]) — [`Fp64`](symmap_numeric::Fp64) as a
-//!   coefficient field and the unlucky-prime checks of the multi-modular
-//!   lift,
+//! * ℤ/p localization ([`modular`]) — generators as term vectors of
+//!   [`Fp64`](symmap_numeric::Fp64) residues, with the unlucky-prime checks
+//!   of the multi-modular lift,
 //! * invariant polynomial fingerprints ([`fingerprint`]) — support masks,
 //!   degree signatures and ℤ/p evaluation hashes giving conservative O(1)
 //!   "cannot be equal / disjoint support" answers before any exact
 //!   arithmetic runs,
 //! * a multi-modular engine ([`multimodular`]) — reduced bases computed
-//!   mod a deterministic prime sequence, CRT-combined, rationally
-//!   reconstructed and *verified* over ℚ, making the mod-p run the primary
-//!   compute path with an exact fallback,
+//!   mod a deterministic prime sequence on a flat strided ℤ/p engine,
+//!   CRT-combined, rationally reconstructed and *verified* over ℚ, making
+//!   the mod-p run the primary compute path with an exact fallback,
 //! * **simplification modulo a set of side relations** ([`simplify`]) — the
 //!   core primitive of the library-mapping algorithm,
 //! * factorization, expansion and Horner (nested) forms ([`factor`], [`horner`]),

@@ -2,9 +2,10 @@
 //!
 //! [`crate::multimodular`] computes a Gröbner basis of the ideal's image
 //! modulo each of a deterministic sequence of 62-bit primes and lifts the
-//! images back to ℚ. This module holds the pieces those images share:
-//! [`Fp64`] as a [`CoeffField`], and the strict localization of one
-//! generator into 𝔽p\[x\].
+//! images back to ℚ, running each image on the flat ℤ/p engine of the
+//! private `flat` module. This module holds the strict localization of one
+//! generator into 𝔽p\[x\]: a term vector of Montgomery-form residues, the
+//! shape the flat engine takes.
 //!
 //! # Unlucky primes
 //!
@@ -25,38 +26,9 @@
 
 use symmap_numeric::{Fp64, Rational};
 
-use crate::coeff::{CPoly, CoeffField};
+use crate::monomial::Monomial;
 use crate::ordering::MonomialOrder;
 use crate::poly::Poly;
-
-/// ℤ/p as a coefficient field for the generic engine. Elements are `u64`
-/// residues in Montgomery form; the context carries the Montgomery constants,
-/// so every operation is a handful of word multiplies.
-impl CoeffField for Fp64 {
-    type Elem = u64;
-
-    fn one(&self) -> u64 {
-        Fp64::one(self)
-    }
-    fn is_zero(&self, a: &u64) -> bool {
-        *a == 0
-    }
-    fn neg(&self, a: &u64) -> u64 {
-        Fp64::neg(self, *a)
-    }
-    fn add(&self, a: &u64, b: &u64) -> u64 {
-        Fp64::add(self, *a, *b)
-    }
-    fn mul(&self, a: &u64, b: &u64) -> u64 {
-        Fp64::mul(self, *a, *b)
-    }
-    fn inv(&self, a: &u64) -> u64 {
-        Fp64::inv(self, *a)
-    }
-    fn div(&self, a: &u64, b: &u64) -> u64 {
-        Fp64::div(self, *a, *b)
-    }
-}
 
 /// Why a prime was rejected for an ideal at localization time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,11 +61,14 @@ fn localize_coefficient(field: &Fp64, c: &Rational) -> Option<u64> {
 
 /// Localizes a **generator**: strict about unlucky primes. Errors when p
 /// divides a denominator or kills the leading coefficient under `order`.
+/// The image keeps `g`'s canonical (descending storage) term order, with
+/// the terms whose coefficient vanishes mod p dropped and the others as
+/// Montgomery-form residues.
 pub(crate) fn localize_generator(
     field: &Fp64,
     g: &Poly,
     order: &MonomialOrder,
-) -> Result<CPoly<Fp64>, UnluckyPrime> {
+) -> Result<Vec<(Monomial, u64)>, UnluckyPrime> {
     let (lm, _) = g
         .leading_term(order)
         .expect("zero generators are filtered before localization");
@@ -109,13 +84,12 @@ pub(crate) fn localize_generator(
             Some(k) => terms.push((m.clone(), k)),
         }
     }
-    Ok(CPoly::from_sorted_terms(terms))
+    Ok(terms)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monomial::Monomial;
     use crate::var::Var;
     use symmap_numeric::PrimeIterator;
 
@@ -182,6 +156,6 @@ mod tests {
             ),
         ]);
         let image = localize_generator(&Fp64::new(primes[0]), &trailing, &order).unwrap();
-        assert_eq!(image.num_terms(), 1);
+        assert_eq!(image.len(), 1);
     }
 }

@@ -10,7 +10,8 @@
 //!    generators modulo successive primes of the deterministic
 //!    [`PrimeIterator`] sequence, on the flat strided ℤ/p engine (the
 //!    field-generic engine of [`crate::coeff`], step for step, in the
-//!    symbolica-style layout of the private `flat` module), with the strict
+//!    symbolica-style layout of the private `flat` module, fed the plain
+//!    term vectors of [`crate::modular`]), with the strict
 //!    generator localization of [`crate::modular`] (primes dividing a
 //!    denominator or a leading coefficient are discarded on the spot). The
 //!    first accepted image records its pair trace (Traverso's Gröbner
@@ -49,7 +50,7 @@ use symmap_numeric::{crt_combine, rational_reconstruct, Fp64, PrimeIterator, Rat
 use symmap_trace::{trace_event, trace_span};
 
 use crate::coeff::{CPoly, CPrepared, RationalField};
-use crate::flat::{self, FlatLayout, FpTrace, IntReducer};
+use crate::flat::{self, FlatLayout, FpCounters, FpTrace, IntReducer};
 use crate::groebner::GroebnerOptions;
 use crate::modular::{localize_generator, MAX_PRIME_ROTATIONS};
 use crate::monomial::Monomial;
@@ -106,10 +107,7 @@ struct PrimeImage {
     /// Term vectors of the reduced basis, descending-canonical sorted,
     /// coefficients as plain residues in `[1, p)`.
     polys: Vec<Vec<(Monomial, u64)>>,
-    complete: bool,
-    reductions: usize,
-    skipped_coprime: usize,
-    skipped_chain: usize,
+    counters: FpCounters,
     /// Computed by replaying the first image's trace.
     replayed: bool,
 }
@@ -131,34 +129,24 @@ impl PrimeImage {
         for g in generators {
             lgens.push(localize_generator(&field, g, order).ok()?);
         }
-        let (core, replayed) = match trace {
+        let (mut run, replayed) = match trace {
             Some(t) => match flat::replay_fp(&field, &lgens, order, t) {
-                Some(core) => (core, true),
+                Some(run) => (run, true),
                 None => (flat::buchberger_fp(&field, &lgens, order, options), false),
             },
             None => {
-                let (core, t) = flat::traced_buchberger_fp(&field, &lgens, order, options);
+                let (run, t) = flat::traced_buchberger_fp(&field, &lgens, order, options);
                 *trace = Some(t);
-                (core, false)
+                (run, false)
             }
         };
-        let polys = core
-            .polys
-            .into_iter()
-            .map(|p| {
-                p.into_terms()
-                    .into_iter()
-                    .map(|(m, c)| (m, field.from_montgomery(c)))
-                    .collect()
-            })
-            .collect();
+        for (_, c) in run.polys.iter_mut().flatten() {
+            *c = field.from_montgomery(*c);
+        }
         Some(PrimeImage {
             prime,
-            polys,
-            complete: core.complete,
-            reductions: core.reductions,
-            skipped_coprime: core.skipped_coprime,
-            skipped_chain: core.skipped_chain,
+            polys: run.polys,
+            counters: run.counters,
             replayed,
         })
     }
@@ -367,8 +355,8 @@ pub fn multimodular_basis_with_primes(
                 end "mm.image",
                 prime = prime,
                 accepted = 1u64,
-                reductions = img.reductions,
-                complete = img.complete as usize,
+                reductions = img.counters.reductions,
+                complete = img.counters.complete as usize,
                 replayed = img.replayed as usize,
             ),
             None => trace_span!(end "mm.image", prime = prime, accepted = 0u64),
@@ -379,7 +367,7 @@ pub fn multimodular_basis_with_primes(
             continue;
         };
         replayed += image.replayed as usize;
-        if !image.complete {
+        if !image.counters.complete {
             // An iteration-bounded run has no lift: a truncated basis is not
             // a Gröbner basis, so verification could never pass. The exact
             // engine owns the incomplete-basis contract.
@@ -414,9 +402,9 @@ pub fn multimodular_basis_with_primes(
                 return LiftOutcome {
                     basis: Some(MultimodularBasis {
                         polys,
-                        reductions: lead.reductions,
-                        skipped_coprime: lead.skipped_coprime,
-                        skipped_chain: lead.skipped_chain,
+                        reductions: lead.counters.reductions,
+                        skipped_coprime: lead.counters.skipped_coprime,
+                        skipped_chain: lead.counters.skipped_chain,
                     }),
                     retries,
                     primes_used: images.len(),

@@ -238,7 +238,7 @@ pub fn simplify_modulo(
 }
 
 /// Like [`simplify_modulo`], but returns the full [`Simplification`] record and
-/// accepts explicit [`GroebnerOptions`] (used by the ablation benchmarks).
+/// accepts explicit [`GroebnerOptions`].
 ///
 /// # Errors
 ///

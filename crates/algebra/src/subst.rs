@@ -16,7 +16,9 @@ use crate::var::Var;
 /// # Errors
 ///
 /// Returns [`AlgebraError::ExponentTooLarge`] if an intermediate power would
-/// exceed the safety bound of [`Poly::pow`].
+/// exceed the safety bound of [`Poly::pow`], and
+/// [`AlgebraError::DegreeOverflow`] if a substituted term's exponents or
+/// total degree overflow `u32`.
 pub fn substitute(poly: &Poly, var: Var, replacement: &Poly) -> Result<Poly, AlgebraError> {
     let mut assignment = BTreeMap::new();
     assignment.insert(var, replacement.clone());
@@ -30,7 +32,9 @@ pub fn substitute(poly: &Poly, var: Var, replacement: &Poly) -> Result<Poly, Alg
 /// # Errors
 ///
 /// Returns [`AlgebraError::ExponentTooLarge`] if an intermediate power would
-/// exceed the safety bound of [`Poly::pow`].
+/// exceed the safety bound of [`Poly::pow`], and
+/// [`AlgebraError::DegreeOverflow`] if a substituted term's exponents or
+/// total degree overflow `u32`.
 pub fn substitute_all(poly: &Poly, assignment: &BTreeMap<Var, Poly>) -> Result<Poly, AlgebraError> {
     let mut out = Poly::zero();
     for (m, c) in poly.iter() {
@@ -43,7 +47,7 @@ pub fn substitute_all(poly: &Poly, assignment: &BTreeMap<Var, Poly>) -> Result<P
                     symmap_numeric::Rational::one(),
                 ),
             };
-            term = term.mul(&factor);
+            term = term.try_mul(&factor)?;
         }
         out = out.add(&term);
     }
@@ -90,6 +94,21 @@ mod tests {
     fn substituting_missing_variable_is_identity() {
         let t = p("x^3 - 2");
         assert_eq!(substitute(&t, Var::new("unused_var"), &p("y")).unwrap(), t);
+    }
+
+    #[test]
+    fn overflowing_substitution_is_an_error_not_a_panic() {
+        // `e` is x^(2^30). Substituting y := e into e*y^3 multiplies x^(2^30)
+        // by e^3 = x^(3·2^30): each factor fits u32, their product does not.
+        let e = p("((((x^64)^64)^64)^64)^64");
+        let target = e.mul(&p("y^3"));
+        assert_eq!(
+            substitute(&target, Var::new("y"), &e),
+            Err(AlgebraError::DegreeOverflow)
+        );
+        // One power less fits: x^(2^30) · x^(2·2^30).
+        let fits = substitute(&e.mul(&p("y^2")), Var::new("y"), &e).unwrap();
+        assert_eq!(fits.total_degree(), 3 << 30);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Differential tests of the multi-modular (CRT + rational reconstruction)
 //! Gröbner path against the exact ℚ path: on the bench-budget ideals —
 //! including wide α-renamed copies whose variable names stress the
-//! interner/ring boundary — and across every `GroebnerOptions` combination,
-//! the verified lift must be **byte-identical** to the exact engine,
-//! counters included. The injection tests then prove the failure handling:
+//! interner/ring boundary — the verified lift must be **byte-identical** to
+//! the exact engine, counters included. The injection tests then prove the failure handling:
 //! an unlucky prime planted at the front of the stream is outvoted and the
 //! lift still lands on the exact basis, and a starved prime budget produces
 //! a verified fallback, never a wrong basis.
@@ -60,49 +59,36 @@ fn budget_ideals() -> Vec<(&'static str, Vec<Poly>, MonomialOrder)> {
     ]
 }
 
-/// All 8 ablation combinations of the Buchberger criteria/tiebreak, with the
-/// multimodular flag pinned off so the oracle side is always the exact
+/// The multimodular flag pinned off, so the oracle side is always the exact
 /// engine.
-fn option_combinations() -> Vec<GroebnerOptions> {
-    let mut combos = Vec::new();
-    for coprime in [true, false] {
-        for chain in [true, false] {
-            for sugar in [true, false] {
-                combos.push(GroebnerOptions {
-                    use_coprime_criterion: coprime,
-                    use_chain_criterion: chain,
-                    use_sugar_tiebreak: sugar,
-                    multimodular: false,
-                    ..Default::default()
-                });
-            }
-        }
+fn exact_options() -> GroebnerOptions {
+    GroebnerOptions {
+        multimodular: false,
+        ..Default::default()
     }
-    combos
 }
 
 #[test]
-fn lift_is_byte_identical_to_exact_across_ideals_and_options() {
+fn lift_is_byte_identical_to_exact_across_ideals() {
+    let options = exact_options();
     for (name, gens, order) in budget_ideals() {
-        for options in option_combinations() {
-            let exact = buchberger(&gens, &order, &options);
-            assert!(exact.complete, "{name}: exact run must complete");
-            let lift = multimodular_basis(&gens, &order, &options);
-            let basis = lift
-                .basis
-                .unwrap_or_else(|| panic!("{name}: lift fell back on a clean system"));
-            // Byte identity: same Debug rendering of the polynomial vectors
-            // (coefficients, monomials, ordering — everything).
-            assert_eq!(
-                format!("{:?}", basis.polys),
-                format!("{:?}", exact.polys()),
-                "{name}: lifted basis differs from exact"
-            );
-            // The counters the mapper's budgets consume must match too.
-            assert_eq!(basis.reductions, exact.reductions, "{name}");
-            assert_eq!(basis.skipped_coprime, exact.skipped_coprime, "{name}");
-            assert_eq!(basis.skipped_chain, exact.skipped_chain, "{name}");
-        }
+        let exact = buchberger(&gens, &order, &options);
+        assert!(exact.complete, "{name}: exact run must complete");
+        let lift = multimodular_basis(&gens, &order, &options);
+        let basis = lift
+            .basis
+            .unwrap_or_else(|| panic!("{name}: lift fell back on a clean system"));
+        // Byte identity: same Debug rendering of the polynomial vectors
+        // (coefficients, monomials, ordering — everything).
+        assert_eq!(
+            format!("{:?}", basis.polys),
+            format!("{:?}", exact.polys()),
+            "{name}: lifted basis differs from exact"
+        );
+        // The counters the mapper's budgets consume must match too.
+        assert_eq!(basis.reductions, exact.reductions, "{name}");
+        assert_eq!(basis.skipped_coprime, exact.skipped_coprime, "{name}");
+        assert_eq!(basis.skipped_chain, exact.skipped_chain, "{name}");
     }
 }
 
@@ -115,7 +101,7 @@ fn lift_is_byte_identical_to_exact_across_ideals_and_options() {
 fn unlucky_leading_prime_is_outvoted_and_the_lift_recovers() {
     let gens = [p("x^2 - 3*y"), p("y^2 - 1")];
     let order = MonomialOrder::lex(&["x", "y"]);
-    let options = option_combinations().remove(0);
+    let options = exact_options();
     let exact = buchberger(&gens, &order, &options);
     assert!(exact.complete);
 
@@ -144,7 +130,7 @@ fn unlucky_leading_prime_is_outvoted_and_the_lift_recovers() {
 fn localization_rejected_prime_is_rotated_past() {
     let gens = [p("x^2 - 1/3*y"), p("y^2 - 1")];
     let order = MonomialOrder::lex(&["x", "y"]);
-    let options = option_combinations().remove(0);
+    let options = exact_options();
     let exact = buchberger(&gens, &order, &options);
 
     let mut primes = vec![3_u64];
@@ -165,11 +151,10 @@ proptest! {
     #[test]
     fn prop_capped_prime_budget_falls_back_but_never_lies(
         ideal_idx in 0usize..5,
-        options_idx in 0usize..8,
         prime_idx in 0usize..6,
     ) {
         let (name, gens, order) = budget_ideals().swap_remove(ideal_idx);
-        let options = option_combinations().swap_remove(options_idx);
+        let options = exact_options();
         // Small primes make single-image reconstruction fail its bounds
         // (forcing the fallback); the production primes let it succeed.
         let prime = [3_u64, 5, 7, 11, 101][..5]

@@ -1,5 +1,5 @@
 //! The Gröbner hot-path engine bench: reduction counts and wall time of the
-//! heap pair queue, the Buchberger criteria and the mapper's basis
+//! Buchberger engine (heap pair queue, both criteria) and the mapper's basis
 //! memoization, on the workloads the mapping algorithm actually runs.
 //!
 //! Besides timing, this bench is a **deterministic regression guard**: the
@@ -19,42 +19,6 @@ fn p(s: &str) -> Poly {
     Poly::parse(s).unwrap()
 }
 
-/// Ablation grid: engine configurations whose reduction counts get printed.
-fn configurations() -> Vec<(&'static str, GroebnerOptions)> {
-    vec![
-        ("full", GroebnerOptions::default()),
-        (
-            "no-chain",
-            GroebnerOptions {
-                use_chain_criterion: false,
-                ..Default::default()
-            },
-        ),
-        (
-            "no-coprime",
-            GroebnerOptions {
-                use_coprime_criterion: false,
-                ..Default::default()
-            },
-        ),
-        (
-            "no-criteria",
-            GroebnerOptions {
-                use_coprime_criterion: false,
-                use_chain_criterion: false,
-                ..Default::default()
-            },
-        ),
-        (
-            "sugar",
-            GroebnerOptions {
-                use_sugar_tiebreak: true,
-                ..Default::default()
-            },
-        ),
-    ]
-}
-
 fn element(name: &str, symbol: &str, poly: &str, cycles: u64) -> LibraryElement {
     LibraryElement::builder(name, symbol)
         .polynomial(p(poly))
@@ -71,27 +35,21 @@ fn bench(c: &mut Criterion) {
 
     println!("\ngroebner engine — S-polynomial reduction counts");
     println!(
-        "{:<24} {:<12} {:>6} {:>10} {:>8} {:>7} {:>6}",
-        "ideal", "config", "basis", "reductions", "coprime", "chain", "done"
+        "{:<24} {:>6} {:>10} {:>8} {:>7} {:>6}",
+        "ideal", "basis", "reductions", "coprime", "chain", "done"
     );
     for ideal in &ideals {
-        for (cfg_name, opts) in configurations() {
-            let gb = buchberger(&ideal.generators, &ideal.order, &opts);
-            println!(
-                "{:<24} {cfg_name:<12} {:>6} {:>10} {:>8} {:>7} {:>6}",
-                ideal.name,
-                gb.polys().len(),
-                gb.reductions,
-                gb.skipped_coprime,
-                gb.skipped_chain,
-                gb.complete
-            );
-            assert!(
-                gb.complete,
-                "{}/{cfg_name} hit the iteration bound",
-                ideal.name
-            );
-        }
+        let gb = buchberger(&ideal.generators, &ideal.order, &GroebnerOptions::default());
+        println!(
+            "{:<24} {:>6} {:>10} {:>8} {:>7} {:>6}",
+            ideal.name,
+            gb.polys().len(),
+            gb.reductions,
+            gb.skipped_coprime,
+            gb.skipped_chain,
+            gb.complete
+        );
+        assert!(gb.complete, "{} hit the iteration bound", ideal.name);
     }
 
     // The deterministic regression guard (this is what CI quick mode is
@@ -167,22 +125,6 @@ fn bench(c: &mut Criterion) {
         c.bench_function(&format!("groebner_engine/{}/full", ideal.name), |b| {
             b.iter(|| buchberger(&ideal.generators, &ideal.order, &GroebnerOptions::default()))
         });
-        c.bench_function(
-            &format!("groebner_engine/{}/no_criteria", ideal.name),
-            |b| {
-                b.iter(|| {
-                    buchberger(
-                        &ideal.generators,
-                        &ideal.order,
-                        &GroebnerOptions {
-                            use_coprime_criterion: false,
-                            use_chain_criterion: false,
-                            ..Default::default()
-                        },
-                    )
-                })
-            },
-        );
     }
     c.bench_function("groebner_engine/mapper_memoized", |b| {
         b.iter(|| mapper.map_polynomial(&target).unwrap())

@@ -50,6 +50,10 @@ fn hard_ideal() -> Vec<Poly> {
 /// 5.6–7.4× in the same runs) does.
 const LEX_FLOOR: f64 = 8.0;
 
+/// Timed batches per mode in quick mode (the exact lex run is tens of ms
+/// per iteration, so this is a few seconds in all).
+const QUICK_SAMPLES: usize = 31;
+
 /// One order's comparison: exact and lifted bases (asserted byte-identical
 /// with equal reduction counts), the lift's prime count and how many of its
 /// images replayed the first one's trace.
@@ -119,15 +123,20 @@ fn bench(c: &mut Criterion) {
         println!("multimodular_lift — katsura-3, fractional constant");
         for case in &cases {
             let (label, order) = (case.label, &case.order);
-            // The exact lex run is tens of ms per iteration, cheap enough for
-            // the same nine-sample median as the lift: a thin exact sample
-            // lets one scheduler blip swing the asserted ratio.
-            let exact_ns = quickbench::measure_ns(2, 9, || {
-                criterion::black_box(buchberger(&gens, order, &options));
-            });
-            let lift_ns = quickbench::measure_ns(5, 9, || {
-                criterion::black_box(multimodular_basis(&gens, order, &options));
-            });
+            // Exact and lifted batches alternate, so a stretch of load on a
+            // shared machine slows both sides of the asserted ratio alike,
+            // and each side's median is taken over QUICK_SAMPLES batches:
+            // nine samples per mode let a handful of quick runs rank two
+            // commits opposite to longer interleaved runs.
+            let (exact_ns, lift_ns) = quickbench::measure_alternating_ns(
+                (2, || {
+                    criterion::black_box(buchberger(&gens, order, &options));
+                }),
+                (5, || {
+                    criterion::black_box(multimodular_basis(&gens, order, &options));
+                }),
+                QUICK_SAMPLES,
+            );
             let ratio = exact_ns as f64 / lift_ns as f64;
             let (primes_used, replayed) = (case.primes_used, case.replayed);
             println!("multimodular_lift/katsura3-{label}-exact-q  {exact_ns:>12} ns/iter");

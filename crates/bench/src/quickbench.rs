@@ -242,17 +242,49 @@ pub fn read_entries() -> Vec<QuickEntry> {
 /// and reports the median batch divided by `iters` — robust against one-off
 /// scheduler noise without needing a statistics dependency.
 pub fn measure_ns<F: FnMut()>(iters: u32, samples: usize, mut f: F) -> u128 {
+    warm_up(iters, &mut f);
+    let batches = (0..samples.max(1))
+        .map(|_| batch_ns(iters, &mut f))
+        .collect();
+    median_per_iter(batches, iters)
+}
+
+/// [`measure_ns`] for two workloads timed against each other: `samples`
+/// rounds, each timing one batch of `a` and then one of `b`, so both
+/// medians sample the same stretch of machine load. Returns the two
+/// per-iteration medians, `a`'s first.
+pub fn measure_alternating_ns<A: FnMut(), B: FnMut()>(
+    (iters_a, mut a): (u32, A),
+    (iters_b, mut b): (u32, B),
+    samples: usize,
+) -> (u128, u128) {
+    warm_up(iters_a, &mut a);
+    warm_up(iters_b, &mut b);
+    let (batches_a, batches_b) = (0..samples.max(1))
+        .map(|_| (batch_ns(iters_a, &mut a), batch_ns(iters_b, &mut b)))
+        .unzip();
+    (
+        median_per_iter(batches_a, iters_a),
+        median_per_iter(batches_b, iters_b),
+    )
+}
+
+fn warm_up(iters: u32, f: &mut impl FnMut()) {
     for _ in 0..iters.min(3) {
         f();
     }
-    let mut batches: Vec<u128> = Vec::with_capacity(samples.max(1));
-    for _ in 0..samples.max(1) {
-        let start = Instant::now();
-        for _ in 0..iters.max(1) {
-            f();
-        }
-        batches.push(start.elapsed().as_nanos());
+}
+
+/// Wall clock of one batch of `iters` calls, in nanoseconds.
+fn batch_ns(iters: u32, f: &mut impl FnMut()) -> u128 {
+    let start = Instant::now();
+    for _ in 0..iters.max(1) {
+        f();
     }
+    start.elapsed().as_nanos()
+}
+
+fn median_per_iter(mut batches: Vec<u128>, iters: u32) -> u128 {
     batches.sort_unstable();
     batches[batches.len() / 2] / iters.max(1) as u128
 }

@@ -73,14 +73,9 @@ impl CostEvaluator {
     /// Cost of evaluating a residual polynomial in plain software. Terms made
     /// only of library-output symbols are already paid for by the element
     /// costs; every multiplication/addition over *program* variables is
-    /// charged at the software-float rate when `float_residual` is true (the
-    /// original code operates on doubles) or at integer MAC rate otherwise.
-    pub fn residual_cost(
-        &self,
-        residual: &Poly,
-        symbols: &VarSet,
-        float_residual: bool,
-    ) -> CostEstimate {
+    /// charged at the software-float rate, since the original code operates
+    /// on doubles and the SA-1110 has no FPU.
+    pub fn residual_cost(&self, residual: &Poly, symbols: &VarSet) -> CostEstimate {
         let mut program_ops: u64 = 0;
         for (m, _) in residual.iter() {
             let program_degree: u32 = m
@@ -92,12 +87,8 @@ impl CostEvaluator {
             // non-trivial coefficient.
             program_ops += program_degree as u64 + 1;
         }
-        let per_op = if float_residual {
-            self.cost_model.cycles_for(InstructionClass::FloatMulSoft)
-                + self.cost_model.cycles_for(InstructionClass::FloatAddSoft)
-        } else {
-            self.cost_model.cycles_for(InstructionClass::IntMac) * 2
-        };
+        let per_op = self.cost_model.cycles_for(InstructionClass::FloatMulSoft)
+            + self.cost_model.cycles_for(InstructionClass::FloatAddSoft);
         let cycles = program_ops * per_op;
         CostEstimate {
             cycles,
@@ -162,20 +153,24 @@ mod tests {
         let symbols = VarSet::from_names(&["s", "t"]);
         let pure_symbols = Poly::parse("s^2 + s*t").unwrap();
         let mixed = Poly::parse("s^2 + x*y").unwrap();
-        let cs = evaluator.residual_cost(&pure_symbols, &symbols, true);
-        let cm = evaluator.residual_cost(&mixed, &symbols, true);
+        let cs = evaluator.residual_cost(&pure_symbols, &symbols);
+        let cm = evaluator.residual_cost(&mixed, &symbols);
         assert!(cm.cycles > cs.cycles);
     }
 
     #[test]
-    fn float_residual_costs_more_than_fixed() {
+    fn residual_is_priced_at_the_software_float_rate() {
         let evaluator = CostEvaluator::new();
-        let symbols = VarSet::new();
+        let model = CostModel::sa1110();
+        let per_op = model.cycles_for(InstructionClass::FloatMulSoft)
+            + model.cycles_for(InstructionClass::FloatAddSoft);
+        // One op per degree plus one per term: (3 + 1) + (1 + 1) + (0 + 1).
         let p = Poly::parse("x^2*y + 3*x + 1").unwrap();
-        let float = evaluator.residual_cost(&p, &symbols, true);
-        let fixed = evaluator.residual_cost(&p, &symbols, false);
-        assert!(float.cycles > 10 * fixed.cycles);
-        assert!(float.energy_nj > fixed.energy_nj);
+        let cost = evaluator.residual_cost(&p, &VarSet::new());
+        assert_eq!(cost.cycles, 7 * per_op);
+        assert_eq!(cost.energy_nj, cost.cycles as f64 * 2.1);
+        // Far above what the same ops cost as integer MACs.
+        assert!(per_op > 20 * model.cycles_for(InstructionClass::IntMac));
     }
 
     #[test]

@@ -42,11 +42,8 @@ pub struct MapperConfig {
     /// Enable guidance of the candidate order by factorization structure
     /// (disable only for the ablation benches).
     pub use_guidance: bool,
-    /// Whether residual (unmapped) arithmetic runs in software floating point
-    /// (true for the original double-precision code) or fixed point.
-    pub float_residual: bool,
     /// Options for the Gröbner-basis computations behind every candidate
-    /// pricing (iteration bound, Buchberger criteria, pair-queue tiebreak).
+    /// pricing (iteration bound, multi-modular lift).
     pub groebner: GroebnerOptions,
     /// Batch-engine sizing (worker threads and shared-cache capacity) used
     /// by consumers that fan mapping jobs out — the optimization pipeline
@@ -64,7 +61,6 @@ impl Default for MapperConfig {
             accuracy_tolerance: 1e-4,
             use_bounding: true,
             use_guidance: true,
-            float_residual: true,
             groebner: GroebnerOptions::default(),
             engine: EngineConfig::default(),
         }
@@ -375,11 +371,7 @@ impl Mapper {
                 energy_nj: unit.energy_nj * *times as f64,
             });
         }
-        cost = cost.add(&self.evaluator.residual_cost(
-            &rewritten,
-            &symbols,
-            self.config.float_residual,
-        ));
+        cost = cost.add(&self.evaluator.residual_cost(&rewritten, &symbols));
         let accuracy = combined_accuracy(&used);
 
         Priced {
@@ -849,11 +841,11 @@ mod tests {
                 .iter()
                 .map(|(name, times)| by_name(name).accuracy() * *times as f64)
                 .sum();
-            cost = cost.add(&mapper.evaluator.residual_cost(
-                &rewritten,
-                &relations.symbols(),
-                mapper.config.float_residual,
-            ));
+            cost = cost.add(
+                &mapper
+                    .evaluator
+                    .residual_cost(&rewritten, &relations.symbols()),
+            );
 
             let path = Path {
                 elements: chosen.to_vec(),

@@ -88,50 +88,42 @@ impl fmt::Display for InstructionClass {
     }
 }
 
-/// Cycle costs per instruction class.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CostModel {
-    cycles: BTreeMap<InstructionClass, u64>,
-}
+/// Cycle costs per instruction class: the StrongARM SA-1110, the one
+/// processor of the reproduction. Every class has a cost by construction
+/// (an exhaustive `match`), so no class can fall through to a default.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct CostModel;
 
 impl CostModel {
     /// The StrongARM SA-1110 model used throughout the reproduction.
     pub fn sa1110() -> Self {
-        use InstructionClass::*;
-        let mut cycles = BTreeMap::new();
-        cycles.insert(IntAlu, 1);
-        cycles.insert(IntMul, 3);
-        cycles.insert(IntMac, 3);
-        cycles.insert(IntDiv, 22);
-        cycles.insert(Load, 2);
-        cycles.insert(Store, 2);
-        cycles.insert(Branch, 2);
-        cycles.insert(Call, 6);
-        // Software floating-point emulation on an FPU-less ARM costs roughly
-        // two orders of magnitude more than the integer equivalents.
-        cycles.insert(FloatAddSoft, 90);
-        cycles.insert(FloatMulSoft, 110);
-        cycles.insert(FloatDivSoft, 240);
-        cycles.insert(FloatConvSoft, 60);
-        cycles.insert(LibmCall, 4_000);
-        cycles.insert(TableLookup, 3);
-        CostModel { cycles }
+        CostModel
     }
 
     /// Cycles charged for one operation of the given class.
     pub fn cycles_for(&self, class: InstructionClass) -> u64 {
-        self.cycles.get(&class).copied().unwrap_or(1)
+        use InstructionClass::*;
+        match class {
+            IntAlu => 1,
+            IntMul | IntMac => 3,
+            IntDiv => 22,
+            Load | Store | Branch => 2,
+            Call => 6,
+            // Software floating-point emulation on an FPU-less ARM costs
+            // roughly two orders of magnitude more than the integer
+            // equivalents.
+            FloatAddSoft => 90,
+            FloatMulSoft => 110,
+            FloatDivSoft => 240,
+            FloatConvSoft => 60,
+            LibmCall => 4_000,
+            TableLookup => 3,
+        }
     }
 
     /// Total cycles for a bag of operation counts.
     pub fn cycles(&self, ops: &OpCounts) -> u64 {
         ops.iter().map(|(c, n)| self.cycles_for(c) * n).sum()
-    }
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel::sa1110()
     }
 }
 
