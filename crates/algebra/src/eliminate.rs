@@ -30,15 +30,6 @@ pub struct Elimination {
 /// The remaining variables (appearing in the generators but not listed) are
 /// kept; polynomials in the result involve only those.
 pub fn eliminate(generators: &[Poly], eliminate: &[&str]) -> Elimination {
-    eliminate_with_options(generators, eliminate, &GroebnerOptions::default())
-}
-
-/// [`eliminate`] with explicit Gröbner options.
-pub fn eliminate_with_options(
-    generators: &[Poly],
-    eliminate: &[&str],
-    options: &GroebnerOptions,
-) -> Elimination {
     let elim_set = VarSet::from_names(eliminate);
     let mut all_vars = elim_set.clone();
     for g in generators {
@@ -49,7 +40,7 @@ pub fn eliminate_with_options(
     // generators is built once, inside `buchberger`); the elimination result
     // is a list of global polynomials, so this is one of the few callers
     // that actually materializes the globalized basis.
-    let gb = buchberger(generators, &order, options);
+    let gb = buchberger(generators, &order, &GroebnerOptions::default());
     let full_basis = gb.polys().to_vec();
     let eliminated = full_basis
         .iter()

@@ -1,6 +1,6 @@
-//! `symmap-modelcheck` — exhaustive bounded interleaving check of the two
-//! concurrency kernels (the cache adoption protocol and the pool deque),
-//! plus a self-test that the seeded-bug mutants are detected.
+//! `symmap-modelcheck` — exhaustive bounded interleaving check of the
+//! cache adoption protocol, plus a self-test that the seeded-bug mutant is
+//! detected.
 //!
 //! ```text
 //! symmap-modelcheck [--skip-mutants]
@@ -11,7 +11,7 @@
 
 use std::process::ExitCode;
 
-use symmap_analysis::model::{cache::AdoptionModel, check, deque::DequeModel, Config, Model};
+use symmap_analysis::model::{cache::AdoptionModel, check, Config, Model};
 
 /// Runs a faithful model that must pass. Returns `false` on failure.
 fn expect_pass<M: Model>(name: &str, model: &M) -> bool {
@@ -66,24 +66,10 @@ fn main() -> ExitCode {
     ok &= expect_pass("adoption 2 threads", &AdoptionModel::new(2));
     ok &= expect_pass("adoption 3 threads", &AdoptionModel::new(3));
 
-    println!("== pool deque discipline (pool.rs own-front/steal-back) ==");
-    ok &= expect_pass("deque 2 workers / 4 jobs", &DequeModel::new(2, 4));
-    ok &= expect_pass("deque 2 workers / 5 jobs", &DequeModel::new(2, 5));
-    ok &= expect_pass("deque 3 workers / 3 jobs", &DequeModel::new(3, 3));
-    ok &= expect_pass("deque 3 workers / 4 jobs", &DequeModel::new(3, 4));
-
     if !skip_mutants {
         println!("== seeded-bug mutants (the checker must catch these) ==");
         ok &= expect_caught("torn adoption 2 threads", &AdoptionModel::torn_adoption(2));
         ok &= expect_caught("torn adoption 3 threads", &AdoptionModel::torn_adoption(3));
-        ok &= expect_caught(
-            "racy steal 2 workers / 3 jobs",
-            &DequeModel::racy_steal(2, 3),
-        );
-        ok &= expect_caught(
-            "racy steal 3 workers / 3 jobs",
-            &DequeModel::racy_steal(3, 3),
-        );
     }
 
     if ok {

@@ -12,15 +12,16 @@
 //!   exact algebra, `// SAFETY:` on every `unsafe` block) with a
 //!   mandatory-reason `lint:allow` escape hatch and stale-allow detection.
 //! * [`model`] — `symmap-modelcheck`, a bounded interleaving model checker
-//!   (a miniature loom on stable Rust): the two concurrency kernels — the
-//!   shared Gröbner cache's compute-outside-lock/adopt-winner
-//!   protocol and the batch pool's own-front/steal-back deque — are
-//!   abstracted into small cloneable state machines and *every* interleaving
-//!   of 2–3 model threads is enumerated up to a step bound, asserting the
-//!   adoption race stays linearizable and the deque neither loses nor
-//!   duplicates jobs. Deliberately mutated models (a torn adoption, a racy
-//!   two-step steal) prove the checker actually detects the bug classes it
-//!   exists for.
+//!   (a miniature loom on stable Rust): the one multi-step concurrency
+//!   kernel — the shared Gröbner cache's compute-outside-lock/adopt-winner
+//!   protocol, whose single table sits behind one lock — is abstracted into
+//!   a small cloneable state machine and *every* interleaving of 2–3 model
+//!   threads is enumerated up to a step bound, asserting the adoption race
+//!   stays linearizable. A deliberately mutated model (a torn adoption)
+//!   proves the checker actually detects the bug class it exists for. The
+//!   batch pool needs no model: a worker claims a job with one `fetch_add`
+//!   on a shared cursor, which has no multi-step critical section to
+//!   interleave.
 //!
 //! See DESIGN.md §7 for the rule table, the scanner's soundness limits, and
 //! the model-vs-implementation fidelity argument.

@@ -26,7 +26,6 @@
 //! not model-checked). See DESIGN.md §7 for the full argument.
 
 pub mod cache;
-pub mod deque;
 
 /// A concurrency kernel abstracted into an exhaustively explorable state
 /// machine.

@@ -98,7 +98,7 @@ impl OptimizationPipeline {
         self
     }
 
-    /// Overrides the mapper configuration (used by the ablation benches).
+    /// Overrides the mapper configuration (used by the worker-count tests).
     /// The batch engine is rebuilt from the configuration's
     /// [`EngineConfig`](symmap_engine::EngineConfig), with a fresh cache.
     pub fn with_mapper_config(mut self, config: MapperConfig) -> Self {
@@ -152,7 +152,7 @@ impl OptimizationPipeline {
     }
 
     /// Like [`map_decoder`](OptimizationPipeline::map_decoder), but also
-    /// returns the engine's batch statistics (jobs, steals, cache
+    /// returns the engine's batch statistics (jobs, workers, cache
     /// counters, wall time) for reporting.
     pub fn map_decoder_with_stats(
         &self,

@@ -2,10 +2,9 @@
 //!
 //! A [`MapJob`] is one library-mapping problem — target polynomial, library,
 //! mapper configuration. The engine runs a batch of jobs over the
-//! work-stealing pool ([`crate::pool`]) while every worker prices its
-//! side-relation subsets through one shared, lock-striped
-//! [`SharedGroebnerCache`], and returns the outcomes **by job index** plus an
-//! [`EngineStats`] report.
+//! shared-cursor pool ([`crate::pool`]) while every worker prices its
+//! side-relation subsets through one shared [`SharedGroebnerCache`], and
+//! returns the outcomes **by job index** plus an [`EngineStats`] report.
 //!
 //! # Determinism
 //!
@@ -35,7 +34,8 @@ use symmap_algebra::poly::Poly;
 use symmap_algebra::var::Var;
 use symmap_libchar::Library;
 // batch.rs is a D6-exempt engine entry point: it owns the collector
-// lifecycle and the pool→sched-channel adapter (see symmap-lint).
+// lifecycle and reports the pool's job lifecycle on the sched channel (see
+// symmap-lint).
 use symmap_trace::recorder::{install_job_scope, DEFAULT_STREAM_CAPACITY};
 use symmap_trace::sink::WallClock;
 use symmap_trace::{BatchTrace, MetricsSnapshot, TraceCollector};
@@ -44,7 +44,6 @@ use crate::decompose::{Mapper, MapperConfig};
 use crate::error::CoreError;
 use crate::mapping::MappingSolution;
 use crate::pool;
-use crate::pool::SchedObserver;
 
 /// Sizing of the batch engine: worker threads and shared-cache capacity.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,9 +133,6 @@ pub struct EngineStats {
     pub jobs: usize,
     /// Worker threads used (clamped to the job count).
     pub workers: usize,
-    /// Jobs executed by a worker other than the one they were dealt to
-    /// (scheduling-dependent at `workers > 1`).
-    pub steals: usize,
     /// Wall time of the batch, including result collection.
     pub wall: Duration,
     /// Cache counters over this batch's run (`len` is the current resident
@@ -175,7 +171,7 @@ pub struct EngineStats {
     /// The full metrics window this batch's named fields were derived from:
     /// every counter/histogram as a delta over the run, every gauge at its
     /// post-run level. Includes metrics with no named field (e.g. the
-    /// `groebner.reductions` histogram and `pool.steals`).
+    /// `groebner.reductions` histogram).
     pub metrics: MetricsSnapshot,
 }
 
@@ -289,7 +285,6 @@ impl MappingEngine {
         // reporting and never influences which mapping is produced.
         let start = Instant::now();
         let before = self.cache.metrics_snapshot();
-        let steal_counter = self.cache.metrics().counter("pool.steals");
 
         // Close the interner side channel: intern every output symbol on this
         // thread, in job order, before any worker can race to it. Jobs
@@ -317,15 +312,18 @@ impl MappingEngine {
                 Box::new(WallClock::new()),
             )
         });
-        let observer = collector.as_ref().map(|c| PoolTraceAdapter {
-            collector: Arc::clone(c),
-        });
 
-        let (outcomes, pool_stats) = pool::run_batch_observed(
-            jobs.len(),
-            self.config.workers,
-            |i| {
-                let job = &jobs[i];
+        let outcomes = pool::run_indexed(jobs.len(), self.config.workers, |worker, i| {
+            let job = &jobs[i];
+            // Which worker ran which job is nondeterministic at
+            // `workers > 1`, which is exactly what the sched channel is for.
+            let sched = |name| {
+                if let Some(c) = &collector {
+                    c.sched_event(Some(worker), name, &[("job", i as u64)]);
+                }
+            };
+            sched("pool.start");
+            let outcome = {
                 // Job-channel scope: every deterministic event a job records
                 // (cache requests, compute spans it triggers) files under its
                 // job index, so streams merge identically at any worker count.
@@ -338,18 +336,17 @@ impl MappingEngine {
                     Arc::clone(&self.cache),
                 )
                 .map_polynomial(&job.target)
-            },
-            observer.as_ref().map(|o| o as &dyn SchedObserver),
-        );
-        steal_counter.add(pool_stats.steals as u64);
+            };
+            sched("pool.finish");
+            outcome
+        });
 
         let delta = self.cache.metrics_snapshot().delta_since(&before);
         BatchResult {
             outcomes,
             stats: EngineStats {
                 jobs: jobs.len(),
-                workers: pool_stats.workers,
-                steals: pool_stats.steals,
+                workers: self.config.workers.clamp(1, jobs.len().max(1)),
                 wall: start.elapsed(),
                 cache: CacheStats::from_snapshot(&delta),
                 lift_success: delta.counter("lift.success") as usize,
@@ -364,29 +361,6 @@ impl MappingEngine {
             },
             trace: collector.map(|c| c.finalize()),
         }
-    }
-}
-
-/// Forwards pool scheduling callbacks onto the trace sched channel. Lives
-/// here (not in [`crate::pool`]) so the pool stays free of the trace
-/// dependency; which worker ran which job is nondeterministic at
-/// `workers > 1`, which is exactly what the sched channel is for.
-struct PoolTraceAdapter {
-    collector: Arc<TraceCollector>,
-}
-
-impl SchedObserver for PoolTraceAdapter {
-    fn job_start(&self, worker: usize, index: usize, stolen: bool) {
-        self.collector.sched_event(
-            Some(worker),
-            if stolen { "pool.steal" } else { "pool.start" },
-            &[("job", index as u64)],
-        );
-    }
-
-    fn job_finish(&self, worker: usize, index: usize) {
-        self.collector
-            .sched_event(Some(worker), "pool.finish", &[("job", index as u64)]);
     }
 }
 
@@ -479,7 +453,6 @@ mod tests {
         let batch = engine.run(&jobs);
         assert_eq!(batch.stats.jobs, jobs.len());
         assert_eq!(batch.stats.workers, 1);
-        assert_eq!(batch.stats.steals, 0);
         assert!(batch.stats.cache_misses() > 0);
         assert!(
             batch.stats.cache_hits() > 0,

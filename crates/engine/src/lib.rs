@@ -5,15 +5,14 @@
 //! its cost model ([`cost`]) and solution type ([`mapping`]), plus the two
 //! pieces that let it saturate the hardware:
 //!
-//! * [`pool`] — a deterministic work-stealing thread pool over
-//!   `std::thread` + `parking_lot`: jobs are dealt round-robin to per-worker
-//!   deques, idle workers steal from the back of their neighbours' queues,
-//!   and results are collected **by job index**, so the output of a batch is
+//! * [`pool`] — a deterministic thread pool over scoped `std::thread`s:
+//!   workers claim job indices from one shared atomic cursor, and results
+//!   are collected **by job index**, so the output of a batch is
 //!   byte-identical at any worker count.
 //! * [`batch`] — the [`MappingEngine`]: a queue of [`MapJob`]s (target
 //!   polynomial + library + mapper configuration) executed over the pool
-//!   while every worker shares one lock-striped, capacity-bounded
-//!   [`SharedGroebnerCache`], with an [`EngineStats`] report (jobs, steals,
+//!   while every worker shares one capacity-bounded
+//!   [`SharedGroebnerCache`], with an [`EngineStats`] report (jobs, workers,
 //!   cache counters, wall time) per batch.
 //!
 //! Mapping jobs are pure functions of their inputs — the only thing worker

@@ -167,16 +167,14 @@ fn chrome_export_and_metrics_snapshot_are_valid_json() {
     let result = engine(4, true).run(&jobs);
     let trace = result.trace.expect("tracing was enabled");
 
-    assert!(
-        trace.sched.iter().any(|e| e.name == "pool.start"),
-        "the pool's job lifecycle must reach the sched channel"
+    let count = |name: &str| trace.sched.iter().filter(|e| e.name == name).count();
+    assert_eq!(
+        count("pool.start"),
+        jobs.len(),
+        "every job starts exactly once"
     );
     assert_eq!(
-        trace
-            .sched
-            .iter()
-            .filter(|e| e.name == "pool.finish")
-            .count(),
+        count("pool.finish"),
         jobs.len(),
         "every job finishes exactly once"
     );

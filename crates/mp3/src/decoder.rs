@@ -205,17 +205,14 @@ impl Decoder {
         let quantized =
             huffman::decode(&encoded, SAMPLES_PER_GRANULE, &self.huffman_table, &mut ops)
                 .expect("self-generated stream is always decodable");
-        profiler.record("III_hufman_decode", &scale_down(&ops, self.control_scale()));
+        profiler.record("III_hufman_decode", &ops.divided(self.control_scale()));
 
         // 2. Scale-factor decoding (small, control dominated).
         let mut ops = OpCounts::new();
         ops.add(InstructionClass::IntAlu, 4 * SUBBANDS as u64);
         ops.add(InstructionClass::Load, 2 * SUBBANDS as u64);
         ops.add(InstructionClass::Store, SUBBANDS as u64);
-        profiler.record(
-            "III_get_scale_factors",
-            &scale_down(&ops, self.control_scale()),
-        );
+        profiler.record("III_get_scale_factors", &ops.divided(self.control_scale()));
 
         // 3. Requantization.
         let granule_for_dequant = Granule {
@@ -241,7 +238,7 @@ impl Decoder {
         ops.add(InstructionClass::Load, SAMPLES_PER_GRANULE as u64);
         ops.add(InstructionClass::Store, SAMPLES_PER_GRANULE as u64);
         ops.add(InstructionClass::IntAlu, SAMPLES_PER_GRANULE as u64 / 2);
-        profiler.record("III_reorder", &scale_down(&ops, self.control_scale()));
+        profiler.record("III_reorder", &ops.divided(self.control_scale()));
 
         // 5. Stereo processing.
         let stereo_variant = match self.kernels.stereo {
@@ -250,7 +247,7 @@ impl Decoder {
         };
         let mut ops = OpCounts::new();
         let mut left = stereo::process(&mut spectrum, granule.mid_side, stereo_variant, &mut ops);
-        profiler.record("III_stereo", &scale_down(&ops, self.control_scale()));
+        profiler.record("III_stereo", &ops.divided(self.control_scale()));
 
         // 6. Antialias butterflies.
         let aa_variant = match self.kernels.antialias {
@@ -288,20 +285,6 @@ impl Decoder {
         debug_assert_eq!(granule_pcm.len(), LINES_PER_SUBBAND * SUBBANDS);
         granule_pcm
     }
-}
-
-fn scale_down(ops: &OpCounts, divisor: u64) -> OpCounts {
-    if divisor <= 1 {
-        return ops.clone();
-    }
-    let mut out = OpCounts::new();
-    for (c, n) in ops.iter() {
-        out.add(c, (n / divisor).max(1));
-    }
-    for (r, n) in ops.memory_iter() {
-        out.add_memory(r, (n / divisor).max(1));
-    }
-    out
 }
 
 #[cfg(test)]

@@ -84,7 +84,7 @@ pub struct SchedEvent {
     pub ts_ns: u64,
     /// Worker index when the recording site knows it.
     pub worker: Option<usize>,
-    /// Static event name, e.g. `"pool.steal"`.
+    /// Static event name, e.g. `"pool.start"`.
     pub name: &'static str,
     /// Named integer arguments.
     pub args: Vec<(&'static str, u64)>,

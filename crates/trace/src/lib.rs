@@ -19,7 +19,7 @@
 //!    index, per-*compute* streams keyed by the ring-local cache key (a
 //!    basis computation is a pure function of its key, so racing duplicate
 //!    computations record identical streams and collapse), and a *sched*
-//!    channel for worker/steal/cache-race events that is excluded from the
+//!    channel for worker/job/cache-race events that is excluded from the
 //!    byte-identity contract. The first two are compared byte-for-byte
 //!    across worker counts by the determinism suite.
 //! 3. **One metrics facade** ([`registry`]): counters/gauges/histograms as

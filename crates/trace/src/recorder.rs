@@ -19,8 +19,8 @@
 //!   yields the **identical** stream; the collector stores streams in a
 //!   `BTreeMap` by key, so duplicates collapse and the channel is the
 //!   deterministic set of computed keys in key order.
-//! * **Sched channel** — worker identities, steals, cache hit/miss races,
-//!   wall-clock timestamps. Explicitly nondeterministic; excluded from the
+//! * **Sched channel** — worker identities, job start/finish, cache hit/miss
+//!   races, wall-clock timestamps. Explicitly nondeterministic; excluded from the
 //!   canonical transcript and from all byte-identity tests.
 //!
 //! Both deterministic channels use **logical clocks only**: an event's
@@ -227,7 +227,7 @@ impl TraceCollector {
     }
 
     /// Records one sched-channel event with an explicit worker identity
-    /// (pool and engine call this through their observer adapter).
+    /// (the engine calls this around each pool job).
     pub fn sched_event(
         &self,
         worker: Option<usize>,
@@ -502,7 +502,7 @@ mod tests {
     #[test]
     fn transcript_is_stable_and_excludes_sched() {
         let collector = TraceCollector::new(1);
-        collector.sched_event(Some(3), "pool.steal", &[("job", 5)]);
+        collector.sched_event(Some(3), "pool.start", &[("job", 5)]);
         {
             let _job = install_job_scope(&collector, 0, "t");
             record_raw("point", EventKind::Instant, &[("a", 1), ("b", 2)]);
@@ -512,7 +512,7 @@ mod tests {
         assert!(transcript.contains("job 0 t"));
         assert!(transcript.contains("point a=1 b=2"));
         assert!(
-            !transcript.contains("pool.steal"),
+            !transcript.contains("pool.start"),
             "sched leaked: {transcript}"
         );
         assert_eq!(trace.sched.len(), 1);

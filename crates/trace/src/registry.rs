@@ -3,8 +3,7 @@
 //!
 //! Before this module the workspace carried three parallel hand-rolled stat
 //! idioms — per-shard cache counter structs, the fp-probe counters and
-//! `LiftStats`, each with its own `delta_since` — plus the pool's steal
-//! count. All of them are now handles registered here; the **single**
+//! `LiftStats`, each with its own `delta_since`. All of them are now handles registered here; the **single**
 //! delta implementation is [`MetricsSnapshot::delta_since`].
 //!
 //! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are `Arc`-shared atomics:

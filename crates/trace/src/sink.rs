@@ -5,7 +5,7 @@
 //! The real wall clock, quarantined.
 //!
 //! [`WallClock`] is the only implementation of [`Clock`] that reads
-//! `std::time`. It timestamps the *sched* channel (worker/steal/cache-race
+//! `std::time`. It timestamps the *sched* channel (worker/job/cache-race
 //! events, explicitly outside the byte-identity contract) and the engine's
 //! batch wall-time stat. Nothing on an algorithmic path may construct one;
 //! lint rule D2 keeps it that way.

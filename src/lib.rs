@@ -17,8 +17,8 @@
 //!    decomposes the target polynomials into library elements using
 //!    *simplification modulo side relations* on top of Gröbner bases
 //!    ([`algebra`]); the [`engine::MappingEngine`] batch service fans
-//!    independent mapping jobs out over a deterministic work-stealing
-//!    worker pool sharing one sharded Gröbner cache.
+//!    independent mapping jobs out over a deterministic shared-cursor
+//!    worker pool sharing one Gröbner cache.
 //!
 //! The evaluation workload of the paper, an MP3 audio decoder, is reproduced in
 //! [`mp3`], together with the Linux-math / in-house fixed-point / IPP-like
