@@ -40,7 +40,7 @@
 
 use std::cmp::Ordering;
 
-use symmap_numeric::{BigInt, Fp64, Rational};
+use symmap_numeric::{BigInt, Fp64};
 
 use crate::groebner::GroebnerOptions;
 use crate::monomial::Monomial;
@@ -982,96 +982,11 @@ fn auto_reduce_fp(
     reduced
 }
 
-/// An integer coefficient of the fraction-free reduction: inline while it
-/// fits an `i64` (the common case, where arithmetic allocates nothing), a
-/// [`BigInt`] otherwise. Every result whose magnitude is below 2⁶³ is
-/// `Small`, so zero and one always are, which `is_zero` and `is_one` rely
-/// on.
-#[derive(Debug, Clone, PartialEq)]
-enum Int {
-    Small(i64),
-    Big(BigInt),
-}
-
-impl Int {
-    fn from_i128(v: i128) -> Int {
-        i64::try_from(v).map_or_else(|_| Int::Big(BigInt::from(v)), Int::Small)
-    }
-
-    fn from_big(v: BigInt) -> Int {
-        // `bits() < 64` bounds the magnitude by 2⁶³ − 1, so the conversion
-        // cannot fail (and never formats an overflow error).
-        if v.bits() < 64 {
-            Int::Small(v.to_i64().expect("fits i64"))
-        } else {
-            Int::Big(v)
-        }
-    }
-
-    fn big(&self) -> std::borrow::Cow<'_, BigInt> {
-        match self {
-            Int::Small(v) => std::borrow::Cow::Owned(BigInt::from(*v)),
-            Int::Big(v) => std::borrow::Cow::Borrowed(v),
-        }
-    }
-
-    fn is_one(&self) -> bool {
-        *self == Int::Small(1)
-    }
-
-    fn is_zero(&self) -> bool {
-        *self == Int::Small(0)
-    }
-
-    fn mul(&self, other: &Int) -> Int {
-        match (self, other) {
-            (Int::Small(a), Int::Small(b)) => Int::from_i128(*a as i128 * *b as i128),
-            _ => Int::from_big(&*self.big() * &*other.big()),
-        }
-    }
-
-    fn add(self, other: Int) -> Int {
-        match (&self, &other) {
-            (Int::Small(a), Int::Small(b)) => Int::from_i128(*a as i128 + *b as i128),
-            _ => Int::from_big(&*self.big() + &*other.big()),
-        }
-    }
-
-    fn neg(self) -> Int {
-        match self {
-            Int::Small(a) => Int::from_i128(-(a as i128)),
-            Int::Big(a) => Int::from_big(-a),
-        }
-    }
-
-    /// The non-negative gcd.
-    fn gcd(&self, other: &Int) -> Int {
-        match (self, other) {
-            (Int::Small(a), Int::Small(b)) => {
-                let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
-                while b != 0 {
-                    (a, b) = (b, a % b);
-                }
-                Int::from_i128(a as i128)
-            }
-            _ => Int::from_big(self.big().gcd(&other.big())),
-        }
-    }
-
-    /// `self / other` for a divisor `other` of `self`.
-    fn div_exact(&self, other: &Int) -> Int {
-        match (self, other) {
-            (Int::Small(a), Int::Small(b)) => Int::from_i128(*a as i128 / *b as i128),
-            _ => Int::from_big(&*self.big() / &*other.big()),
-        }
-    }
-}
-
 /// A nonzero primitive integer polynomial used as a divisor, with its
 /// leading row's mask cached.
 #[derive(Debug, Clone)]
 struct IntElement {
-    poly: FlatPoly<Int>,
+    poly: FlatPoly<BigInt>,
     mask: u64,
 }
 
@@ -1102,9 +1017,9 @@ pub(crate) struct IntReducer {
 /// target, the scaled S-polynomial half and single-row scratch.
 #[derive(Default)]
 struct IntScratch {
-    cur: FlatPoly<Int>,
-    next: FlatPoly<Int>,
-    half: FlatPoly<Int>,
+    cur: FlatPoly<BigInt>,
+    next: FlatPoly<BigInt>,
+    half: FlatPoly<BigInt>,
     lcm: Vec<u32>,
     mono: Vec<u32>,
     quot: Vec<u32>,
@@ -1164,11 +1079,11 @@ impl IntReducer {
         // (lc_g/h)·x^mf·f − (lc_f/h)·x^mg·g: the scaled leading terms
         // cancel, so only the tails are merged.
         let h = f.coeffs[0].gcd(&g.coeffs[0]);
-        let (a, b) = (g.coeffs[0].div_exact(&h), f.coeffs[0].div_exact(&h));
+        let (a, b) = (div_exact(&g.coeffs[0], &h), -div_exact(&f.coeffs[0], &h));
         sc.half.clear();
         for t in 1..f.len() {
             layout.mul_into(f.row(layout, t), &sc.mono, &mut sc.shifted);
-            sc.half.push(&sc.shifted, f.coeffs[t].mul(&a));
+            sc.half.push(&sc.shifted, &f.coeffs[t] * &a);
         }
         merge_shifted(
             layout,
@@ -1177,8 +1092,8 @@ impl IntReducer {
             (g, 1),
             &sc.quot,
             &mut sc.shifted,
-            Int::clone,
-            |c| c.mul(&b).neg(),
+            BigInt::clone,
+            |c| c * &b,
             add_nonzero,
         );
         self.reduces_to_zero()
@@ -1202,8 +1117,8 @@ impl IntReducer {
             };
             layout.div_into(lt, d.poly.row(layout, 0), &mut sc.quot);
             let g = d.poly.coeffs[0].gcd(&sc.cur.coeffs[0]);
-            let a = d.poly.coeffs[0].div_exact(&g);
-            let b = sc.cur.coeffs[0].div_exact(&g);
+            let a = div_exact(&d.poly.coeffs[0], &g);
+            let b = -div_exact(&sc.cur.coeffs[0], &g);
             let a_is_one = a.is_one();
             merge_shifted(
                 layout,
@@ -1212,8 +1127,8 @@ impl IntReducer {
                 (&d.poly, 1),
                 &sc.quot,
                 &mut sc.shifted,
-                |c| if a_is_one { c.clone() } else { c.mul(&a) },
-                |c| c.mul(&b).neg(),
+                |c| if a_is_one { c.clone() } else { c * &a },
+                |c| c * &b,
                 add_nonzero,
             );
             std::mem::swap(&mut sc.cur, &mut sc.next);
@@ -1227,51 +1142,55 @@ impl IntReducer {
 }
 
 /// `a + b`, or `None` when the sum cancels.
-fn add_nonzero(a: Int, b: Int) -> Option<Int> {
-    let c = a.add(b);
-    (!c.is_zero()).then_some(c)
+fn add_nonzero(mut a: BigInt, b: BigInt) -> Option<BigInt> {
+    a += &b;
+    (!a.is_zero()).then_some(a)
 }
 
-/// Divides the coefficients by their gcd.
-fn strip_content(coeffs: &mut [Int]) {
-    let mut g = Int::Small(0);
+/// `x / g` for a divisor `g` of `x`.
+fn div_exact(x: &BigInt, g: &BigInt) -> BigInt {
+    if g.is_one() {
+        x.clone()
+    } else {
+        x / g
+    }
+}
+
+/// Divides the coefficients by their gcd. The running gcd starts from the
+/// narrowest coefficient, so no gcd below is wider than it.
+fn strip_content(coeffs: &mut [BigInt]) {
+    let Some(narrowest) = coeffs.iter().min_by_key(|c| c.bits()) else {
+        return;
+    };
+    let mut g = narrowest.abs();
     for c in coeffs.iter() {
-        g = g.gcd(c);
         if g.is_one() {
             return;
         }
+        g = g.gcd(c);
     }
-    if !g.is_zero() {
+    if !g.is_one() && !g.is_zero() {
         for c in coeffs.iter_mut() {
-            *c = c.div_exact(&g);
+            *c = &*c / &g;
         }
-    }
-}
-
-/// The numerator and denominator of `c`.
-fn int_parts(c: &Rational) -> (Int, Int) {
-    match c.small_parts() {
-        Some((num, den)) => (Int::Small(num), Int::from_i128(den as i128)),
-        None => (Int::from_big(c.numer()), Int::from_big(c.denom())),
     }
 }
 
 /// `p` times the lcm of its denominators, divided by the content: the
 /// primitive integer polynomial with the same sign as `p`.
-fn primitive_part(layout: &FlatLayout, p: &crate::poly::Poly) -> FlatPoly<Int> {
-    let mut den = Int::Small(1);
+fn primitive_part(layout: &FlatLayout, p: &crate::poly::Poly) -> FlatPoly<BigInt> {
+    let mut den = BigInt::one();
     for (_, c) in p.iter() {
-        let (_, d) = int_parts(c);
+        let d = c.denom();
         if !d.is_one() {
-            den = den.div_exact(&den.gcd(&d)).mul(&d);
+            den = div_exact(&den, &den.gcd(&d));
+            den *= &d;
         }
     }
     let mut poly = FlatPoly::from_terms(
         layout,
-        p.iter().map(|(m, c)| {
-            let (num, d) = int_parts(c);
-            (m, num.mul(&den.div_exact(&d)))
-        }),
+        p.iter()
+            .map(|(m, c)| (m, c.numer() * div_exact(&den, &c.denom()))),
     );
     strip_content(&mut poly.coeffs);
     poly
@@ -1280,7 +1199,7 @@ fn primitive_part(layout: &FlatLayout, p: &crate::poly::Poly) -> FlatPoly<Int> {
 #[cfg(test)]
 mod tests {
     use proptest::prelude::*;
-    use symmap_numeric::PrimeIterator;
+    use symmap_numeric::{PrimeIterator, Rational};
 
     use super::*;
     use crate::coeff::{

@@ -23,6 +23,13 @@ use symmap_platform::machine::Badge4;
 /// "N").
 const PARALLEL_WORKERS: usize = 4;
 
+/// Cold batches per timed sample, and samples per worker count. A cold
+/// batch takes about 0.8 ms on a 2-thread x86-64 box, so the alternating
+/// measurement takes about 0.25 s: long enough that one scheduler blip
+/// moves a sample by little, short enough for a CI quick run.
+const COLD_ITERS: u32 = 10;
+const COLD_SAMPLES: usize = 15;
+
 fn engine(workers: usize) -> MappingEngine {
     MappingEngine::new(EngineConfig {
         workers,
@@ -67,19 +74,24 @@ fn bench(c: &mut Criterion) {
     );
 
     // Wall-clock: median of batches at workers = 1 and workers = N, cold
-    // cache each iteration so every run does the full basis workload.
-    let samples = if quick { 5 } else { 9 };
-    let wall_1 = symmap_bench::quickbench::measure_ns(2, samples, || {
-        criterion::black_box(run_cold(&jobs, 1));
-    });
-    let wall_n = symmap_bench::quickbench::measure_ns(2, samples, || {
-        criterion::black_box(run_cold(&jobs, n));
-    });
+    // cache each iteration so every run does the full basis workload. The
+    // two are timed in alternating batches, so both medians sample the same
+    // stretch of machine load.
+    let (wall_1, wall_n) = symmap_bench::quickbench::measure_alternating_ns(
+        (COLD_ITERS, || {
+            criterion::black_box(run_cold(&jobs, 1));
+        }),
+        (COLD_ITERS, || {
+            criterion::black_box(run_cold(&jobs, n));
+        }),
+        COLD_SAMPLES,
+    );
     // Warm cache, one worker: every basis and normal form is a memo hit, so
     // this times the search's own per-node work, which a cold batch hides
     // behind its basis computations.
     let warm = engine(1);
     warm.run(&jobs);
+    let samples = if quick { 5 } else { 9 };
     let wall_warm = symmap_bench::quickbench::measure_ns(2, samples, || {
         criterion::black_box(warm.run(&jobs));
     });

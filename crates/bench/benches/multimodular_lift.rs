@@ -41,13 +41,15 @@ fn hard_ideal() -> Vec<Poly> {
 }
 
 /// The minimum lex speedup of the lift over exact. Derived from what the
-/// lift must beat rather than from history: with flat images and
-/// fraction-free verification the lift measured 11.5–16.4× over exact
-/// (median 16.1×) in five quick runs on a 2-thread x86-64 box, and the
-/// floor sits at about half the median, so a scheduler blip cannot fail it
-/// but losing either half of the fast path (images back on the generic
-/// engine, or verification back on ℚ; the generic-engine lift measured
-/// 5.6–7.4× in the same runs) does.
+/// lift must beat rather than from history: with flat images, trace replay,
+/// fraction-free verification and the 64-bit-limb `BigInt` the lift
+/// measured 15.8–17.0× over exact (median 16.6×) in fifteen quick runs on
+/// a 2-thread x86-64 box. (The 32-bit-limb `BigInt` read 17.7–20.4×,
+/// median 20.0×, in the same interleaved runs: wider limbs sped the exact
+/// run up more than the lift.) The floor sits at about half the median, so
+/// a scheduler blip cannot fail it but losing either half of the fast path
+/// (images back on the generic engine, or verification back on ℚ; the
+/// generic-engine lift measured 5.6–7.4× with the 32-bit limbs) does.
 const LEX_FLOOR: f64 = 8.0;
 
 /// Timed batches per mode in quick mode (the exact lex run is tens of ms

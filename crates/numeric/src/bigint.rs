@@ -1,10 +1,16 @@
 //! Arbitrary-precision signed integers.
 //!
 //! Polynomial coefficients blow up quickly under Gröbner-basis reduction, so
-//! fixed-width integers are not an option. [`BigInt`] is a compact
-//! sign-magnitude implementation over base-2³² limbs with the operations the
-//! algebra engine needs: ring arithmetic, Euclidean division, gcd, comparison,
-//! decimal formatting/parsing and small-integer interop.
+//! fixed-width integers are not an option. [`BigInt`] is a sign-magnitude
+//! implementation over base-2⁶⁴ limbs with the operations the algebra engine
+//! needs: ring arithmetic, Euclidean division, gcd, comparison, decimal
+//! formatting/parsing and small-integer interop.
+//!
+//! Magnitudes of up to four limbs (256 bits) are stored inline and only
+//! larger ones go to the heap. The multi-modular lift's moduli (three 62-bit
+//! primes) and the coefficients of its fraction-free verification fit
+//! inline, so its CRT, rational reconstruction and verification arithmetic
+//! allocates nothing.
 //!
 //! ```
 //! use symmap_numeric::bigint::BigInt;
@@ -18,6 +24,7 @@
 // float *exit* boundary (reporting only); all arithmetic is exact limbs.
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Rem, Sub, SubAssign};
 use std::str::FromStr;
 
@@ -34,18 +41,137 @@ enum Sign {
     Plus,
 }
 
-/// An arbitrary-precision signed integer.
-///
-/// The representation is sign-magnitude: `limbs` stores the magnitude in
-/// little-endian base-2³² with no trailing zero limbs; `sign` is
-/// `Sign::Zero` iff `limbs` is empty.
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct BigInt {
-    sign: Sign,
-    limbs: Vec<u32>,
+/// How many limbs a magnitude keeps inline before it moves to the heap.
+const INLINE: usize = 4;
+
+/// Stack scratch, in limbs, for intermediates of inline operands: a full
+/// product, a sum with its carry limb, or a normalized dividend with its
+/// extra limb.
+const SCRATCH: usize = 2 * INLINE + 1;
+
+/// A little-endian base-2⁶⁴ magnitude: inline up to [`INLINE`] limbs, on
+/// the heap beyond. [`Limbs::trim`] moves a heap magnitude that shrank
+/// back inline.
+#[derive(Clone)]
+enum Limbs {
+    Inline { len: usize, buf: [u64; INLINE] },
+    Heap(Vec<u64>),
 }
 
-const BASE: u64 = 1 << 32;
+impl Limbs {
+    const EMPTY: Limbs = Limbs::Inline {
+        len: 0,
+        buf: [0; INLINE],
+    };
+
+    /// `n` zero limbs.
+    #[inline]
+    fn zeroed(n: usize) -> Limbs {
+        if n <= INLINE {
+            Limbs::Inline {
+                len: n,
+                buf: [0; INLINE],
+            }
+        } else {
+            Limbs::Heap(vec![0; n])
+        }
+    }
+
+    #[inline]
+    fn from_slice(s: &[u64]) -> Limbs {
+        if s.len() > INLINE {
+            return Limbs::Heap(s.to_vec());
+        }
+        let mut buf = [0; INLINE];
+        buf[..s.len()].copy_from_slice(s);
+        Limbs::Inline { len: s.len(), buf }
+    }
+
+    /// `s` without its high zero limbs.
+    #[inline]
+    fn from_trimmed(s: &[u64]) -> Limbs {
+        Limbs::from_slice(&s[..significant_len(s)])
+    }
+
+    #[inline]
+    fn as_slice(&self) -> &[u64] {
+        match self {
+            Limbs::Inline { len, buf } => &buf[..*len],
+            Limbs::Heap(v) => v,
+        }
+    }
+
+    #[inline]
+    fn as_mut_slice(&mut self) -> &mut [u64] {
+        match self {
+            Limbs::Inline { len, buf } => &mut buf[..*len],
+            Limbs::Heap(v) => v,
+        }
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        match self {
+            Limbs::Inline { len, .. } => *len,
+            Limbs::Heap(v) => v.len(),
+        }
+    }
+
+    /// Grows to `n ≥ len` limbs, zero-filling the new ones.
+    #[inline]
+    fn grow(&mut self, n: usize) {
+        match self {
+            Limbs::Inline { len, buf } if n <= INLINE => {
+                buf[*len..n].fill(0);
+                *len = n;
+            }
+            Limbs::Inline { len, buf } => {
+                let mut v = Vec::with_capacity(n);
+                v.extend_from_slice(&buf[..*len]);
+                v.resize(n, 0);
+                *self = Limbs::Heap(v);
+            }
+            Limbs::Heap(v) => v.resize(n, 0),
+        }
+    }
+
+    /// Appends one limb.
+    #[inline]
+    fn push(&mut self, limb: u64) {
+        let n = self.len();
+        self.grow(n + 1);
+        self.as_mut_slice()[n] = limb;
+    }
+
+    /// Drops the high zero limbs, moving a heap magnitude that now fits
+    /// back inline.
+    #[inline]
+    fn trim(&mut self) {
+        let n = significant_len(self.as_slice());
+        match self {
+            Limbs::Inline { len, .. } => *len = n,
+            Limbs::Heap(v) if n <= INLINE => *self = Limbs::from_slice(&v[..n]),
+            Limbs::Heap(v) => v.truncate(n),
+        }
+    }
+}
+
+/// The length of `s` without its high zero limbs.
+#[inline]
+fn significant_len(s: &[u64]) -> usize {
+    s.iter().rposition(|&l| l != 0).map_or(0, |i| i + 1)
+}
+
+/// An arbitrary-precision signed integer.
+///
+/// The representation is sign-magnitude: `mag` stores the magnitude in
+/// little-endian base-2⁶⁴ with no high zero limbs; `sign` is `Sign::Zero`
+/// iff `mag` is empty.
+#[derive(Clone)]
+pub struct BigInt {
+    sign: Sign,
+    mag: Limbs,
+}
 
 /// `gcd` over `u64` (binary, Stein); `gcd(0, x) == x`.
 pub(crate) fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
@@ -66,18 +192,327 @@ pub(crate) fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
     }
 }
 
+/// Compares two trimmed magnitudes.
+fn cmp_mag(a: &[u64], b: &[u64]) -> Ordering {
+    a.len()
+        .cmp(&b.len())
+        .then_with(|| a.iter().rev().cmp(b.iter().rev()))
+}
+
+/// `a += b` over `a.len() ≥ b.len()` limbs; returns the carry out.
+fn add_assign_mag(a: &mut [u64], b: &[u64]) -> bool {
+    let mut carry = false;
+    let (low, high) = a.split_at_mut(b.len());
+    for (x, &y) in low.iter_mut().zip(b) {
+        let (s, c1) = x.overflowing_add(y);
+        let (s, c2) = s.overflowing_add(carry as u64);
+        *x = s;
+        carry = c1 | c2;
+    }
+    for x in high {
+        if !carry {
+            break;
+        }
+        (*x, carry) = x.overflowing_add(1);
+    }
+    carry
+}
+
+/// `a -= b` for magnitudes `a ≥ b` (`a.len() ≥ b.len()`).
+fn sub_assign_mag(a: &mut [u64], b: &[u64]) {
+    let mut borrow = false;
+    let (low, high) = a.split_at_mut(b.len());
+    for (x, &y) in low.iter_mut().zip(b) {
+        let (d, b1) = x.overflowing_sub(y);
+        let (d, b2) = d.overflowing_sub(borrow as u64);
+        *x = d;
+        borrow = b1 | b2;
+    }
+    for x in high {
+        if !borrow {
+            break;
+        }
+        (*x, borrow) = x.overflowing_sub(1);
+    }
+    debug_assert!(!borrow, "sub_assign_mag needs a >= b");
+}
+
+/// `a = b − a` for magnitudes `b ≥ a`, with `a` zero-extended to
+/// `b.len()` limbs.
+fn rsub_assign_mag(a: &mut [u64], b: &[u64]) {
+    debug_assert_eq!(a.len(), b.len());
+    let mut borrow = false;
+    for (x, &y) in a.iter_mut().zip(b) {
+        let (d, b1) = y.overflowing_sub(*x);
+        let (d, b2) = d.overflowing_sub(borrow as u64);
+        *x = d;
+        borrow = b1 | b2;
+    }
+    debug_assert!(!borrow, "rsub_assign_mag needs b >= a");
+}
+
+/// `out = a · b` for a zeroed `out` of `a.len() + b.len()` limbs. Each
+/// partial product plus two limbs stays below 2¹²⁸.
+fn mul_into(out: &mut [u64], a: &[u64], b: &[u64]) {
+    for (i, &ai) in a.iter().enumerate() {
+        if ai == 0 {
+            continue;
+        }
+        let mut carry = 0_u64;
+        for (o, &bj) in out[i..].iter_mut().zip(b) {
+            let t = ai as u128 * bj as u128 + *o as u128 + carry as u128;
+            *o = t as u64;
+            carry = (t >> 64) as u64;
+        }
+        out[i + b.len()] = carry;
+    }
+}
+
+/// `a = a · m + c` in place; returns the carry-out limb.
+fn mul_add_small(a: &mut [u64], m: u64, c: u64) -> u64 {
+    let mut carry = c;
+    for x in a.iter_mut() {
+        let t = *x as u128 * m as u128 + carry as u128;
+        *x = t as u64;
+        carry = (t >> 64) as u64;
+    }
+    carry
+}
+
+/// `a /= d` in place for a nonzero `d`; returns the remainder.
+fn div_small_assign(a: &mut [u64], d: u64) -> u64 {
+    let mut rem = 0_u64;
+    for x in a.iter_mut().rev() {
+        let cur = ((rem as u128) << 64) | *x as u128;
+        let q = cur / d as u128;
+        *x = q as u64;
+        rem = (cur - q * d as u128) as u64;
+    }
+    rem
+}
+
+/// Remainder of a magnitude modulo a nonzero `u64` (Horner over the limbs,
+/// high limb first). A modulus below 2³² takes the limbs in 32-bit halves,
+/// so the accumulator never leaves u64.
+fn rem_mag_u64(a: &[u64], m: u64) -> u64 {
+    if m <= u32::MAX as u64 {
+        return a.iter().rev().fold(0, |acc, &l| {
+            let acc = ((acc << 32) | (l >> 32)) % m;
+            ((acc << 32) | (l & 0xFFFF_FFFF)) % m
+        });
+    }
+    let m = m as u128;
+    a.iter()
+        .rev()
+        .fold(0_u128, |acc, &l| ((acc << 64) | l as u128) % m) as u64
+}
+
+/// `out = a << bits` for `bits < 64`; `out` has room for every limb of
+/// `a` plus the carry limb when `out.len() > a.len()`.
+fn shl_into(out: &mut [u64], a: &[u64], bits: u32) {
+    if bits == 0 {
+        out[..a.len()].copy_from_slice(a);
+        return;
+    }
+    let mut carry = 0_u64;
+    for (o, &l) in out.iter_mut().zip(a) {
+        *o = (l << bits) | carry;
+        carry = l >> (64 - bits);
+    }
+    if let Some(top) = out.get_mut(a.len()) {
+        *top = carry;
+    }
+}
+
+/// `a >>= bits` in place for `bits < 64`.
+fn shr_assign(a: &mut [u64], bits: u32) {
+    if bits == 0 {
+        return;
+    }
+    for i in 0..a.len() {
+        let hi = a.get(i + 1).map_or(0, |&h| h << (64 - bits));
+        a[i] = (a[i] >> bits) | hi;
+    }
+}
+
+/// Knuth's Algorithm D: `(a / b, a % b)` for trimmed magnitudes with
+/// `b.len() ≥ 2` and `a ≥ b`. The normalized operands live on the stack
+/// when the dividend is inline.
+fn divrem_knuth(a: &[u64], b: &[u64]) -> (Limbs, Limbs) {
+    let n = b.len();
+    let shift = b[n - 1].leading_zeros();
+    let (mut stack_a, mut stack_b) = ([0_u64; SCRATCH], [0_u64; SCRATCH]);
+    let (mut heap_a, mut heap_b);
+    let (anm, bn) = if a.len() < SCRATCH {
+        (&mut stack_a[..a.len() + 1], &mut stack_b[..n])
+    } else {
+        heap_a = vec![0; a.len() + 1];
+        heap_b = vec![0; n];
+        (&mut heap_a[..], &mut heap_b[..])
+    };
+    shl_into(bn, b, shift);
+    shl_into(anm, a, shift);
+    let bn = &*bn;
+    let m = anm.len() - n;
+    let mut q = Limbs::zeroed(m);
+    let qs = q.as_mut_slice();
+    let base = 1_u128 << 64;
+    let (btop, bsec) = (bn[n - 1] as u128, bn[n - 2] as u128);
+    for j in (0..m).rev() {
+        let num = ((anm[j + n] as u128) << 64) | anm[j + n - 1] as u128;
+        let mut qhat = num / btop;
+        let mut rhat = num - qhat * btop;
+        while qhat >= base || qhat * bsec > (rhat << 64) | anm[j + n - 2] as u128 {
+            qhat -= 1;
+            rhat += btop;
+            if rhat >= base {
+                break;
+            }
+        }
+        // Multiply and subtract; qhat < 2⁶⁴ here.
+        let (mut borrow, mut carry) = (false, 0_u64);
+        for (x, &bi) in anm[j..j + n].iter_mut().zip(bn) {
+            let p = qhat * bi as u128 + carry as u128;
+            carry = (p >> 64) as u64;
+            let (d, b1) = x.overflowing_sub(p as u64);
+            let (d, b2) = d.overflowing_sub(borrow as u64);
+            *x = d;
+            borrow = b1 | b2;
+        }
+        let (d, b1) = anm[j + n].overflowing_sub(carry);
+        let (d, b2) = d.overflowing_sub(borrow as u64);
+        anm[j + n] = d;
+        if b1 | b2 {
+            // qhat was one too large: add back.
+            qhat -= 1;
+            let c = add_assign_mag(&mut anm[j..j + n], bn);
+            anm[j + n] = anm[j + n].wrapping_add(c as u64);
+        }
+        qs[j] = qhat as u64;
+    }
+    q.trim();
+    shr_assign(&mut anm[..n], shift);
+    (q, Limbs::from_trimmed(&anm[..n]))
+}
+
+/// `(a / b, a % b)` for trimmed magnitudes with `b` nonzero.
+fn divrem_mag(a: &[u64], b: &[u64]) -> (Limbs, Limbs) {
+    assert!(!b.is_empty(), "division by zero magnitude");
+    if cmp_mag(a, b) == Ordering::Less {
+        return (Limbs::EMPTY, Limbs::from_slice(a));
+    }
+    if let [d] = *b {
+        let mut q = Limbs::from_slice(a);
+        let r = div_small_assign(q.as_mut_slice(), d);
+        q.trim();
+        let mut rem = Limbs::EMPTY;
+        if r != 0 {
+            rem.push(r);
+        }
+        return (q, rem);
+    }
+    divrem_knuth(a, b)
+}
+
+/// Number of significant bits of a trimmed magnitude.
+fn mag_bits(a: &[u64]) -> usize {
+    a.last()
+        .map_or(0, |&top| a.len() * 64 - top.leading_zeros() as usize)
+}
+
+/// The magnitude shifted right by `shift` bits, truncated to 64 bits.
+fn mag_shr_u64(a: &[u64], shift: usize) -> u64 {
+    let (limb, bit) = (shift / 64, shift % 64);
+    let lo = a.get(limb).map_or(0, |&l| l as u128);
+    let hi = a.get(limb + 1).map_or(0, |&l| l as u128);
+    (((hi << 64) | lo) >> bit) as u64
+}
+
+/// Cofactor magnitudes the cosequence may reach: the bound that keeps
+/// [`lehmer_apply`]'s sums inside `i128`.
+const COFACTOR_LIMIT: i128 = 1 << 62;
+
+/// Knuth's Algorithm L, steps L2–L3: runs the quotient sequence of
+/// `(û, v̂)` — `u` and `v` shifted right so that `û` keeps 62 bits — and
+/// returns the cofactors `[A, B, C, D]` of every step whose quotient is
+/// certified exact for the full operands, i.e. identical for both
+/// bracketing ratios `(û + A)/(v̂ + C)` and `(û + B)/(v̂ + D)`. `B == 0`
+/// means no step was certified.
+fn lehmer_cosequence(u: &[u64], v: &[u64]) -> [i64; 4] {
+    let shift = mag_bits(u).saturating_sub(62);
+    let mut uh = mag_shr_u64(u, shift) as i64;
+    let mut vh = mag_shr_u64(v, shift) as i64;
+    let (mut a, mut b, mut c, mut d) = (1_i64, 0_i64, 0_i64, 1_i64);
+    // û < 2⁶², the remainders stay below û and the cofactors below the
+    // limit checked at every step, so the brackets are i64 sums in
+    // (−2⁶², 2⁶³) and the products are formed in i128. Stopping early is
+    // always safe — every step taken so far was certified — so a negative
+    // bracket or remainder, a zero divisor or a cofactor at the limit
+    // simply ends the run. (Cofactors are bounded by û < 2⁶² (Knuth), so
+    // the limit never binds; the check makes the bound local.)
+    loop {
+        let (num_a, den_c, num_b, den_d) = (uh + a, vh + c, uh + b, vh + d);
+        if num_a < 0 || num_b < 0 || den_c <= 0 || den_d <= 0 {
+            break;
+        }
+        // q = ⌊num_a / den_c⌋ must equal ⌊num_b / den_d⌋, i.e.
+        // q·den_d ≤ num_b < q·den_d + den_d: one division and a multiply.
+        let q = num_a / den_c;
+        let low = q as i128 * den_d as i128;
+        if low > num_b as i128 || num_b as i128 - low >= den_d as i128 {
+            break;
+        }
+        let nc = a as i128 - q as i128 * c as i128;
+        let nd = b as i128 - q as i128 * d as i128;
+        let next = uh as i128 - q as i128 * vh as i128;
+        if nc.abs() >= COFACTOR_LIMIT || nd.abs() >= COFACTOR_LIMIT || next < 0 {
+            break;
+        }
+        (a, c) = (c, nc as i64);
+        (b, d) = (d, nd as i64);
+        (uh, vh) = (vh, next as i64);
+    }
+    [a, b, c, d]
+}
+
+/// Knuth's Algorithm L, step L4: replaces `(u, v)` by
+/// `(A·u + B·v, C·u + D·v)` in one pass over the limbs, without
+/// allocating. The cofactors come from a certified cosequence, so both
+/// results are non-negative consecutive remainders with `u > v`.
+fn lehmer_apply(u: &mut Limbs, v: &mut Limbs, cofactors: [i64; 4]) {
+    let [a, b, c, d] = cofactors.map(i128::from);
+    v.grow(u.len());
+    let (mut carry_u, mut carry_v) = (0_i128, 0_i128);
+    for (ui, vi) in u.as_mut_slice().iter_mut().zip(v.as_mut_slice()) {
+        let (x, y) = (*ui as i128, *vi as i128);
+        // Cofactors are below 2⁶² and limbs below 2⁶⁴, so each sum of two
+        // products is below 2¹²⁷ − 2⁶⁵ in magnitude and a carry of at most
+        // 2⁶³ keeps it inside i128; the arithmetic shift floors the signed
+        // carry, which therefore stays at most 2⁶³ in magnitude.
+        let nu = a * x + b * y + carry_u;
+        let nv = c * x + d * y + carry_v;
+        *ui = nu as u64;
+        *vi = nv as u64;
+        carry_u = nu >> 64;
+        carry_v = nv >> 64;
+    }
+    debug_assert!(carry_u == 0 && carry_v == 0, "cosequence left a carry");
+    u.trim();
+    v.trim();
+}
+
 impl BigInt {
     /// The additive identity.
     pub fn zero() -> Self {
         BigInt {
             sign: Sign::Zero,
-            limbs: Vec::new(),
+            mag: Limbs::EMPTY,
         }
     }
 
     /// The multiplicative identity.
     pub fn one() -> Self {
-        BigInt::from(1_i64)
+        BigInt::from(1_u64)
     }
 
     /// Returns `true` if `self` is zero.
@@ -87,7 +522,7 @@ impl BigInt {
 
     /// Returns `true` if `self` is exactly one.
     pub fn is_one(&self) -> bool {
-        self.sign == Sign::Plus && self.limbs.len() == 1 && self.limbs[0] == 1
+        self.sign == Sign::Plus && self.mag.as_slice() == [1]
     }
 
     /// Returns `true` if `self` is strictly negative.
@@ -120,7 +555,7 @@ impl BigInt {
 
     /// Number of bits in the magnitude (0 for zero).
     pub fn bits(&self) -> usize {
-        Self::mag_bits(&self.limbs)
+        mag_bits(self.mag.as_slice())
     }
 
     /// Converts to `i64` if the value fits.
@@ -129,16 +564,11 @@ impl BigInt {
     ///
     /// Returns [`NumericError::Overflow`] when the magnitude exceeds `i64`.
     pub fn to_i64(&self) -> Result<i64, NumericError> {
-        if self.is_zero() {
-            return Ok(0);
-        }
-        if self.limbs.len() > 2 {
-            return Err(NumericError::Overflow(self.to_string()));
-        }
-        let mut mag: u128 = 0;
-        for (i, &l) in self.limbs.iter().enumerate() {
-            mag |= (l as u128) << (32 * i);
-        }
+        let mag = match self.mag.as_slice() {
+            [] => return Ok(0),
+            [m] => *m as u128,
+            _ => return Err(NumericError::Overflow(self.to_string())),
+        };
         match self.sign {
             Sign::Plus if mag <= i64::MAX as u128 => Ok(mag as i64),
             Sign::Minus if mag <= i64::MAX as u128 + 1 => Ok((mag as i128).wrapping_neg() as i64),
@@ -153,21 +583,22 @@ impl BigInt {
     /// Returns [`NumericError::Overflow`] for negative values or magnitudes
     /// exceeding `u64`.
     pub fn to_u64(&self) -> Result<u64, NumericError> {
-        if self.is_negative() || self.limbs.len() > 2 {
-            return Err(NumericError::Overflow(self.to_string()));
+        match self.mag.as_slice() {
+            _ if self.is_negative() => Err(NumericError::Overflow(self.to_string())),
+            [] => Ok(0),
+            [m] => Ok(*m),
+            _ => Err(NumericError::Overflow(self.to_string())),
         }
-        let mut mag: u64 = 0;
-        for (i, &l) in self.limbs.iter().enumerate() {
-            mag |= (l as u64) << (32 * i);
-        }
-        Ok(mag)
     }
 
-    /// Lossy conversion to `f64`.
+    /// Lossy conversion to `f64`: Horner over the 32-bit halves of the
+    /// limbs, high half first, rounding after every step.
     pub fn to_f64(&self) -> f64 {
+        let half = (1_u64 << 32) as f64;
         let mut v = 0.0_f64;
-        for &l in self.limbs.iter().rev() {
-            v = v * BASE as f64 + l as f64;
+        for &l in self.mag.as_slice().iter().rev() {
+            v = v * half + (l >> 32) as f64;
+            v = v * half + (l & 0xFFFF_FFFF) as f64;
         }
         if self.sign == Sign::Minus {
             -v
@@ -176,217 +607,14 @@ impl BigInt {
         }
     }
 
-    fn from_limbs(sign: Sign, mut limbs: Vec<u32>) -> Self {
-        while limbs.last() == Some(&0) {
-            limbs.pop();
-        }
-        if limbs.is_empty() {
+    /// The value `sign · mag`, trimming `mag` first.
+    fn from_mag(sign: Sign, mut mag: Limbs) -> Self {
+        mag.trim();
+        if mag.len() == 0 {
             BigInt::zero()
         } else {
-            BigInt { sign, limbs }
+            BigInt { sign, mag }
         }
-    }
-
-    fn cmp_mag(a: &[u32], b: &[u32]) -> Ordering {
-        if a.len() != b.len() {
-            return a.len().cmp(&b.len());
-        }
-        for i in (0..a.len()).rev() {
-            match a[i].cmp(&b[i]) {
-                Ordering::Equal => {}
-                o => return o,
-            }
-        }
-        Ordering::Equal
-    }
-
-    fn add_mag(a: &[u32], b: &[u32]) -> Vec<u32> {
-        let (long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
-        let mut out = Vec::with_capacity(long.len() + 1);
-        let mut carry = 0_u64;
-        for (i, &limb) in long.iter().enumerate() {
-            let s = limb as u64 + *short.get(i).unwrap_or(&0) as u64 + carry;
-            out.push((s % BASE) as u32);
-            carry = s / BASE;
-        }
-        if carry > 0 {
-            out.push(carry as u32);
-        }
-        out
-    }
-
-    /// Subtracts magnitudes, requires `a >= b`.
-    fn sub_mag(a: &[u32], b: &[u32]) -> Vec<u32> {
-        debug_assert!(Self::cmp_mag(a, b) != Ordering::Less);
-        let mut out = Vec::with_capacity(a.len());
-        let mut borrow = 0_i64;
-        for (i, &limb) in a.iter().enumerate() {
-            let mut d = limb as i64 - *b.get(i).unwrap_or(&0) as i64 - borrow;
-            if d < 0 {
-                d += BASE as i64;
-                borrow = 1;
-            } else {
-                borrow = 0;
-            }
-            out.push(d as u32);
-        }
-        while out.last() == Some(&0) {
-            out.pop();
-        }
-        out
-    }
-
-    fn mul_mag(a: &[u32], b: &[u32]) -> Vec<u32> {
-        if a.is_empty() || b.is_empty() {
-            return Vec::new();
-        }
-        let mut out = vec![0_u32; a.len() + b.len()];
-        for (i, &ai) in a.iter().enumerate() {
-            if ai == 0 {
-                continue;
-            }
-            let mut carry = 0_u64;
-            for (j, &bj) in b.iter().enumerate() {
-                let cur = out[i + j] as u64 + ai as u64 * bj as u64 + carry;
-                out[i + j] = (cur % BASE) as u32;
-                carry = cur / BASE;
-            }
-            let mut k = i + b.len();
-            while carry > 0 {
-                let cur = out[k] as u64 + carry;
-                out[k] = (cur % BASE) as u32;
-                carry = cur / BASE;
-                k += 1;
-            }
-        }
-        while out.last() == Some(&0) {
-            out.pop();
-        }
-        out
-    }
-
-    /// Divides magnitude by a single u32, returning (quotient, remainder).
-    fn divrem_mag_small(a: &[u32], d: u32) -> (Vec<u32>, u32) {
-        let mut q = vec![0_u32; a.len()];
-        let mut rem = 0_u64;
-        for i in (0..a.len()).rev() {
-            let cur = rem * BASE + a[i] as u64;
-            q[i] = (cur / d as u64) as u32;
-            rem = cur % d as u64;
-        }
-        while q.last() == Some(&0) {
-            q.pop();
-        }
-        (q, rem as u32)
-    }
-
-    /// Schoolbook long division of magnitudes: returns (quotient, remainder).
-    fn divrem_mag(a: &[u32], b: &[u32]) -> (Vec<u32>, Vec<u32>) {
-        assert!(!b.is_empty(), "division by zero magnitude");
-        if Self::cmp_mag(a, b) == Ordering::Less {
-            return (Vec::new(), a.to_vec());
-        }
-        if b.len() == 1 {
-            let (q, r) = Self::divrem_mag_small(a, b[0]);
-            return (q, if r == 0 { Vec::new() } else { vec![r] });
-        }
-        // Knuth algorithm D with normalization.
-        let shift = b.last().unwrap().leading_zeros();
-        let bn = Self::shl_bits(b, shift);
-        let mut an = Self::shl_bits(a, shift);
-        an.push(0);
-        let n = bn.len();
-        let m = an.len() - n;
-        let mut q = vec![0_u32; m];
-        let btop = bn[n - 1] as u64;
-        let bsec = if n >= 2 { bn[n - 2] as u64 } else { 0 };
-        for j in (0..m).rev() {
-            let num = (an[j + n] as u64) * BASE + an[j + n - 1] as u64;
-            let mut qhat = num / btop;
-            let mut rhat = num % btop;
-            while qhat >= BASE
-                || qhat * bsec > rhat * BASE + if j + n >= 2 { an[j + n - 2] as u64 } else { 0 }
-            {
-                qhat -= 1;
-                rhat += btop;
-                if rhat >= BASE {
-                    break;
-                }
-            }
-            // Multiply and subtract.
-            let mut borrow = 0_i64;
-            let mut carry = 0_u64;
-            for i in 0..n {
-                let p = qhat * bn[i] as u64 + carry;
-                carry = p / BASE;
-                let sub = an[j + i] as i64 - (p % BASE) as i64 - borrow;
-                if sub < 0 {
-                    an[j + i] = (sub + BASE as i64) as u32;
-                    borrow = 1;
-                } else {
-                    an[j + i] = sub as u32;
-                    borrow = 0;
-                }
-            }
-            let sub = an[j + n] as i64 - carry as i64 - borrow;
-            if sub < 0 {
-                // qhat was one too large: add back.
-                an[j + n] = (sub + BASE as i64) as u32;
-                qhat -= 1;
-                let mut c = 0_u64;
-                for i in 0..n {
-                    let s = an[j + i] as u64 + bn[i] as u64 + c;
-                    an[j + i] = (s % BASE) as u32;
-                    c = s / BASE;
-                }
-                an[j + n] = an[j + n].wrapping_add(c as u32);
-            } else {
-                an[j + n] = sub as u32;
-            }
-            q[j] = qhat as u32;
-        }
-        while q.last() == Some(&0) {
-            q.pop();
-        }
-        let mut rem = an[..n].to_vec();
-        while rem.last() == Some(&0) {
-            rem.pop();
-        }
-        let rem = Self::shr_bits(&rem, shift);
-        (q, rem)
-    }
-
-    fn shl_bits(a: &[u32], bits: u32) -> Vec<u32> {
-        if bits == 0 {
-            return a.to_vec();
-        }
-        let mut out = Vec::with_capacity(a.len() + 1);
-        let mut carry = 0_u32;
-        for &l in a {
-            out.push((l << bits) | carry);
-            carry = l >> (32 - bits);
-        }
-        if carry > 0 {
-            out.push(carry);
-        }
-        out
-    }
-
-    fn shr_bits(a: &[u32], bits: u32) -> Vec<u32> {
-        if bits == 0 {
-            return a.to_vec();
-        }
-        let mut out = vec![0_u32; a.len()];
-        for i in 0..a.len() {
-            out[i] = a[i] >> bits;
-            if i + 1 < a.len() {
-                out[i] |= a[i + 1] << (32 - bits);
-            }
-        }
-        while out.last() == Some(&0) {
-            out.pop();
-        }
-        out
     }
 
     /// Euclidean-style division returning `(quotient, remainder)` with the
@@ -401,16 +629,13 @@ impl BigInt {
         if self.is_zero() {
             return (BigInt::zero(), BigInt::zero());
         }
-        let (qm, rm) = Self::divrem_mag(&self.limbs, &other.limbs);
-        let qsign = if qm.is_empty() {
-            Sign::Zero
-        } else if self.sign == other.sign {
+        let (qm, rm) = divrem_mag(self.mag.as_slice(), other.mag.as_slice());
+        let qsign = if self.sign == other.sign {
             Sign::Plus
         } else {
             Sign::Minus
         };
-        let rsign = if rm.is_empty() { Sign::Zero } else { self.sign };
-        (BigInt::from_limbs(qsign, qm), BigInt::from_limbs(rsign, rm))
+        (BigInt::from_mag(qsign, qm), BigInt::from_mag(self.sign, rm))
     }
 
     /// Greatest common divisor (always non-negative).
@@ -424,147 +649,57 @@ impl BigInt {
     /// certify even one quotient. Once the smaller operand fits a `u64` the
     /// rest is word arithmetic.
     pub fn gcd(&self, other: &BigInt) -> BigInt {
-        let (mut u, mut v) = match Self::cmp_mag(&self.limbs, &other.limbs) {
-            Ordering::Less => (other.limbs.clone(), self.limbs.clone()),
-            _ => (self.limbs.clone(), other.limbs.clone()),
+        let (a, b) = (self.mag.as_slice(), other.mag.as_slice());
+        let (a, b) = match cmp_mag(a, b) {
+            Ordering::Less => (b, a),
+            _ => (a, b),
         };
-        // Invariant: u >= v, both magnitudes without trailing zero limbs.
-        while v.len() > 2 {
-            let [a, b, c, d] = Self::lehmer_cosequence(&u, &v);
-            if b == 0 {
-                let (_, r) = Self::divrem_mag(&u, &v);
-                u = std::mem::replace(&mut v, r);
-            } else {
-                Self::lehmer_apply(&mut u, &mut v, [a, b, c, d]);
+        // Invariant: u >= v, both trimmed.
+        let small = match *b {
+            [] => return BigInt::from_mag(Sign::Plus, Limbs::from_slice(a)),
+            [s] => s,
+            _ => {
+                let (mut u, mut v) = (Limbs::from_slice(a), Limbs::from_slice(b));
+                while v.len() > 1 {
+                    let cofactors = lehmer_cosequence(u.as_slice(), v.as_slice());
+                    if cofactors[1] == 0 {
+                        let (_, r) = divrem_mag(u.as_slice(), v.as_slice());
+                        u = std::mem::replace(&mut v, r);
+                    } else {
+                        lehmer_apply(&mut u, &mut v, cofactors);
+                    }
+                }
+                match *v.as_slice() {
+                    [] => return BigInt::from_mag(Sign::Plus, u),
+                    [s] => return BigInt::from(gcd_u64(s, rem_mag_u64(u.as_slice(), s))),
+                    _ => unreachable!("the loop leaves at most one limb"),
+                }
             }
-        }
-        let small = Self::mag_u64(&v);
-        if small == 0 {
-            return BigInt::from_limbs(Sign::Plus, u);
-        }
-        BigInt::from(gcd_u64(small, Self::rem_mag_u64(&u, small)))
+        };
+        BigInt::from(gcd_u64(small, rem_mag_u64(a, small)))
     }
 
     /// One Lehmer step on `(u, v)` with `u > v > 0`, for callers that track
     /// the Euclidean cosequence themselves: the certified cofactors
     /// `[A, B, C, D]` with the consecutive remainders `(A·u + B·v,
-    /// C·u + D·v)`. `None` when `v` fits two limbs or the leading bits
+    /// C·u + D·v)`. `None` when `v` fits a `u64` or the leading bits
     /// certify no quotient — then take a plain `div_rem` step.
-    pub(crate) fn lehmer_step(u: &BigInt, v: &BigInt) -> Option<([i128; 4], BigInt, BigInt)> {
+    pub(crate) fn lehmer_step(u: &BigInt, v: &BigInt) -> Option<([i64; 4], BigInt, BigInt)> {
         debug_assert!(u > v && v.is_positive());
-        if v.limbs.len() <= 2 {
+        if v.mag.len() <= 1 {
             return None;
         }
-        let cofactors = Self::lehmer_cosequence(&u.limbs, &v.limbs);
+        let cofactors = lehmer_cosequence(u.mag.as_slice(), v.mag.as_slice());
         if cofactors[1] == 0 {
             return None;
         }
-        let (mut nu, mut nv) = (u.limbs.clone(), v.limbs.clone());
-        Self::lehmer_apply(&mut nu, &mut nv, cofactors);
+        let (mut nu, mut nv) = (u.mag.clone(), v.mag.clone());
+        lehmer_apply(&mut nu, &mut nv, cofactors);
         Some((
             cofactors,
-            BigInt::from_limbs(Sign::Plus, nu),
-            BigInt::from_limbs(Sign::Plus, nv),
+            BigInt::from_mag(Sign::Plus, nu),
+            BigInt::from_mag(Sign::Plus, nv),
         ))
-    }
-
-    /// Knuth's Algorithm L, steps L2–L3: runs the quotient sequence of
-    /// `(û, v̂)` — `u` and `v` shifted right so that `û` keeps 62 bits —
-    /// and returns the cofactors `[A, B, C, D]` of every step whose
-    /// quotient is certified exact for the full operands, i.e. identical
-    /// for both bracketing ratios `(û + A)/(v̂ + C)` and `(û + B)/(v̂ + D)`.
-    /// `B == 0` means no step was certified.
-    fn lehmer_cosequence(u: &[u32], v: &[u32]) -> [i128; 4] {
-        let shift = Self::mag_bits(u).saturating_sub(62);
-        let mut uh = Self::mag_shr_u64(u, shift) as i128;
-        let mut vh = Self::mag_shr_u64(v, shift) as i128;
-        let (mut a, mut b, mut c, mut d) = (1_i128, 0_i128, 0_i128, 1_i128);
-        // The brackets lie in [0, 2⁶³] (Knuth), so the quotients are u64
-        // divisions. Stopping early is always safe — every step taken so far
-        // was certified — so a bracket outside u64 or a zero divisor simply
-        // ends the run.
-        while let (Ok(num_a), Ok(den_c), Ok(num_b), Ok(den_d)) = (
-            u64::try_from(uh + a),
-            u64::try_from(vh + c),
-            u64::try_from(uh + b),
-            u64::try_from(vh + d),
-        ) {
-            if den_c == 0 || den_d == 0 || num_a / den_c != num_b / den_d {
-                break;
-            }
-            let q = (num_a / den_c) as i128;
-            (a, c) = (c, a - q * c);
-            (b, d) = (d, b - q * d);
-            (uh, vh) = (vh, uh - q * vh);
-        }
-        [a, b, c, d]
-    }
-
-    /// Knuth's Algorithm L, step L4: replaces `(u, v)` by
-    /// `(A·u + B·v, C·u + D·v)` in one pass over the limbs, without
-    /// allocating. The cofactors come from a certified cosequence, so both
-    /// results are non-negative consecutive remainders with `u > v`.
-    fn lehmer_apply(u: &mut Vec<u32>, v: &mut Vec<u32>, [a, b, c, d]: [i128; 4]) {
-        v.resize(u.len(), 0);
-        let (mut carry_u, mut carry_v) = (0_i128, 0_i128);
-        for (ui, vi) in u.iter_mut().zip(v.iter_mut()) {
-            let (x, y) = (*ui as i128, *vi as i128);
-            // Cofactors stay below 2⁶⁴ in magnitude and limbs below 2³², so
-            // every sum stays far inside i128; the arithmetic shift floors
-            // the signed carry.
-            let nu = a * x + b * y + carry_u;
-            let nv = c * x + d * y + carry_v;
-            *ui = nu as u32;
-            *vi = nv as u32;
-            carry_u = nu >> 32;
-            carry_v = nv >> 32;
-        }
-        debug_assert!(carry_u == 0 && carry_v == 0, "cosequence left a carry");
-        for limbs in [u, v] {
-            while limbs.last() == Some(&0) {
-                limbs.pop();
-            }
-        }
-    }
-
-    /// Number of significant bits of a trimmed magnitude.
-    fn mag_bits(a: &[u32]) -> usize {
-        a.last()
-            .map_or(0, |&top| a.len() * 32 - top.leading_zeros() as usize)
-    }
-
-    /// The magnitude shifted right by `shift` bits, truncated to 64 bits.
-    fn mag_shr_u64(a: &[u32], shift: usize) -> u64 {
-        let (limb, bit) = (shift / 32, shift % 32);
-        let window = a
-            .iter()
-            .skip(limb)
-            .take(3)
-            .rev()
-            .fold(0_u128, |acc, &l| (acc << 32) | l as u128);
-        (window >> bit) as u64
-    }
-
-    /// A magnitude of at most two limbs as a `u64`.
-    fn mag_u64(a: &[u32]) -> u64 {
-        debug_assert!(a.len() <= 2);
-        a.iter().rev().fold(0, |acc, &l| (acc << 32) | l as u64)
-    }
-
-    /// Remainder of a magnitude modulo a nonzero `u64` (Horner over the
-    /// limbs, high limb first; the accumulator stays below m·2³², so a
-    /// one-limb modulus never leaves u64).
-    fn rem_mag_u64(a: &[u32], m: u64) -> u64 {
-        if m <= u32::MAX as u64 {
-            return a
-                .iter()
-                .rev()
-                .fold(0, |acc, &l| ((acc << 32) | l as u64) % m);
-        }
-        let m = m as u128;
-        a.iter()
-            .rev()
-            .fold(0_u128, |acc, &l| ((acc << 32) | l as u128) % m) as u64
     }
 
     /// Least common multiple (always non-negative); zero if either input is zero.
@@ -573,8 +708,9 @@ impl BigInt {
             return BigInt::zero();
         }
         let g = self.gcd(other);
-        let (q, _) = self.abs().div_rem(&g);
-        &q * &other.abs()
+        let (mut q, _) = self.abs().div_rem(&g);
+        q *= &other.abs();
+        q
     }
 
     /// Raises `self` to the power `exp`.
@@ -584,10 +720,12 @@ impl BigInt {
         let mut e = exp;
         while e > 0 {
             if e & 1 == 1 {
-                result = &result * &base;
+                result *= &base;
             }
-            base = &base * &base;
             e >>= 1;
+            if e > 0 {
+                base = &base * &base;
+            }
         }
         result
     }
@@ -601,11 +739,90 @@ impl BigInt {
     /// Panics when `m == 0`.
     pub fn mod_u64(&self, m: u64) -> u64 {
         assert!(m > 0, "modulus must be positive");
-        let r = Self::rem_mag_u64(&self.limbs, m);
+        let r = rem_mag_u64(self.mag.as_slice(), m);
         if self.is_negative() && r != 0 {
             m - r
         } else {
             r
+        }
+    }
+
+    /// `self += rhs` where `rhs` carries `rhs_sign` instead of its own
+    /// sign, so subtraction needs no negated copy of its operand. Works in
+    /// place: an inline result allocates nothing.
+    fn add_signed_assign(&mut self, rhs: &BigInt, rhs_sign: Sign) {
+        use Sign::*;
+        match (self.sign, rhs_sign) {
+            (_, Zero) => {}
+            (Zero, _) => {
+                self.mag.clone_from(&rhs.mag);
+                self.sign = rhs_sign;
+            }
+            (a, b) if a == b => {
+                let r = rhs.mag.as_slice();
+                if self.mag.len() < r.len() {
+                    self.mag.grow(r.len());
+                }
+                if add_assign_mag(self.mag.as_mut_slice(), r) {
+                    self.mag.push(1);
+                }
+            }
+            _ => match cmp_mag(self.mag.as_slice(), rhs.mag.as_slice()) {
+                Ordering::Equal => *self = BigInt::zero(),
+                Ordering::Greater => {
+                    sub_assign_mag(self.mag.as_mut_slice(), rhs.mag.as_slice());
+                    self.mag.trim();
+                }
+                Ordering::Less => {
+                    let r = rhs.mag.as_slice();
+                    self.mag.grow(r.len());
+                    rsub_assign_mag(self.mag.as_mut_slice(), r);
+                    self.mag.trim();
+                    self.sign = rhs_sign;
+                }
+            },
+        }
+    }
+
+    /// `self + rhs` with `rhs` carrying `rhs_sign`. A same-sign sum of
+    /// operands up to eight limbs is formed on the stack, like a product,
+    /// and copied out once; otherwise a copy of `self` with room for the
+    /// longer operand and a carry limb is summed in place, so a heap result
+    /// allocates once.
+    fn signed_sum(&self, rhs: &BigInt, rhs_sign: Sign) -> BigInt {
+        let (a, b) = (self.mag.as_slice(), rhs.mag.as_slice());
+        let room = a.len().max(b.len()) + 1;
+        if self.sign == rhs_sign && self.sign != Sign::Zero && room <= SCRATCH {
+            let (long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
+            let mut buf = [0_u64; SCRATCH];
+            buf[..long.len()].copy_from_slice(long);
+            buf[long.len()] = add_assign_mag(&mut buf[..long.len()], short) as u64;
+            return BigInt {
+                sign: self.sign,
+                mag: Limbs::from_trimmed(&buf[..room]),
+            };
+        }
+        let mag = if room <= INLINE + 1 {
+            Limbs::from_slice(a)
+        } else {
+            let mut v = Vec::with_capacity(room);
+            v.extend_from_slice(a);
+            Limbs::Heap(v)
+        };
+        let mut sum = BigInt {
+            sign: self.sign,
+            mag,
+        };
+        sum.add_signed_assign(rhs, rhs_sign);
+        sum
+    }
+
+    /// The sign of a product of `self` and `rhs`, both nonzero.
+    fn product_sign(&self, rhs: &BigInt) -> Sign {
+        if self.sign == rhs.sign {
+            Sign::Plus
+        } else {
+            Sign::Minus
         }
     }
 }
@@ -616,18 +833,60 @@ impl Default for BigInt {
     }
 }
 
-impl From<i64> for BigInt {
-    fn from(v: i64) -> Self {
+impl PartialEq for BigInt {
+    fn eq(&self, other: &Self) -> bool {
+        self.sign == other.sign && self.mag.as_slice() == other.mag.as_slice()
+    }
+}
+
+impl Eq for BigInt {}
+
+impl Hash for BigInt {
+    /// Feeds the byte stream of the former `(Sign, Vec<u32>)` layout — the
+    /// sign, then the magnitude as trimmed little-endian 32-bit limbs with
+    /// their length prefix — so hashes (and the cache ids built from them)
+    /// do not depend on the limb width.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.sign.hash(state);
+        let mag = self.mag.as_slice();
+        let n = mag
+            .last()
+            .map_or(0, |&top| 2 * mag.len() - (top >> 32 == 0) as usize);
+        let halves = mag.iter().flat_map(|&l| [l as u32, (l >> 32) as u32]);
+        if n <= 2 * INLINE {
+            let mut buf = [0_u32; 2 * INLINE];
+            for (b, h) in buf.iter_mut().zip(halves) {
+                *b = h;
+            }
+            buf[..n].hash(state);
+        } else {
+            halves.take(n).collect::<Vec<u32>>().hash(state);
+        }
+    }
+}
+
+impl From<u64> for BigInt {
+    fn from(v: u64) -> Self {
         if v == 0 {
             return BigInt::zero();
         }
-        let sign = if v < 0 { Sign::Minus } else { Sign::Plus };
-        let mag = (v as i128).unsigned_abs();
-        let mut limbs = vec![(mag & 0xFFFF_FFFF) as u32];
-        if mag >> 32 != 0 {
-            limbs.push((mag >> 32) as u32);
+        let mut mag = Limbs::EMPTY;
+        mag.push(v);
+        BigInt {
+            sign: Sign::Plus,
+            mag,
         }
-        BigInt::from_limbs(sign, limbs)
+    }
+}
+
+impl From<i64> for BigInt {
+    fn from(v: i64) -> Self {
+        let mag = BigInt::from(v.unsigned_abs());
+        if v < 0 {
+            -mag
+        } else {
+            mag
+        }
     }
 }
 
@@ -637,28 +896,12 @@ impl From<i32> for BigInt {
     }
 }
 
-impl From<u64> for BigInt {
-    fn from(v: u64) -> Self {
-        if v == 0 {
-            return BigInt::zero();
-        }
-        let mut limbs = vec![(v & 0xFFFF_FFFF) as u32];
-        if v >> 32 != 0 {
-            limbs.push((v >> 32) as u32);
-        }
-        BigInt::from_limbs(Sign::Plus, limbs)
-    }
-}
-
 impl From<u128> for BigInt {
     fn from(v: u128) -> Self {
-        let mut limbs = Vec::with_capacity(4);
-        let mut rest = v;
-        while rest != 0 {
-            limbs.push((rest & 0xFFFF_FFFF) as u32);
-            rest >>= 32;
-        }
-        BigInt::from_limbs(Sign::Plus, limbs)
+        let mut mag = Limbs::zeroed(2);
+        mag.as_mut_slice()
+            .copy_from_slice(&[v as u64, (v >> 64) as u64]);
+        BigInt::from_mag(Sign::Plus, mag)
     }
 }
 
@@ -673,6 +916,10 @@ impl From<i128> for BigInt {
     }
 }
 
+/// The largest power of ten below 2⁶⁴: decimal text is written 19 digits
+/// at a time.
+const DECIMAL_CHUNK: u64 = 10_000_000_000_000_000_000;
+
 impl FromStr for BigInt {
     type Err = NumericError;
 
@@ -685,39 +932,40 @@ impl FromStr for BigInt {
         if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
             return Err(NumericError::Parse(s.to_string()));
         }
-        let mut v = BigInt::zero();
-        let ten = BigInt::from(10_i64);
+        let mut mag = Limbs::EMPTY;
         for b in digits.bytes() {
-            v = &v * &ten + BigInt::from((b - b'0') as i64);
+            let carry = mul_add_small(mag.as_mut_slice(), 10, (b - b'0') as u64);
+            if carry != 0 {
+                mag.push(carry);
+            }
         }
-        if neg {
-            v = -v;
-        }
-        Ok(v)
+        let v = BigInt::from_mag(Sign::Plus, mag);
+        Ok(if neg { -v } else { v })
     }
 }
 
 impl fmt::Display for BigInt {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.is_zero() {
-            return write!(f, "0");
+            return f.write_str("0");
         }
-        let mut digits = Vec::new();
-        let mut mag = self.limbs.clone();
-        while !mag.is_empty() {
-            let (q, r) = BigInt::divrem_mag_small(&mag, 1_000_000_000);
-            digits.push(r);
-            mag = q;
+        let mut chunks = Vec::new();
+        let mut mag = self.mag.clone();
+        while mag.len() > 0 {
+            chunks.push(div_small_assign(mag.as_mut_slice(), DECIMAL_CHUNK));
+            mag.trim();
         }
-        let mut s = String::new();
         if self.sign == Sign::Minus {
-            s.push('-');
+            f.write_str("-")?;
         }
-        s.push_str(&digits.last().unwrap().to_string());
-        for d in digits.iter().rev().skip(1) {
-            s.push_str(&format!("{d:09}"));
+        let (top, rest) = chunks
+            .split_last()
+            .expect("a nonzero value has a leading chunk");
+        write!(f, "{top}")?;
+        for c in rest.iter().rev() {
+            write!(f, "{c:019}")?;
         }
-        write!(f, "{s}")
+        Ok(())
     }
 }
 
@@ -736,13 +984,14 @@ impl PartialOrd for BigInt {
 impl Ord for BigInt {
     fn cmp(&self, other: &Self) -> Ordering {
         use Sign::*;
+        let (a, b) = (self.mag.as_slice(), other.mag.as_slice());
         match (self.sign, other.sign) {
-            (Minus, Minus) => Self::cmp_mag(&other.limbs, &self.limbs),
+            (Minus, Minus) => cmp_mag(b, a),
             (Minus, _) => Ordering::Less,
             (Zero, Minus) => Ordering::Greater,
             (Zero, Zero) => Ordering::Equal,
             (Zero, Plus) => Ordering::Less,
-            (Plus, Plus) => Self::cmp_mag(&self.limbs, &other.limbs),
+            (Plus, Plus) => cmp_mag(a, b),
             (Plus, _) => Ordering::Greater,
         }
     }
@@ -774,82 +1023,61 @@ impl Neg for &BigInt {
     }
 }
 
-impl BigInt {
-    /// `self + rhs` where `rhs` carries `rhs_sign` instead of its own sign,
-    /// so subtraction needs no negated copy of its operand.
-    fn add_with_sign(&self, rhs: &BigInt, rhs_sign: Sign) -> BigInt {
-        use Sign::*;
-        match (self.sign, rhs_sign) {
-            (Zero, _) => BigInt {
-                sign: rhs_sign,
-                limbs: rhs.limbs.clone(),
-            },
-            (_, Zero) => self.clone(),
-            (a, b) if a == b => BigInt::from_limbs(a, BigInt::add_mag(&self.limbs, &rhs.limbs)),
-            _ => match BigInt::cmp_mag(&self.limbs, &rhs.limbs) {
-                Ordering::Equal => BigInt::zero(),
-                Ordering::Greater => {
-                    BigInt::from_limbs(self.sign, BigInt::sub_mag(&self.limbs, &rhs.limbs))
-                }
-                Ordering::Less => {
-                    BigInt::from_limbs(rhs_sign, BigInt::sub_mag(&rhs.limbs, &self.limbs))
-                }
-            },
-        }
-    }
-}
-
 impl Add for &BigInt {
     type Output = BigInt;
     fn add(self, rhs: &BigInt) -> BigInt {
-        self.add_with_sign(rhs, rhs.sign)
+        self.signed_sum(rhs, rhs.sign)
     }
 }
 
 impl Add for BigInt {
     type Output = BigInt;
-    fn add(self, rhs: BigInt) -> BigInt {
-        &self + &rhs
+    fn add(mut self, rhs: BigInt) -> BigInt {
+        self += &rhs;
+        self
     }
 }
 
 impl Add<BigInt> for &BigInt {
     type Output = BigInt;
-    fn add(self, rhs: BigInt) -> BigInt {
-        self + &rhs
+    fn add(self, mut rhs: BigInt) -> BigInt {
+        rhs += self;
+        rhs
     }
 }
 
 impl Add<&BigInt> for BigInt {
     type Output = BigInt;
-    fn add(self, rhs: &BigInt) -> BigInt {
-        &self + rhs
+    fn add(mut self, rhs: &BigInt) -> BigInt {
+        self += rhs;
+        self
     }
 }
 
 impl AddAssign<&BigInt> for BigInt {
     fn add_assign(&mut self, rhs: &BigInt) {
-        *self = &*self + rhs;
+        self.add_signed_assign(rhs, rhs.sign);
     }
 }
 
 impl Sub for &BigInt {
     type Output = BigInt;
     fn sub(self, rhs: &BigInt) -> BigInt {
-        self.add_with_sign(rhs, -rhs.sign)
+        self.signed_sum(rhs, -rhs.sign)
     }
 }
 
 impl Sub for BigInt {
     type Output = BigInt;
-    fn sub(self, rhs: BigInt) -> BigInt {
-        &self - &rhs
+    fn sub(mut self, rhs: BigInt) -> BigInt {
+        self -= &rhs;
+        self
     }
 }
 
 impl SubAssign<&BigInt> for BigInt {
     fn sub_assign(&mut self, rhs: &BigInt) {
-        *self = &*self - rhs;
+        self.add_signed_assign(rhs, -rhs.sign);
     }
 }
 
@@ -859,12 +1087,33 @@ impl Mul for &BigInt {
         if self.is_zero() || rhs.is_zero() {
             return BigInt::zero();
         }
-        let sign = if self.sign == rhs.sign {
-            Sign::Plus
-        } else {
-            Sign::Minus
-        };
-        BigInt::from_limbs(sign, BigInt::mul_mag(&self.limbs, &rhs.limbs))
+        let (a, b) = (self.mag.as_slice(), rhs.mag.as_slice());
+        // A one-limb factor scales the other operand in place.
+        if b.len() == 1 {
+            let mut r = self.clone();
+            r *= rhs;
+            return r;
+        }
+        if a.len() == 1 {
+            let mut r = rhs.clone();
+            r *= self;
+            return r;
+        }
+        let sign = self.product_sign(rhs);
+        let n = a.len() + b.len();
+        if n > SCRATCH {
+            let mut out = Limbs::zeroed(n);
+            mul_into(out.as_mut_slice(), a, b);
+            return BigInt::from_mag(sign, out);
+        }
+        // The product of two inline operands may still fit inline once
+        // trimmed, so it is formed on the stack first.
+        let mut buf = [0_u64; SCRATCH];
+        mul_into(&mut buf[..n], a, b);
+        BigInt {
+            sign,
+            mag: Limbs::from_trimmed(&buf[..n]),
+        }
     }
 }
 
@@ -877,7 +1126,17 @@ impl Mul for BigInt {
 
 impl MulAssign<&BigInt> for BigInt {
     fn mul_assign(&mut self, rhs: &BigInt) {
-        *self = &*self * rhs;
+        match *rhs.mag.as_slice() {
+            [] => *self = BigInt::zero(),
+            [m] if !self.is_zero() => {
+                self.sign = self.product_sign(rhs);
+                let carry = mul_add_small(self.mag.as_mut_slice(), m, 0);
+                if carry != 0 {
+                    self.mag.push(carry);
+                }
+            }
+            _ => *self = &*self * rhs,
+        }
     }
 }
 
@@ -924,9 +1183,14 @@ mod tests {
         a
     }
 
-    /// A signed value from raw little-endian limbs (zero when empty).
+    /// A signed value from raw little-endian 32-bit limbs (zero when
+    /// empty).
     fn from_raw(negative: bool, limbs: Vec<u32>) -> BigInt {
-        let v = BigInt::from_limbs(Sign::Plus, limbs);
+        let mut mag = Limbs::zeroed(limbs.len().div_ceil(2));
+        for (i, l) in limbs.into_iter().enumerate() {
+            mag.as_mut_slice()[i / 2] |= (l as u64) << (32 * (i % 2));
+        }
+        let v = BigInt::from_mag(Sign::Plus, mag);
         if negative {
             -v
         } else {

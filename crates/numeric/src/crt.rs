@@ -51,8 +51,10 @@ pub fn crt_pair(r1: &BigInt, m1: &BigInt, r2: u64, m2: u64) -> (BigInt, BigInt) 
     };
     let inv = inv_mod_u64(m1.mod_u64(m2), m2);
     let t = ((delta as u128 * inv as u128) % m2 as u128) as u64;
-    let combined = r1 + &(m1 * &BigInt::from(t));
-    let modulus = m1 * &BigInt::from(m2);
+    let mut combined = m1 * &BigInt::from(t);
+    combined += r1;
+    let mut modulus = m1.clone();
+    modulus *= &BigInt::from(m2);
     (combined, modulus)
 }
 
@@ -104,7 +106,11 @@ pub fn rational_reconstruct(a: &BigInt, m: &BigInt) -> Option<(BigInt, BigInt)> 
                 if twice_square_reaches(&n1, m) {
                     // The t sequence obeys the same recurrence as r.
                     let [a, b, c, d] = cofactors.map(BigInt::from);
-                    (t0, t1) = (&(&a * &t0) + &(&b * &t1), &(&c * &t0) + &(&d * &t1));
+                    let mut next_t0 = &a * &t0;
+                    next_t0 += &(&b * &t1);
+                    t0 *= &c;
+                    t0 += &(&d * &t1);
+                    (t0, t1) = (next_t0, t0);
                     (r0, r1) = (n0, n1);
                     continue;
                 }
@@ -114,8 +120,8 @@ pub fn rational_reconstruct(a: &BigInt, m: &BigInt) -> Option<(BigInt, BigInt)> 
         }
         let (q, rem) = r0.div_rem(&r1);
         r0 = std::mem::replace(&mut r1, rem);
-        let next_t = &t0 - &(&q * &t1);
-        t0 = std::mem::replace(&mut t1, next_t);
+        t0 -= &(&q * &t1);
+        std::mem::swap(&mut t0, &mut t1);
     }
     let (mut n, mut d) = (r1, t1);
     if d.is_zero() {
